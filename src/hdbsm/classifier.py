@@ -260,10 +260,17 @@ def sample_outcomes(table: CoincidenceTable, shots: int, seed: int) -> ShotRecor
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     flat = table.probs.reshape(-1)
-    cdf = np.cumsum(flat / flat.sum())
+    support = np.flatnonzero(flat)
+    if support.size == 0:
+        raise ValueError("no outcome has nonzero probability")
+    # The CDF is searched over the support only: a CDF that rounds short of 1
+    # must not leave a sliver of [0, 1) to trailing zero-probability outcomes.
+    cdf = np.cumsum(flat / flat.sum())[support]
     cdf[-1] = 1.0
     uniforms = np.random.Generator(np.random.PCG64(seed)).random(shots)
-    indices = np.searchsorted(cdf, uniforms, side="right")
-    counts = np.bincount(indices, minlength=flat.size).reshape(table.probs.shape)
+    hits = np.bincount(np.searchsorted(cdf, uniforms, side="right"), minlength=support.size)
+    counts = np.zeros(flat.size, dtype=hits.dtype)
+    counts[support] = hits
+    counts = counts.reshape(table.probs.shape)
     counts.flags.writeable = False
     return ShotRecord(seed=seed, shots=shots, counts=counts)

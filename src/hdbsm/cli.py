@@ -13,6 +13,7 @@ A auxiliary).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import audit as audit_mod
 from . import classifier as cl
 from . import decomposition as dec
 from . import optics
-from .core import State
+from .core import MAX_DIMENSION, State, check_dimension
 from .report import RunConfig, build_report, check, render_csv, render_json, write_report
 from .states import (
     ALL_CONVENTIONS,
@@ -174,8 +175,9 @@ def parse_state_file(text: str) -> State:
     """Parse the documented state file format into a (d, d, d, d) state.
 
     Raises:
-        UsageError: malformed header, malformed amplitude line, wrong
-            amplitude count, or norm off by more than 1e-6.
+        UsageError: malformed header, unsupported dimension, malformed or
+            non-finite amplitude line, wrong amplitude count, or norm off by
+            more than 1e-6.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -185,8 +187,10 @@ def parse_state_file(text: str) -> State:
         d = int(lines[0][2:])
     except ValueError as exc:
         raise UsageError(f"bad dimension header {lines[0]!r}") from exc
-    if not 2 <= d <= 6:
-        raise UsageError(f"dimension {d} outside the supported range 2..6")
+    try:
+        check_dimension(d)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     expected = d**4
     body = lines[1:]
     if len(body) != expected:
@@ -197,9 +201,12 @@ def parse_state_file(text: str) -> State:
         if len(parts) != 2:
             raise UsageError(f"amplitude line {idx + 2} must be 're im', got {line!r}")
         try:
-            amps[idx] = complex(float(parts[0]), float(parts[1]))
+            real, imag = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise UsageError(f"bad amplitude on line {idx + 2}: {line!r}") from exc
+        if not (math.isfinite(real) and math.isfinite(imag)):
+            raise UsageError(f"non-finite amplitude on line {idx + 2}: {line!r}")
+        amps[idx] = complex(real, imag)
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:
         raise UsageError(
@@ -492,7 +499,7 @@ def _cmd_classify(args) -> int:
 def _add_common(sub: argparse.ArgumentParser, with_d: bool = True) -> None:
     if with_d:
         sub.add_argument(
-            "-d", type=int, required=True, choices=(2, 3, 4, 5, 6),
+            "-d", type=int, required=True, choices=range(2, MAX_DIMENSION + 1),
             help="dimension of the system and auxiliary degrees of freedom",
         )
     sub.add_argument(

@@ -19,12 +19,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels
-
 ALGEBRA_TOL = 1e-12
 LOGIC_TOL = 1e-9
 
 MAX_DIMENSION = 6
+
+
+def check_dimension(d: int) -> None:
+    """Raise ValueError unless 2 <= d <= MAX_DIMENSION."""
+    if not 2 <= d <= MAX_DIMENSION:
+        raise ValueError(f"dimension {d} outside the supported range (2..{MAX_DIMENSION})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +117,7 @@ def basis_state(radices: Sequence[int], digits: Sequence[int]) -> State:
 
 def tensor_product(u: State, v: State) -> State:
     """Joint state u (x) v; factor radices are concatenated in order."""
-    return State(u.radices + v.radices, _kernels.kron_vec(u.amps, v.amps))
+    return State(u.radices + v.radices, np.multiply.outer(u.amps, v.amps).reshape(-1))
 
 
 def inner_product(u: State, v: State) -> complex:
@@ -174,7 +178,8 @@ def apply_local_unitary(state: State, u: np.ndarray, factor: int) -> State:
         raise ValueError(f"matrix shape {u.shape} does not match factor radix {radix}")
     left = math.prod(state.radices[:factor])
     right = math.prod(state.radices[factor + 1 :])
-    return State(state.radices, _kernels.apply_factor_unitary(state.amps, u, left, radix, right))
+    amps = np.einsum("ij,ajb->aib", u, state.amps.reshape(left, radix, right))
+    return State(state.radices, amps)
 
 
 def permute_factors(state: State, order: Iterable[int]) -> State:

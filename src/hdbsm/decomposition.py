@@ -16,8 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
-from .core import LOGIC_TOL, State, permute_factors, tensor_product
+from .core import LOGIC_TOL, State, check_dimension, permute_factors, tensor_product
 from .states import (
     ALL_CONVENTIONS,
     BellIndex,
@@ -65,27 +64,22 @@ def _single_basis(d: int, decomp_sign: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
-def _pair_basis(d: int, decomp_sign: int) -> np.ndarray:
-    """Rows: flattened pair states, row index ((k*d + m)*d + k')*d + m'."""
-    single = _single_basis(d, decomp_sign)
-    pair = np.kron(single, single)
-    pair.flags.writeable = False
-    return pair
-
-
 def pair_coefficients(state: State, convention: PhaseConvention) -> np.ndarray:
     """Coefficients <alpha_km (x) alpha_k'm' | state> as an array indexed [k, m, k', m'].
 
     The state must have shape (d, d, d, d) ordered (B system, B auxiliary,
     A system, A auxiliary).
+
+    The pair basis is the Kronecker product S (x) S of the single-particle
+    basis S, so with the state reshaped to a d^2 x d^2 matrix Psi (rows
+    Bob's digits, columns Alice's) the coefficients are conj(S) Psi conj(S)^T.
     """
     radices = state.radices
     if len(radices) != 4 or len(set(radices)) != 1:
         raise ValueError(f"expected shape (d, d, d, d), got {radices}")
     d = radices[0]
-    basis = _pair_basis(d, convention.decomp_sign)
-    coeffs = _kernels.project_rows(basis, state.amps)
+    rows = _single_basis(d, convention.decomp_sign).conj()
+    coeffs = rows @ state.amps.reshape(d * d, d * d) @ rows.T
     return coeffs.reshape(d, d, d, d)
 
 
@@ -148,8 +142,7 @@ def decompose(
     state with every product of single-particle decomposition states, Bob's
     factor first. Entries below the logic threshold are dropped.
     """
-    if d > 6:
-        raise ValueError(f"dimension {d} above the supported range (2..6)")
+    check_dimension(d)
     state = hyperentangled_state(d, i, j, convention)
     coeffs = pair_coefficients(state, convention)
     entries: dict[tuple[int, int, int, int], complex] = {}

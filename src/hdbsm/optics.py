@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import CoincidenceTable, ShotRecord, coincidence_probabilities, sample_outcomes
-from .core import State, apply_local_unitary, fourier_matrix, permute_factors, tensor_product
+from .core import (
+    State,
+    apply_local_unitary,
+    check_dimension,
+    fourier_matrix,
+    permute_factors,
+    tensor_product,
+)
 from .states import BellIndex, DecompIndex, PhaseConvention, aux_state, bell_state, shift_clock_unitary
 
 
@@ -29,8 +36,7 @@ def prepare_source(d: int, convention: PhaseConvention) -> State:
 
     Shape (d, d, d, d) ordered (B system, B auxiliary, A system, A auxiliary).
     """
-    if d > 6:
-        raise ValueError(f"dimension {d} above the supported range (2..6)")
+    check_dimension(d)
     joint = tensor_product(bell_state(d, 0, 0, convention), aux_state(d))
     return permute_factors(joint, (0, 2, 1, 3))
 

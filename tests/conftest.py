@@ -1,15 +1,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
-from hdbsm import _kernels
-
 sys.path.insert(0, str(Path(__file__).parent))  # make tests/oracles.py importable
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT-compile the numba kernels once so timed tests measure the
-    # algorithms, not compilation.
-    _kernels.warmup()

@@ -69,3 +69,11 @@ def naive_decompose(
         if abs(coeff) > tol:
             out[(k, m, kp, mp)] = coeff
     return out
+
+
+def naive_pair_coefficients(d: int, state: dict, decomp_sign: int) -> dict:
+    """(k, m, k', m') -> <pair|state> for every decomposition pair, by explicit sums."""
+    return {
+        (k, m, kp, mp): naive_inner(naive_pair(d, k, m, kp, mp, decomp_sign), state)
+        for k, m, kp, mp in product(range(d), repeat=4)
+    }

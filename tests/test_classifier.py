@@ -243,3 +243,25 @@ class TestSampling:
     def test_invalid_shots(self):
         with pytest.raises(ValueError):
             sample_outcomes(self.make_table(), shots=0, seed=0)
+
+    def test_zero_probability_never_drawn_when_cdf_rounds_short(self, monkeypatch):
+        # The normalised CDF of this table ends at 0.9999999999999999, so the
+        # largest uniform double lies beyond the last nonzero outcome.
+        probs = np.zeros(16)
+        probs[:3] = [0.23936944299295215, 0.8764842308107038, 0.05856803480519435]
+        top = np.nextafter(1.0, 0.0)
+
+        class TopUniforms:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, n):
+                return np.full(n, top)
+
+        monkeypatch.setattr(np.random, "Generator", TopUniforms)
+        record = sample_outcomes(CoincidenceTable(2, probs.reshape((2,) * 4)), shots=5, seed=0)
+        assert record.counts.reshape(-1).tolist() == [0, 0, 5] + [0] * 13
+
+    def test_all_zero_table_rejected(self):
+        with pytest.raises(ValueError):
+            sample_outcomes(CoincidenceTable(2, np.zeros((2,) * 4)), shots=1, seed=0)

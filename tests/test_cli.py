@@ -314,6 +314,19 @@ class TestStateFileFormat:
         with pytest.raises(cli.UsageError):
             parse_state_file("d=7\n" + "0 0\n" * 7**4)
 
+    def test_dimension_below_range(self):
+        with pytest.raises(cli.UsageError, match=r"supported range \(2\.\.6\)"):
+            parse_state_file("d=1\n0 0\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_amplitude_exits_2(self, tmp_path, capsys, value):
+        path = tmp_path / "state.txt"
+        path.write_text("d=2\n" + f"{value} 0\n" + "0 0\n" * 15)
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite amplitude on line 2")
+        assert len(err.splitlines()) == 1
+
 
 class TestConventionResolution:
     def test_auto_at_d2_is_usage_error(self, tmp_path, capsys):

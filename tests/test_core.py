@@ -50,7 +50,19 @@ class TestStateBasics:
             s.amps[0] = 5.0
 
 
+class TestCheckDimension:
+    @pytest.mark.parametrize("d", [0, 1, core.MAX_DIMENSION + 1])
+    def test_outside_range(self, d):
+        with pytest.raises(ValueError, match=r"supported range \(2\.\.6\)"):
+            core.check_dimension(d)
+
+
 class TestTensorProduct:
+    def test_bit_identical_to_kron(self):
+        rng = np.random.default_rng(4)
+        u, v = rand_state(rng, (3, 2)), rand_state(rng, (4,))
+        assert np.array_equal(tensor_product(u, v).amps, np.kron(u.amps, v.amps))
+
     def test_basis_case(self):
         # |0> (x) |1> is the basis state |01> with amplitude 1
         out = tensor_product(basis_state((2,), (0,)), basis_state((2,), (1,)))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hdbsm.core import fidelity
+from hdbsm.core import State, fidelity
 from hdbsm.decomposition import (
     DecompositionTable,
     IndexLaw,
@@ -14,6 +15,7 @@ from hdbsm.decomposition import (
     fit_index_law,
     fit_phase_law,
     hyperentangled_state,
+    pair_coefficients,
     reconstruct,
     reference_index_law,
 )
@@ -76,6 +78,24 @@ class TestDecompose:
                 for key in expected:
                     assert abs(got.entries[key] - expected[key]) < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        conv=st.sampled_from(ALL_CONVENTIONS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pair_coefficients_match_naive_inner_products(self, d, conv, seed):
+        rng = np.random.default_rng(seed)
+        amps = rng.standard_normal(d**4) + 1j * rng.standard_normal(d**4)
+        state = State((d,) * 4, amps / np.linalg.norm(amps))
+        got = pair_coefficients(state, conv)
+        labels = np.ndindex(*state.radices)
+        expected = oracles.naive_pair_coefficients(
+            d, {label: state.amplitude(label) for label in labels}, conv.decomp_sign
+        )
+        for key, coeff in expected.items():
+            assert abs(got[key] - coeff) < 1e-12
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("conv", BOTH_MAIN, ids=lambda c: c.label())
     def test_structure_invariants(self, d, conv):
@@ -115,6 +135,10 @@ class TestDecompose:
     def test_rejects_large_dimension(self):
         with pytest.raises(ValueError):
             decompose(7, 0, 0, LITERAL_CONVENTION)
+
+    def test_rejects_small_dimension(self):
+        with pytest.raises(ValueError, match=r"supported range \(2\.\.6\)"):
+            decompose(1, 0, 0, LITERAL_CONVENTION)
 
 
 class TestIndexLaw:

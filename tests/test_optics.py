@@ -44,6 +44,11 @@ class TestPrepareSource:
         assert len(nonzero) == 4
         assert all(abs(a - 1 / 2) < 1e-12 for a in nonzero.values())
 
+    @pytest.mark.parametrize("d", [1, 7])
+    def test_rejects_unsupported_dimension(self, d):
+        with pytest.raises(ValueError, match=r"supported range \(2\.\.6\)"):
+            prepare_source(d, REFERENCE_CONVENTION)
+
     def test_classifies_as_origin(self):
         for d in (2, 3, 4):
             result = classify(prepare_source(d, REFERENCE_CONVENTION), REFERENCE_CONVENTION)
