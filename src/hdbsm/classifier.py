@@ -32,6 +32,11 @@ class CollisionError(RuntimeError):
 
 UNREACHABLE = -1
 
+# Indexed search of sample_outcomes: cells of [0, 1) (a power of two) and
+# uniforms drawn per step.
+_CELLS = 1 << 12
+_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True, eq=False)
 class DecodingTable:
@@ -120,7 +125,11 @@ def decoding_table_from_law(law: IndexLaw) -> DecodingTable:
 
 @dataclass(frozen=True, eq=False)
 class CoincidenceTable:
-    """Probabilities of every outcome pair, indexed [k, m, k', m']."""
+    """Probabilities of every outcome pair, indexed [k, m, k', m'].
+
+    Raises:
+        ValueError: wrong shape, or an entry that is negative, nan or inf.
+    """
 
     d: int
     probs: np.ndarray
@@ -129,6 +138,10 @@ class CoincidenceTable:
         probs = np.ascontiguousarray(self.probs, dtype=np.float64)
         if probs.shape != (self.d,) * 4:
             raise ValueError(f"probability array shape {probs.shape} is not (d,)*4")
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
+        if (probs < 0.0).any():
+            raise ValueError("probabilities must be non-negative")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
@@ -251,11 +264,23 @@ class ShotRecord:
 def sample_outcomes(table: CoincidenceTable, shots: int, seed: int) -> ShotRecord:
     """Multinomial draw from a coincidence table with a deterministic generator.
 
-    Sampling is inverse-CDF over PCG64 uniforms: the cumulative distribution
-    is searched with each of ``shots`` uniform doubles from
-    ``numpy.random.Generator(numpy.random.PCG64(seed))``. Identical
-    (table, shots, seed) give bit-identical counts on every platform.
-    Outcomes of exactly zero probability can never be drawn.
+    Sampling is inverse-CDF over PCG64 uniforms: each of ``shots`` uniform
+    doubles from ``numpy.random.Generator(numpy.random.PCG64(seed))`` selects
+    the outcome ``searchsorted(cdf, u, side="right")`` of the normalised CDF,
+    which is restricted to the nonzero outcomes and ends at exactly 1.
+    Identical (table, shots, seed) give bit-identical counts on every
+    platform. Outcomes of exactly zero probability can never be drawn.
+
+    The search is indexed: [0, 1) is cut into ``_CELLS`` equal cells, a power
+    of two, so ``u * _CELLS`` is exact and a draw in cell c lies in
+    [c, c + 1) / _CELLS. Unless a CDF value falls strictly inside the cell,
+    every such draw selects the outcome that ``c / _CELLS`` selects, so draws
+    are only counted per cell; only draws in cells that a CDF value splits go
+    through ``searchsorted``. The counts equal those of searching every draw.
+
+    The uniforms are drawn ``_CHUNK`` at a time from one generator, which
+    continues one stream, so the sampler holds under 1 MB whatever ``shots``
+    is.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -267,8 +292,19 @@ def sample_outcomes(table: CoincidenceTable, shots: int, seed: int) -> ShotRecor
     # must not leave a sliver of [0, 1) to trailing zero-probability outcomes.
     cdf = np.cumsum(flat / flat.sum())[support]
     cdf[-1] = 1.0
-    uniforms = np.random.Generator(np.random.PCG64(seed)).random(shots)
-    hits = np.bincount(np.searchsorted(cdf, uniforms, side="right"), minlength=support.size)
+    edges = np.arange(_CELLS + 1) / _CELLS
+    first = np.searchsorted(cdf, edges[:-1], side="right")
+    split = first != np.searchsorted(cdf, edges[1:], side="left")
+    generator = np.random.Generator(np.random.PCG64(seed))
+    per_cell = np.zeros(_CELLS, dtype=np.intp)
+    hits = np.zeros(support.size, dtype=np.intp)
+    for start in range(0, shots, _CHUNK):
+        uniforms = generator.random(min(_CHUNK, shots - start))
+        cells = (uniforms * _CELLS).astype(np.intp)
+        per_cell += np.bincount(cells, minlength=_CELLS)
+        searched = np.searchsorted(cdf, uniforms[split[cells]], side="right")
+        hits += np.bincount(searched, minlength=support.size)
+    np.add.at(hits, first[~split], per_cell[~split])
     counts = np.zeros(flat.size, dtype=hits.dtype)
     counts[support] = hits
     counts = counts.reshape(table.probs.shape)

@@ -63,6 +63,18 @@ def _resolve_convention(d: int, label: str | None) -> tuple[PhaseConvention, str
         raise UsageError(str(exc)) from exc
 
 
+class _ConventionAction(argparse.Action):
+    """Store ``--convention``, keeping the value ``--`` of ``--convention=--``.
+
+    The argparse of Python 3.10, 3.11 and 3.12.1 (not 3.13) strips every
+    ``--`` from an option's values, so ``--convention=--`` reaches the action
+    as an empty list.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def _check_bell_args(d: int, i: int, j: int) -> None:
     if not (0 <= i < d and 0 <= j < d):
         raise UsageError(f"bell indices ({i}, {j}) out of range for d={d}")
@@ -503,7 +515,7 @@ def _add_common(sub: argparse.ArgumentParser, with_d: bool = True) -> None:
             help="dimension of the system and auxiliary degrees of freedom",
         )
     sub.add_argument(
-        "--convention", choices=CONVENTION_CHOICES, default=None,
+        "--convention", action=_ConventionAction, choices=CONVENTION_CHOICES, default=None,
         help="phase convention: bell/decomposition exponent signs "
         "(e.g. '-+'; use --convention=-+), 'literal' (++), 'reference' (-+), "
         "or 'auto' to pick the convention matching the reference law "

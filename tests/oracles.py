@@ -3,12 +3,16 @@
 Everything here is deliberately written with plain python dicts, loops and
 cmath, sharing no code with the package: states are sparse label->amplitude
 dicts and expansion coefficients come from explicit sums. Slow but obvious.
+The sampler oracle is the exception: it searches the CDF once with every
+uniform of a single draw, as the sampler did before its search was indexed.
 """
 
 from __future__ import annotations
 
 import cmath
 from itertools import product
+
+import numpy as np
 
 
 def naive_bell(d: int, i: int, j: int, bell_sign: int = 1) -> dict:
@@ -77,3 +81,20 @@ def naive_pair_coefficients(d: int, state: dict, decomp_sign: int) -> dict:
         (k, m, kp, mp): naive_inner(naive_pair(d, k, m, kp, mp, decomp_sign), state)
         for k, m, kp, mp in product(range(d), repeat=4)
     }
+
+
+def naive_sample_counts(probs, shots: int, seed: int) -> np.ndarray:
+    """Flat outcome counts of ``shots`` PCG64 uniforms, all drawn and searched at once.
+
+    The normalised CDF is restricted to the nonzero outcomes and ends at
+    exactly 1; each uniform selects ``searchsorted(cdf, u, side="right")``.
+    """
+    flat = np.asarray(probs, dtype=np.float64).reshape(-1)
+    support = np.flatnonzero(flat)
+    cdf = np.cumsum(flat / flat.sum())[support]
+    cdf[-1] = 1.0
+    uniforms = np.random.Generator(np.random.PCG64(seed)).random(shots)
+    hits = np.bincount(np.searchsorted(cdf, uniforms, side="right"), minlength=support.size)
+    counts = np.zeros(flat.size, dtype=hits.dtype)
+    counts[support] = hits
+    return counts

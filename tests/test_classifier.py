@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from hdbsm import classifier as cl
 from hdbsm.classifier import (
     CoincidenceTable,
@@ -34,6 +38,9 @@ BOTH_MAIN = [LITERAL_CONVENTION, REFERENCE_CONVENTION]
 
 def pair(k, m, kp, mp):
     return OutcomePair(DecompIndex(k, m), DecompIndex(kp, mp))
+
+
+CHUNK = cl._CHUNK
 
 
 class TestDecodingTable:
@@ -79,6 +86,29 @@ class TestDecodingTable:
         monkeypatch.setattr(cl, "decompose_all", lambda d, conv: tables)
         with pytest.raises(CollisionError):
             build_decoding_table(2, LITERAL_CONVENTION)
+
+
+class TestCoincidenceTable:
+    @pytest.mark.parametrize("bad", [-1e-18, -1.0, np.nan, np.inf, -np.inf])
+    def test_bad_entry_rejected(self, bad):
+        probs = np.full((2,) * 4, 1 / 16)
+        probs[1, 0, 1, 1] = bad
+        with pytest.raises(ValueError):
+            CoincidenceTable(2, probs)
+
+    def test_negative_zero_accepted(self):
+        probs = np.zeros((2,) * 4)
+        probs[0, 0, 0, 0] = 1.0
+        probs[1, 1, 1, 1] = -0.0
+        assert CoincidenceTable(2, probs).total() == 1.0
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
+    def test_package_tables_construct(self, d, noise):
+        conv = REFERENCE_CONVENTION
+        table = coincidence_probabilities(hyperentangled_state(d, d - 1, 1, conv), conv)
+        noisy = mix_with_white_noise(table, noise)
+        assert abs(noisy.total() - 1.0) < 1e-9
 
 
 class TestCoincidenceProbabilities:
@@ -265,3 +295,88 @@ class TestSampling:
     def test_all_zero_table_rejected(self):
         with pytest.raises(ValueError):
             sample_outcomes(CoincidenceTable(2, np.zeros((2,) * 4)), shots=1, seed=0)
+
+    def test_chunk_loop_continues_one_stream(self, monkeypatch):
+        # A chunk of 7 uniforms splits 1000 shots into 143 draws, the last short.
+        monkeypatch.setattr(cl, "_CHUNK", 7)
+        table = mix_with_white_noise(self.make_table(3, 1, 2), 0.2)
+        record = sample_outcomes(table, shots=1000, seed=77)
+        expected = oracles.naive_sample_counts(table.probs, 1000, 77)
+        assert np.array_equal(record.counts.reshape(-1), expected)
+
+    def test_draws_on_and_beside_cdf_values(self, monkeypatch):
+        # CDF values on cell edges (0.25, 0.5) and inside a cell, each drawn
+        # exactly and one ulp to either side, across chunks of 5.
+        probs = np.zeros(16)
+        probs[[2, 5, 6, 11]] = [0.25, 0.25, 0.2, 0.3]
+        cdf = np.cumsum(probs / probs.sum())[[2, 5, 6]]
+        stream = np.concatenate(
+            [[0.0, np.nextafter(1.0, 0.0)]]
+            + [[np.nextafter(v, 0.0), v, np.nextafter(v, 1.0)] for v in cdf]
+        )
+
+        class FixedStream:
+            def __init__(self, bit_generator):
+                self.drawn = 0
+
+            def random(self, n):
+                out = stream[self.drawn : self.drawn + n]
+                self.drawn += n
+                return out
+
+        monkeypatch.setattr(np.random, "Generator", FixedStream)
+        monkeypatch.setattr(cl, "_CHUNK", 5)
+        table = CoincidenceTable(2, probs.reshape((2,) * 4))
+        record = sample_outcomes(table, shots=stream.size, seed=0)
+        expected = oracles.naive_sample_counts(probs, stream.size, 0)
+        assert np.array_equal(record.counts.reshape(-1), expected)
+
+    def test_memory_does_not_grow_with_shots(self):
+        # One search of all draws at once holds 16 bytes per shot (61 MiB here).
+        table = mix_with_white_noise(self.make_table(6, 2, 3), 0.5)
+        tracemalloc.start()
+        try:
+            record = sample_outcomes(table, shots=4 * 10**6, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.counts.sum() == 4 * 10**6
+        assert peak < 4 * 2**20
+
+
+def random_table(rng: np.random.Generator, d: int, kind: str) -> np.ndarray:
+    """Seeded probability table of one of three shapes, possibly unnormalised."""
+    n = d**4
+    if kind == "uniform":
+        probs = rng.random(n)
+    elif kind == "heavy":
+        # Pareto weights over many orders of magnitude, with tiny and zero entries.
+        probs = rng.pareto(0.5, n)
+        probs[rng.random(n) < 0.3] *= 1e-200
+        probs[rng.random(n) < 0.3] = 0.0
+    else:
+        # Equal weights on 2**k outcomes: every CDF value lies on a cell edge.
+        probs = np.zeros(n)
+        size = 2 ** rng.integers(0, int(np.log2(n)) + 1)
+        probs[rng.choice(n, size=size, replace=False)] = 1.0
+    if not probs.any():
+        probs[rng.integers(n)] = 1.0
+    return probs.reshape((d,) * 4)
+
+
+class TestSamplerOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        kind=st.sampled_from(["uniform", "heavy", "dyadic"]),
+        table_seed=st.integers(0, 2**32 - 1),
+        shots=st.sampled_from([1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_counts_equal_one_shot_search(self, d, kind, table_seed, shots, seed):
+        probs = random_table(np.random.default_rng(table_seed), d, kind)
+        record = sample_outcomes(CoincidenceTable(d, probs), shots=shots, seed=seed)
+        counts = record.counts.reshape(-1)
+        assert np.array_equal(counts, oracles.naive_sample_counts(probs, shots, seed))
+        assert counts.sum() == shots
+        assert not counts[probs.reshape(-1) == 0.0].any()

@@ -355,6 +355,19 @@ class TestConventionResolution:
         conv = report["config"]["convention"]
         assert (conv["bell_sign"], conv["decomp_sign"]) == (1, -1)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["decompose", "-d", "3", "-i", "0", "-j", "0"], ["verify", "-d", "4"]],
+        ids=["decompose", "verify"],
+    )
+    def test_double_minus_label(self, capsys, argv):
+        # The argparse of Python 3.10 to 3.12.1 strips the value of --convention=--.
+        code, report = run_json(capsys, argv + ["--convention=--"])
+        assert code == 0
+        conv = report["config"]["convention"]
+        assert (conv["bell_sign"], conv["decomp_sign"]) == (-1, -1)
+        assert conv["selection"] == "explicit"
+
 
 class TestOutputHandling:
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
