@@ -80,6 +80,13 @@ def _check_bell_args(d: int, i: int, j: int) -> None:
         raise UsageError(f"bell indices ({i}, {j}) out of range for d={d}")
 
 
+def _write_report(text: str, output: str | None) -> None:
+    try:
+        write_report(text, output)
+    except OSError as exc:
+        raise UsageError(f"cannot write report: {exc}") from exc
+
+
 def _check_seed(seed: int) -> None:
     if not 0 <= seed <= MAX_SEED:
         raise UsageError(f"seed must fit in 64 bits, got {seed}")
@@ -277,7 +284,7 @@ def _cmd_decompose(args) -> int:
         text = render_csv(report, fields, payload["entries"])
     else:
         text = render_json(report)
-    write_report(text, args.output)
+    _write_report(text, args.output)
     return 0 if report["passed"] else 1
 
 
@@ -398,7 +405,7 @@ def _cmd_verify(args) -> int:
     report = build_report("verify", config, payload, checks)
     if args.format == "csv":
         raise UsageError("verify reports are structured; only --format json is supported")
-    write_report(render_json(report), args.output)
+    _write_report(render_json(report), args.output)
     return 0 if report["passed"] else 1
 
 
@@ -457,7 +464,7 @@ def _cmd_simulate(args) -> int:
         text = render_csv(report, fields, payload["table"])
     else:
         text = render_json(report)
-    write_report(text, args.output)
+    _write_report(text, args.output)
     return 0 if report["passed"] else 1
 
 
@@ -465,9 +472,9 @@ def _cmd_classify(args) -> int:
     if not 0.0 <= args.noise <= 1.0:
         raise UsageError(f"noise weight must be in [0, 1], got {args.noise}")
     try:
-        with open(args.state_file) as fh:
+        with open(args.state_file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read state file: {exc}") from exc
     state = parse_state_file(text)
     d = state.radices[0]
@@ -499,7 +506,7 @@ def _cmd_classify(args) -> int:
         )
     else:
         text = render_json(report)
-    write_report(text, args.output)
+    _write_report(text, args.output)
     return 0 if report["passed"] else 1
 
 

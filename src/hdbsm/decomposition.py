@@ -10,9 +10,12 @@ never assumed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .states import (
     BellIndex,
     PhaseConvention,
     REFERENCE_CONVENTION,
+    _check_index,
     aux_state,
     bell_state,
     decomp_state,
@@ -89,13 +93,18 @@ class DecompositionTable:
 
     ``entries`` maps (k, m, k', m') to the complex coefficient, keeping only
     entries with magnitude above the logic threshold. The first index pair is
-    Bob's particle, the second Alice's.
+    Bob's particle, the second Alice's. It is a read-only view, because
+    :func:`decompose` and :func:`decompose_all` hand every caller the same
+    cached tables.
     """
 
     d: int
     bell: BellIndex
     convention: PhaseConvention
-    entries: dict[tuple[int, int, int, int], complex]
+    entries: Mapping[tuple[int, int, int, int], complex]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(self.entries))
 
     def support(self) -> frozenset[tuple[int, int, int, int]]:
         return frozenset(self.entries)
@@ -138,34 +147,75 @@ def decompose(
 ) -> DecompositionTable:
     """Expand one hyperentangled state over all decomposition-state pairs.
 
-    The coefficients are explicit inner products of the (d, d, d, d) joint
-    state with every product of single-particle decomposition states, Bob's
-    factor first. Entries below the logic threshold are dropped.
+    The coefficients are the inner products of the (d, d, d, d) joint state
+    with every product of single-particle decomposition states, Bob's factor
+    first; entries below the logic threshold are dropped. The table is read
+    from the cached projection of the whole Bell row i (see
+    :func:`_decompose_row`), so it is shared with :func:`decompose_all`.
     """
     check_dimension(d)
-    state = hyperentangled_state(d, i, j, convention)
-    coeffs = pair_coefficients(state, convention)
-    entries: dict[tuple[int, int, int, int], complex] = {}
-    for flat in np.flatnonzero(np.abs(coeffs) > LOGIC_TOL):
-        k, m, kp, mp = np.unravel_index(int(flat), (d, d, d, d))
-        entries[(int(k), int(m), int(kp), int(mp))] = complex(coeffs[k, m, kp, mp])
-    return DecompositionTable(d, BellIndex(i, j), convention, entries)
+    _check_index(d, "i", i)
+    _check_index(d, "j", j)
+    return _decompose_row(d, i, convention.bell_sign, convention.decomp_sign)[j]
 
 
 @lru_cache(maxsize=None)
-def _decompose_all_cached(
-    d: int, bell_sign: int, decomp_sign: int
+def _decompose_row(
+    d: int, i: int, bell_sign: int, decomp_sign: int
 ) -> tuple[DecompositionTable, ...]:
+    """Decomposition tables of Bell row i (j = 0..d-1) from one stacked projection.
+
+    The d hyperentangled states of the row are stacked as d matrices Psi_j
+    (rows Bob's digits, columns Alice's) and projected as in
+    :func:`pair_coefficients`, with one ``conj(S) @ Psi @ conj(S)^T`` over the
+    stack. Their nonzero amplitudes use the arithmetic of :func:`bell_state`,
+    :func:`aux_state` and :func:`tensor_product`, so every coefficient equals,
+    bit for bit, the one from projecting each state on its own (an exact zero
+    may differ in sign). Entries keep the flat (k, m, k', m') order.
+    """
+    check_dimension(d)
     conv = PhaseConvention(bell_sign, decomp_sign)
-    return tuple(decompose(d, i, j, conv) for i in range(d) for j in range(d))
+    # Bell state j has one nonzero amplitude per n and the auxiliary state one per
+    # p, so only their d*d products enter the (d, d**2, d**2) stack.
+    digits = np.arange(d)
+    bell = np.exp(bell_sign * 2j * np.pi * i * digits / d) / np.sqrt(d)
+    aux = np.diagonal(aux_state(d).amps.reshape(d, d))
+    j, n, p = np.ix_(digits, digits, digits)
+    psi = np.zeros((d,) * 5, dtype=np.complex128)  # [j, B sys, B aux, A sys, A aux]
+    psi[j, n, p, (n + j) % d, p] = np.multiply.outer(bell, aux)
+    rows = _single_basis(d, decomp_sign).conj()
+    half = rows @ psi.reshape(d, d * d, d * d)
+    del psi  # keeps the tracemalloc peak of find_convention(6) under 1 MB
+    coeffs = (half @ rows.T).reshape(d, d**4)
+    del half
+    support = np.abs(coeffs) > LOGIC_TOL
+    keys = _pair_keys(d)
+    entries: list[dict[tuple[int, int, int, int], complex]] = [{} for _ in range(d)]
+    js, flats = np.nonzero(support)
+    for j, flat, coeff in zip(js.tolist(), flats.tolist(), coeffs[support].tolist()):
+        entries[j][keys[flat]] = coeff
+    return tuple(DecompositionTable(d, BellIndex(i, j), conv, entries[j]) for j in range(d))
+
+
+@lru_cache(maxsize=None)
+def _pair_keys(d: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Every (k, m, k', m') in flat order, shared by the tables of all conventions."""
+    return tuple(itertools.product(range(d), repeat=4))
 
 
 def decompose_all(
     d: int, convention: PhaseConvention
 ) -> dict[BellIndex, DecompositionTable]:
-    """Decomposition tables for all d*d Bell indices under one convention."""
-    tables = _decompose_all_cached(d, convention.bell_sign, convention.decomp_sign)
-    return {t.bell: t for t in tables}
+    """Decomposition tables for all d*d Bell indices under one convention.
+
+    Each Bell row i is projected in one stacked product and cached, so
+    repeated calls, and :func:`decompose` calls, share the same tables.
+    """
+    return {
+        table.bell: table
+        for i in range(d)
+        for table in _decompose_row(d, i, convention.bell_sign, convention.decomp_sign)
+    }
 
 
 def reconstruct(table: DecompositionTable) -> State:

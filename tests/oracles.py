@@ -3,8 +3,11 @@
 Everything here is deliberately written with plain python dicts, loops and
 cmath, sharing no code with the package: states are sparse label->amplitude
 dicts and expansion coefficients come from explicit sums. Slow but obvious.
-The sampler oracle is the exception: it searches the CDF once with every
-uniform of a single draw, as the sampler did before its search was indexed.
+Two oracles are the exception and keep an earlier path of the package:
+``naive_decompose`` expands one state at a time, as ``decompose`` did before
+it projected whole Bell rows, and ``naive_sample_counts`` searches the CDF
+once with every uniform of a single draw, as the sampler did before its
+search was indexed.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ def naive_inner(u: dict, v: dict) -> complex:
     return sum(c.conjugate() * v.get(label, 0.0) for label, c in u.items())
 
 
-def naive_decompose(
+def naive_sum_decompose(
     d: int, i: int, j: int, bell_sign: int, decomp_sign: int, tol: float = 1e-9
 ) -> dict:
     """(k, m, k', m') -> coefficient of the decomposition expansion."""
@@ -81,6 +84,23 @@ def naive_pair_coefficients(d: int, state: dict, decomp_sign: int) -> dict:
         (k, m, kp, mp): naive_inner(naive_pair(d, k, m, kp, mp, decomp_sign), state)
         for k, m, kp, mp in product(range(d), repeat=4)
     }
+
+
+def naive_decompose(d: int, i: int, j: int, convention) -> dict:
+    """(k, m, k', m') -> coefficient, one state at a time, entries in flat order.
+
+    Builds ``hyperentangled_state``, projects it with ``pair_coefficients``
+    and keeps the entries above the logic threshold.
+    """
+    from hdbsm.core import LOGIC_TOL
+    from hdbsm.decomposition import hyperentangled_state, pair_coefficients
+
+    coeffs = pair_coefficients(hyperentangled_state(d, i, j, convention), convention)
+    entries = {}
+    for flat in np.flatnonzero(np.abs(coeffs) > LOGIC_TOL):
+        k, m, kp, mp = np.unravel_index(int(flat), (d, d, d, d))
+        entries[(int(k), int(m), int(kp), int(mp))] = complex(coeffs[k, m, kp, mp])
+    return entries
 
 
 def naive_sample_counts(probs, shots: int, seed: int) -> np.ndarray:

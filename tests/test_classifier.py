@@ -19,7 +19,7 @@ from hdbsm.classifier import (
     mix_with_white_noise,
     sample_outcomes,
 )
-from hdbsm.core import State, tensor_product
+from hdbsm.core import LOGIC_TOL, State, tensor_product
 from hdbsm.decomposition import (
     DecompositionTable,
     decompose_all,
@@ -27,6 +27,7 @@ from hdbsm.decomposition import (
     hyperentangled_state,
 )
 from hdbsm.states import (
+    ALL_CONVENTIONS,
     BellIndex,
     LITERAL_CONVENTION,
     REFERENCE_CONVENTION,
@@ -198,6 +199,31 @@ class TestWhiteNoise:
         result = classify_table(mix_with_white_noise(table, 0.99), decoding)
         assert result.bell == BellIndex(2, 2)
         assert not result.tie
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        conv=st.sampled_from(ALL_CONVENTIONS),
+        data=st.data(),
+        # Classes within LOGIC_TOL of the best one tie, so the signal weight
+        # 1 - q must stay above it (see test_signal_below_tolerance_ties).
+        noise=st.floats(0.0, 1.0 - 2 * LOGIC_TOL),
+    )
+    def test_argmax_survives_any_noise_below_one(self, d, conv, data, noise):
+        i = data.draw(st.integers(0, d - 1), label="i")
+        j = data.draw(st.integers(0, d - 1), label="j")
+        table = coincidence_probabilities(hyperentangled_state(d, i, j, conv), conv)
+        result = classify_table(mix_with_white_noise(table, noise), build_decoding_table(d, conv))
+        assert result.bell == BellIndex(i, j)
+        assert not result.tie
+
+    def test_signal_below_tolerance_ties(self):
+        conv = REFERENCE_CONVENTION
+        table = coincidence_probabilities(hyperentangled_state(4, 3, 2, conv), conv)
+        noisy = mix_with_white_noise(table, 1.0 - LOGIC_TOL / 2)
+        result = classify_table(noisy, build_decoding_table(4, conv))
+        assert result.tie
+        assert len(result.tied_with) == 16
 
     def test_confidence_decreases_with_noise(self):
         conv = REFERENCE_CONVENTION

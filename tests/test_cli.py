@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hdbsm import cli
 from hdbsm.cli import format_state_file, main, parse_state_file
@@ -108,6 +110,43 @@ class TestVerifyCommand:
 
     def test_csv_rejected(self, capsys):
         assert main(["verify", "-d", "3", "--format", "csv"]) == 2
+
+    # SHA-256 of the verify reports rendered before decompose projected whole
+    # Bell rows; verify reports hold no floats, so the bytes are platform-free.
+    REPORT_SHA256 = {
+        (2, None): "abeb72cde2f8be41b94f48f4a29cbfd77a1a1b47df989c4e246f0476fd667f85",
+        (2, "++"): "4f3a2046c9cc05977d8f4d626065456934b53df931dc393a02458708cb788cde",
+        (2, "+-"): "67cbd39786009c26f69a985b87d09585001c730b1daacd4724cf35e827a80c40",
+        (2, "-+"): "bd5c7f5dbf4dcdebc2bef5a674a97550be407129e55a19fded558b3ddc55cb0c",
+        (2, "--"): "efc01b297f1452626add55aeddf22ee8ac0bada8e6d06740668ae02d342e7e7b",
+        (3, None): "f44c8094c1474388f219ad00d25c97f61de90fc2982439ee0268fa4ffc6f8e44",
+        (3, "++"): "d1a1a8f1fbcd0db4618ca871de7cb8786820e3347b7fa9c5be730258a3592a59",
+        (3, "+-"): "d3c99670f1ba43d0ca89edb6d96963ae6cfe850fc4cf057f33c92dcac9f87008",
+        (3, "-+"): "ae7eb1aac3d3f02525050577876cb7d1724573430fd74faa50b886a2d33bce34",
+        (3, "--"): "48bb59de9f4eac62c48ecda100fdb4d798df27c922c208cf37795e4cdce90b23",
+        (4, None): "0478f506176d8103abdd471a14d237cc69725543962d146b31a40c9c6d56eeb6",
+        (4, "++"): "09d9cc09579f55412c9feef6a36488c23dbef32601fc8a7c93da4be9f350bf66",
+        (4, "+-"): "891fbdfe83fb9f07bb7e46c86a3143220ccf38eb9b52e5729af168e537782c29",
+        (4, "-+"): "4bb72fd91ea41795c6a509c3500de21945573572f933b51389edd5278d493efb",
+        (4, "--"): "34ec4cc47d6db41e070236ff939dd8449293f506b0df0ad468cb5f53366c0da4",
+        (5, None): "a9d4662215846663b9bf8dcc90f91e96152441013a29be474eebe35cf0e97897",
+        (5, "++"): "8d323f7047ad17fb844d64d5ce90ddb05bc815ec5b44daa99e1d1fe9e6a2cff1",
+        (5, "+-"): "00da3d62ef11b153eca1ab6c9d91226ea6f6b43fe4b2e5c5d95e9131968adc39",
+        (5, "-+"): "7d3caaa3bdcdfcce0c83ba62f5652f741d2d0ef03ef3fef5d67f96eb634aa5b0",
+        (5, "--"): "67d128d217185811e94929db9bc01670d6b809e25830edfee833a30e86f1e92e",
+        (6, None): "7ca04b7ef4207137e378a69eea597d55185025ee1777dd9c0c0368060d7a9e6c",
+        (6, "++"): "be03eaef10778880d82ce155c582a7c1a65e81ad944999ecb64c4dcf71fb384e",
+        (6, "+-"): "6b6634e068bd7d31c481b50193db93a939917173187c416d1591cfffef8b4f06",
+        (6, "-+"): "e4e62fbdf4f998248d6100803914069760427614d429a8dc6440422b779c8316",
+        (6, "--"): "53b70dc4ccf203812e3b8bd8735fed46b08212084a9cef2bfc89b164c4ad50af",
+    }
+
+    @pytest.mark.parametrize("d, label", sorted(REPORT_SHA256, key=str))
+    def test_report_bytes_pinned(self, capsys, d, label):
+        argv = ["verify", "-d", str(d)] + ([f"--convention={label}"] if label else [])
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.REPORT_SHA256[(d, label)]
 
     def test_phase_law_published(self, capsys):
         code, report = run_json(capsys, ["verify", "-d", "3"])
@@ -233,6 +272,14 @@ class TestClassifyCommand:
         path.write_text("d=2\n1.0 0.0\n")
         assert main(["classify", str(path)]) == 2
 
+    def test_non_utf8_state_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "state.txt"
+        path.write_bytes(b"d=2\n\xff\xfe 0\n")
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read state file: ")
+        assert len(err.splitlines()) == 1
+
     def test_csv_masses(self, tmp_path, capsys):
         path = self.write_state(tmp_path, 2, 1, 0)
         assert main(["classify", str(path), "--format", "csv"]) == 0
@@ -328,6 +375,52 @@ class TestStateFileFormat:
         assert len(err.splitlines()) == 1
 
 
+_TOKENS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "0", "0.25", "1_0", "#", "d=2", "x"]),
+    st.text(max_size=6),
+)
+_LINES = st.one_of(
+    st.lists(_TOKENS, min_size=0, max_size=3).map(" ".join),
+    st.sampled_from(["", "   ", "# comment", "0 0", "0.25 0", "1 0"]),
+)
+
+
+@st.composite
+def _state_files(draw):
+    d = draw(st.integers(1, 7))
+    header = draw(st.sampled_from([f"d={d}", f"d= {d}", "d=", "d=x", f"D={d}", "", f"d={d}.0"]))
+    if draw(st.booleans()):
+        # the right line count for d, so the body reaches the norm check and beyond
+        body = ["1 0"] + ["0 0"] * (d**4 - 1) if 2 <= d <= 6 else []
+        for _ in range(draw(st.integers(0, 3))):
+            if body:
+                body[draw(st.integers(0, len(body) - 1))] = draw(_LINES)
+    else:
+        body = draw(st.lists(_LINES, max_size=20))
+    data = "\n".join([header] + body).encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    return data
+
+
+class TestStateFileFuzz:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=_state_files())
+    def test_classify_exits_0_1_or_2(self, tmp_path, capsys, data):
+        path = tmp_path / "state.txt"
+        path.write_bytes(data)
+        assert main(["classify", str(path)]) in (0, 1, 2)
+        capsys.readouterr()
+
+
 class TestConventionResolution:
     def test_auto_at_d2_is_usage_error(self, tmp_path, capsys):
         state = hyperentangled_state(2, 0, 0, REFERENCE_CONVENTION)
@@ -376,6 +469,22 @@ class TestOutputHandling:
         target = tmp_path / "sub" / "report.json"
         assert target.exists()
         jsonschema.validate(json.loads(target.read_text()), SCHEMA)
+
+    def test_output_naming_a_directory_exits_2(self, tmp_path, capsys):
+        assert main(["verify", "-d", "3", "-o", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write report: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_output_below_a_regular_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("")
+        assert main(["verify", "-d", "3", "-o", str(blocker / "report.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report: ")
+        assert len(err.splitlines()) == 1
+        assert blocker.read_text() == ""
 
     def test_absolute_path_ignores_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HDBSM_OUTPUT_DIR", str(tmp_path / "ignored"))

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hdbsm import decomposition
 from hdbsm.core import State, fidelity
 from hdbsm.decomposition import (
     DecompositionTable,
@@ -71,7 +74,7 @@ class TestDecompose:
         for i in range(3):
             for j in range(3):
                 got = decompose(3, i, j, conv)
-                expected = oracles.naive_decompose(
+                expected = oracles.naive_sum_decompose(
                     3, i, j, conv.bell_sign, conv.decomp_sign
                 )
                 assert set(got.entries) == set(expected)
@@ -131,6 +134,36 @@ class TestDecompose:
                 assert reference[bell].support() == other[bell].support()
                 for key, coeff in reference[bell].entries.items():
                     assert abs(coeff - other[bell].entries[key]) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=lambda c: c.label())
+    def test_bits_and_order_match_per_state_path(self, d, conv):
+        def hexes(entries):
+            return [(c.real.hex(), c.imag.hex()) for c in entries.values()]
+
+        tables = decompose_all(d, conv)
+        for i in range(d):
+            for j in range(d):
+                expected = oracles.naive_decompose(d, i, j, conv)
+                for got in (decompose(d, i, j, conv), tables[BellIndex(i, j)]):
+                    assert list(got.entries) == list(expected)
+                    assert hexes(got.entries) == hexes(expected)
+
+    def test_decompose_and_decompose_all_share_tables(self):
+        tables = decompose_all(4, REFERENCE_CONVENTION)
+        assert decompose(4, 2, 3, REFERENCE_CONVENTION) is tables[BellIndex(2, 3)]
+
+    def test_shared_entries_are_read_only(self):
+        entries = decompose(3, 1, 2, REFERENCE_CONVENTION).entries
+        with pytest.raises(TypeError):
+            entries[(0, 0, 0, 0)] = 1.0
+        with pytest.raises(TypeError):
+            del entries[next(iter(entries))]
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (3, 0), (0, -1), (0, 3)])
+    def test_rejects_out_of_range_bell_index(self, i, j):
+        with pytest.raises(ValueError, match="out of range for dimension 3"):
+            decompose(3, i, j, REFERENCE_CONVENTION)
 
     def test_rejects_large_dimension(self):
         with pytest.raises(ValueError):
@@ -266,6 +299,21 @@ class TestFindConvention:
     def test_d2_rejected(self):
         with pytest.raises(ValueError):
             find_convention(2)
+
+    def test_cold_d6_search_peaks_under_1_mb(self):
+        for cached in (
+            decomposition._decompose_row,
+            decomposition._pair_keys,
+            decomposition._single_basis,
+        ):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            find_convention(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_top_of_supported_range_structure(self):
         # d = 6 is the largest supported dimension
