@@ -32,9 +32,10 @@ class CollisionError(RuntimeError):
 
 UNREACHABLE = -1
 
-# Indexed search of sample_outcomes: cells of [0, 1) (a power of two) and
-# uniforms drawn per step.
-_CELLS = 1 << 12
+# Indexed search of sample_outcomes: cells of [0, 1), one per value of a raw
+# 64-bit word's top _CELL_BITS bits, and words drawn per step.
+_CELL_BITS = 12
+_CELLS = 1 << _CELL_BITS
 _CHUNK = 1 << 14
 
 
@@ -271,14 +272,17 @@ def sample_outcomes(table: CoincidenceTable, shots: int, seed: int) -> ShotRecor
     Identical (table, shots, seed) give bit-identical counts on every
     platform. Outcomes of exactly zero probability can never be drawn.
 
-    The search is indexed: [0, 1) is cut into ``_CELLS`` equal cells, a power
-    of two, so ``u * _CELLS`` is exact and a draw in cell c lies in
-    [c, c + 1) / _CELLS. Unless a CDF value falls strictly inside the cell,
-    every such draw selects the outcome that ``c / _CELLS`` selects, so draws
-    are only counted per cell; only draws in cells that a CDF value splits go
-    through ``searchsorted``. The counts equal those of searching every draw.
+    The uniforms are never formed in full. PCG64's ``random()`` is
+    ``(w >> 11) * 2**-53`` of its next raw 64-bit word w, so the words are
+    drawn with ``random_raw`` instead. The search is indexed: [0, 1) is cut
+    into ``_CELLS`` = 2**12 equal cells, and the draw of word w lies in cell
+    ``w >> 52``, its top 12 bits. Unless a CDF value falls strictly inside
+    the cell, every draw in it selects the outcome that the cell's left edge
+    selects, so draws are only counted per cell. Only the draws in cells that
+    a CDF value splits are turned into uniforms and go through
+    ``searchsorted``. The counts equal those of searching every draw.
 
-    The uniforms are drawn ``_CHUNK`` at a time from one generator, which
+    The words are drawn ``_CHUNK`` at a time from one bit generator, which
     continues one stream, so the sampler holds under 1 MB whatever ``shots``
     is.
     """
@@ -295,15 +299,24 @@ def sample_outcomes(table: CoincidenceTable, shots: int, seed: int) -> ShotRecor
     edges = np.arange(_CELLS + 1) / _CELLS
     first = np.searchsorted(cdf, edges[:-1], side="right")
     split = first != np.searchsorted(cdf, edges[1:], side="left")
-    generator = np.random.Generator(np.random.PCG64(seed))
+    any_split = bool(split.any())
+    bits = np.random.PCG64(seed)
+    size = min(_CHUNK, shots)
+    cell_buffer = np.empty(size, dtype=np.uint64)
+    in_split = np.empty(size, dtype=bool)
     per_cell = np.zeros(_CELLS, dtype=np.intp)
     hits = np.zeros(support.size, dtype=np.intp)
     for start in range(0, shots, _CHUNK):
-        uniforms = generator.random(min(_CHUNK, shots - start))
-        cells = (uniforms * _CELLS).astype(np.intp)
+        words = bits.random_raw(min(_CHUNK, shots - start))
+        n = words.size
+        cells = np.right_shift(words, 64 - _CELL_BITS, out=cell_buffer[:n]).view(np.int64)
         per_cell += np.bincount(cells, minlength=_CELLS)
-        searched = np.searchsorted(cdf, uniforms[split[cells]], side="right")
-        hits += np.bincount(searched, minlength=support.size)
+        if any_split:
+            # Every cell index is in range; "wrap" skips the bounds check.
+            mask = np.take(split, cells, mode="wrap", out=in_split[:n])
+            uniforms = (words[mask] >> 11) * 2.0**-53
+            searched = np.searchsorted(cdf, uniforms, side="right")
+            hits += np.bincount(searched, minlength=support.size)
     np.add.at(hits, first[~split], per_cell[~split])
     counts = np.zeros(flat.size, dtype=hits.dtype)
     counts[support] = hits

@@ -41,7 +41,10 @@ class UsageError(Exception):
     """Invalid arguments or inputs; maps to exit code 2."""
 
 
-def _resolve_convention(d: int, label: str | None) -> tuple[PhaseConvention, str]:
+def _resolve_convention(
+    d: int, label: str | None, search: dec.ConventionSearch | None = None
+) -> tuple[PhaseConvention, str]:
+    """Convention and how it was selected; ``auto`` reuses ``search`` when given."""
     if label is None:
         if d == 2:
             return LITERAL_CONVENTION, "default"
@@ -52,7 +55,9 @@ def _resolve_convention(d: int, label: str | None) -> tuple[PhaseConvention, str
                 "convention 'auto' is undefined at d=2 (all sign conventions "
                 "coincide); omit the flag or pick one explicitly"
             )
-        return dec.find_convention(d).preferred, "auto"
+        if search is None:
+            search = dec.find_convention(d)
+        return search.preferred, "auto"
     if label == "literal":
         return LITERAL_CONVENTION, "explicit"
     if label == "reference":
@@ -290,7 +295,16 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     d = args.d
-    convention, selection = _resolve_convention(d, args.convention)
+    # One convention search at d >= 3 serves the auto resolution, the four
+    # fitted laws and the reference_law check.
+    search = None
+    no_match = None
+    if d >= 3:
+        try:
+            search = dec.find_convention(d)
+        except dec.NoMatchingConventionError as exc:
+            no_match = exc
+    convention, selection = _resolve_convention(d, args.convention, search)
     config = RunConfig(d, convention, selection, fmt=args.format, output=args.output)
     checks = []
     payload: dict = {}
@@ -298,12 +312,15 @@ def _cmd_verify(args) -> int:
     laws: dict[str, dec.IndexLaw] = {}
     law_fit_ok = True
     law_fit_detail = "affine index law fitted under every sign convention"
-    try:
-        for conv in ALL_CONVENTIONS:
-            laws[conv.label()] = dec.fit_index_law(dec.decompose_all(d, conv))
-    except dec.NoAffineLawError as exc:
-        law_fit_ok = False
-        law_fit_detail = str(exc)
+    if search is not None:
+        laws = {conv.label(): law for conv, law in search.laws.items()}
+    else:
+        try:
+            for conv in ALL_CONVENTIONS:
+                laws[conv.label()] = dec.fit_index_law(dec.decompose_all(d, conv))
+        except dec.NoAffineLawError as exc:
+            law_fit_ok = False
+            law_fit_detail = str(exc)
     checks.append(check("index_law_affine", law_fit_ok, law_fit_detail))
     payload["index_laws"] = {label: _law_dict(law) for label, law in laws.items()}
 
@@ -330,23 +347,21 @@ def _cmd_verify(args) -> int:
         )
         payload["matching_conventions"] = sorted(laws)
         payload["preferred_convention"] = convention.label()
-    else:
-        try:
-            search = dec.find_convention(d)
-            payload["matching_conventions"] = [c.label() for c in search.matching]
-            payload["preferred_convention"] = search.preferred.label()
-            checks.append(
-                check(
-                    "reference_law",
-                    True,
-                    f"s = t = {d - 1} under convention(s) "
-                    + ", ".join(c.label() for c in search.matching),
-                )
+    elif search is not None:
+        payload["matching_conventions"] = [c.label() for c in search.matching]
+        payload["preferred_convention"] = search.preferred.label()
+        checks.append(
+            check(
+                "reference_law",
+                True,
+                f"s = t = {d - 1} under convention(s) "
+                + ", ".join(c.label() for c in search.matching),
             )
-        except dec.NoMatchingConventionError as exc:
-            payload["matching_conventions"] = []
-            payload["preferred_convention"] = convention.label()
-            checks.append(check("reference_law", False, str(exc)))
+        )
+    else:
+        payload["matching_conventions"] = []
+        payload["preferred_convention"] = convention.label()
+        checks.append(check("reference_law", False, str(no_match)))
 
     phase_ok = True
     phase_detail = "every coefficient phase is an exact d-th root of unity"
@@ -441,12 +456,13 @@ def _cmd_simulate(args) -> int:
         ),
     ]
     if result.record is not None:
-        decoded = {decoding.lookup(pair) for pair in result.record.nonzero()}
+        observed = result.record.nonzero()
+        decoded = {decoding.lookup(pair) for pair in observed}
         checks.append(
             check(
                 "outcomes_decode_to_input",
                 decoded == {BellIndex(args.i, args.j)},
-                f"{result.record.shots} outcomes over {len(result.record.nonzero())} pairs",
+                f"{result.record.shots} outcomes over {len(observed)} pairs",
             )
         )
 

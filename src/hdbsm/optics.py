@@ -16,6 +16,7 @@ digits (0, 1, 2) in alphabetical-label order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,10 +32,12 @@ from .core import (
 from .states import BellIndex, DecompIndex, PhaseConvention, aux_state, bell_state, shift_clock_unitary
 
 
+@lru_cache(maxsize=None)
 def prepare_source(d: int, convention: PhaseConvention) -> State:
     """Ideal source output: the (0, 0) Bell state times the auxiliary state.
 
     Shape (d, d, d, d) ordered (B system, B auxiliary, A system, A auxiliary).
+    Built once per (d, convention) and shared; a State is immutable.
     """
     check_dimension(d)
     joint = tensor_product(bell_state(d, 0, 0, convention), aux_state(d))
@@ -78,13 +81,23 @@ class BsaLayout:
         """Decomposition index measured by the detector at (group, port)."""
         return DecompIndex(k=port, m=group)
 
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        """Read-only ``bsa_unitary`` of this layout, built on first use."""
+        u = bsa_unitary(self)
+        u.flags.writeable = False
+        return u
 
+
+@lru_cache(maxsize=None)
 def bsa_layout(d: int, convention: PhaseConvention) -> BsaLayout:
     """Analyser layout for one particle.
 
     Every group carries the same transform: the Fourier matrix conjugate to
     the decomposition-state phases, so the projection onto the literal
     decomposition basis comes out exactly regardless of the convention.
+    Built once per (d, convention) and shared, with read-only transforms, so
+    its analyser unitary is built once too.
     """
     transform = fourier_matrix(d, -convention.decomp_sign)
     transform.flags.writeable = False
@@ -131,7 +144,7 @@ def pipeline_probabilities(state: State, layout: BsaLayout) -> CoincidenceTable:
     d = layout.d
     if state.radices != (d,) * 4:
         raise ValueError(f"expected shape {(d,) * 4}, got {state.radices}")
-    u = bsa_unitary(layout)
+    u = layout.unitary
     joint = state.amps.reshape(d * d, d * d)
     detector_amps = u @ joint @ u.T
     return CoincidenceTable(d, np.abs(detector_amps.reshape((d,) * 4)) ** 2)

@@ -16,13 +16,15 @@ which combination reconciles them is an empirical finding of this package
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import LOGIC_TOL, State, apply_local_unitary, fidelity, tensor_product
+from .core import LOGIC_TOL, State
 
 
 class BellIndex(NamedTuple):
@@ -192,21 +194,44 @@ class CalibrationError(RuntimeError):
     """No shift/clock monomial maps the base Bell state to the target."""
 
 
-def _monomial_candidates(d: int):
-    for a in range(d):
-        for b in range(d):
-            yield shift_matrix(d, a) @ clock_matrix(d, b)
-            yield clock_matrix(d, b) @ shift_matrix(d, a)
+@lru_cache(maxsize=None)
+def _monomial_stack(d: int) -> np.ndarray:
+    """Read-only stack of the 2*d*d shift/clock monomials in search order.
+
+    Candidate 2*(a*d + b) is X^a Z^b and candidate 2*(a*d + b) + 1 is Z^b X^a,
+    each the same product of shift_matrix and clock_matrix, taken for all
+    (a, b) in two batched products.
+    """
+    n = np.arange(d)
+    shifts = ((n[:, None] - n) % d == n[:, None, None]).astype(np.complex128)
+    clocks = np.zeros((d, d, d), dtype=np.complex128)
+    clocks[:, n, n] = np.exp(2j * np.pi * n[:, None] * n / d)
+    pairs = (shifts[:, None] @ clocks, clocks @ shifts[:, None])
+    stack = np.stack(pairs, axis=2).reshape(2 * d * d, d, d)
+    stack.flags.writeable = False
+    return stack
 
 
 def _search_monomial(source: State, target: State, d: int, factor: int) -> np.ndarray:
-    for u in _monomial_candidates(d):
-        if fidelity(target, apply_local_unitary(source, u, factor)) >= 1.0 - LOGIC_TOL:
-            return u
-    raise CalibrationError(
-        "no shift/clock monomial reaches the target state; "
-        "this indicates an inconsistent phase convention"
-    )
+    """First monomial, in stack order, mapping source to target on one factor.
+
+    All candidates are scored in one product: the overlap of the target with
+    the source after candidate U on the factor is sum(U * M), where M contracts
+    the conjugate target with the source over every other factor.
+    """
+    left = math.prod(source.radices[:factor])
+    right = math.prod(source.radices[factor + 1 :])
+    shape = (left, d, right)
+    m = np.einsum("lmr,lkr->mk", target.amps.reshape(shape).conj(), source.amps.reshape(shape))
+    stack = _monomial_stack(d)
+    fidelities = np.abs(stack.reshape(len(stack), d * d) @ m.reshape(-1))
+    reached = np.flatnonzero(fidelities >= 1.0 - LOGIC_TOL)
+    if reached.size == 0:
+        raise CalibrationError(
+            "no shift/clock monomial reaches the target state; "
+            "this indicates an inconsistent phase convention"
+        )
+    return stack[reached[0]].copy()
 
 
 def shift_clock_unitary(
@@ -216,7 +241,11 @@ def shift_clock_unitary(
 
     The matrix is a monomial in the clock and shift matrices. The exact
     exponents and ordering are found by an exhaustive fidelity search rather
-    than assumed, so the result is correct for either sign convention.
+    than assumed, so the result is correct for either sign convention. All
+    2*d*d candidates X^a Z^b and Z^b X^a, held in one read-only stack per d,
+    are scored in one batched product, and the first in the order
+    a, b, then X^a Z^b before Z^b X^a whose fidelity reaches 1 - LOGIC_TOL
+    is returned, as a search testing one candidate at a time would return.
 
     Raises:
         CalibrationError: if no monomial achieves unit fidelity.

@@ -3,11 +3,12 @@
 Everything here is deliberately written with plain python dicts, loops and
 cmath, sharing no code with the package: states are sparse label->amplitude
 dicts and expansion coefficients come from explicit sums. Slow but obvious.
-Two oracles are the exception and keep an earlier path of the package:
+Three oracles are the exception and keep an earlier path of the package:
 ``naive_decompose`` expands one state at a time, as ``decompose`` did before
-it projected whole Bell rows, and ``naive_sample_counts`` searches the CDF
-once with every uniform of a single draw, as the sampler did before its
-search was indexed.
+it projected whole Bell rows, ``naive_sample_counts`` searches the CDF once
+with every uniform of a single draw, as the sampler did before its search was
+indexed, and ``sequential_search_monomial`` tests one shift/clock monomial at
+a time, as the calibration did before it scored all candidates in one product.
 """
 
 from __future__ import annotations
@@ -104,7 +105,13 @@ def naive_decompose(d: int, i: int, j: int, convention) -> dict:
 
 
 def naive_sample_counts(probs, shots: int, seed: int) -> np.ndarray:
-    """Flat outcome counts of ``shots`` PCG64 uniforms, all drawn and searched at once.
+    """Flat outcome counts of ``shots`` PCG64 uniforms, all drawn and searched at once."""
+    uniforms = np.random.Generator(np.random.PCG64(seed)).random(shots)
+    return naive_search_counts(probs, uniforms)
+
+
+def naive_search_counts(probs, uniforms) -> np.ndarray:
+    """Flat outcome counts of the given uniforms, each searched on its own.
 
     The normalised CDF is restricted to the nonzero outcomes and ends at
     exactly 1; each uniform selects ``searchsorted(cdf, u, side="right")``.
@@ -113,8 +120,27 @@ def naive_sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     support = np.flatnonzero(flat)
     cdf = np.cumsum(flat / flat.sum())[support]
     cdf[-1] = 1.0
-    uniforms = np.random.Generator(np.random.PCG64(seed)).random(shots)
     hits = np.bincount(np.searchsorted(cdf, uniforms, side="right"), minlength=support.size)
     counts = np.zeros(flat.size, dtype=hits.dtype)
     counts[support] = hits
     return counts
+
+
+def sequential_search_monomial(source, target, d: int, factor: int) -> np.ndarray:
+    """First shift/clock monomial mapping source to target, tested one at a time.
+
+    Tries X^a Z^b, then Z^b X^a, for a = 0..d-1 and b = 0..d-1 in turn, and
+    returns the first whose fidelity reaches 1 - LOGIC_TOL.
+    """
+    from hdbsm.core import LOGIC_TOL, apply_local_unitary, fidelity
+    from hdbsm.states import CalibrationError, clock_matrix, shift_matrix
+
+    for a in range(d):
+        for b in range(d):
+            for u in (
+                shift_matrix(d, a) @ clock_matrix(d, b),
+                clock_matrix(d, b) @ shift_matrix(d, a),
+            ):
+                if fidelity(target, apply_local_unitary(source, u, factor)) >= 1.0 - LOGIC_TOL:
+                    return u
+    raise CalibrationError("no shift/clock monomial reaches the target state")

@@ -243,6 +243,22 @@ class TestWhiteNoise:
             mix_with_white_noise(table, 1.5)
 
 
+def raw_word_stream(words):
+    """Stand-in for ``np.random.PCG64`` whose raw words are the given ones."""
+    stream = np.array(words, dtype=np.uint64)
+
+    class RawWords:
+        def __init__(self, seed):
+            self.drawn = 0
+
+        def random_raw(self, n):
+            out = stream[self.drawn : self.drawn + n]
+            self.drawn += n
+            return out
+
+    return RawWords
+
+
 class TestSampling:
     def make_table(self, d=3, i=0, j=0):
         conv = REFERENCE_CONVENTION
@@ -300,21 +316,25 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_outcomes(self.make_table(), shots=0, seed=0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_raw_words_are_the_generator_uniforms(self, seed):
+        # The sampler bins PCG64's raw words; the CDF search is defined over
+        # Generator.random(). Both calls of a pair continue one stream.
+        bits = np.random.PCG64(seed)
+        generator = np.random.Generator(np.random.PCG64(seed))
+        for n in (1000, 777):
+            from_words = (bits.random_raw(n) >> 11) * 2.0**-53
+            uniforms = generator.random(n)
+            assert from_words.dtype == uniforms.dtype == np.float64
+            assert np.array_equal(from_words.view(np.uint64), uniforms.view(np.uint64))
+
     def test_zero_probability_never_drawn_when_cdf_rounds_short(self, monkeypatch):
         # The normalised CDF of this table ends at 0.9999999999999999, so the
-        # largest uniform double lies beyond the last nonzero outcome.
+        # largest uniform double, 1 - 2**-53 from the all-ones word, lies
+        # beyond the last nonzero outcome.
         probs = np.zeros(16)
         probs[:3] = [0.23936944299295215, 0.8764842308107038, 0.05856803480519435]
-        top = np.nextafter(1.0, 0.0)
-
-        class TopUniforms:
-            def __init__(self, bit_generator):
-                pass
-
-            def random(self, n):
-                return np.full(n, top)
-
-        monkeypatch.setattr(np.random, "Generator", TopUniforms)
+        monkeypatch.setattr(np.random, "PCG64", raw_word_stream([2**64 - 1] * 5))
         record = sample_outcomes(CoincidenceTable(2, probs.reshape((2,) * 4)), shots=5, seed=0)
         assert record.counts.reshape(-1).tolist() == [0, 0, 5] + [0] * 13
 
@@ -331,30 +351,24 @@ class TestSampling:
         assert np.array_equal(record.counts.reshape(-1), expected)
 
     def test_draws_on_and_beside_cdf_values(self, monkeypatch):
-        # CDF values on cell edges (0.25, 0.5) and inside a cell, each drawn
-        # exactly and one ulp to either side, across chunks of 5.
+        # CDF values on cell edges (0.25, 0.5) and inside a cell (0.6, an odd
+        # multiple of 2**-53), each drawn exactly and 2**-53 to either side,
+        # the generator's resolution, across chunks of 5. Draw k is the word
+        # (k << 11) | low: the sampler must use all 53 high bits and ignore
+        # the 11 low bits, which random() drops.
         probs = np.zeros(16)
-        probs[[2, 5, 6, 11]] = [0.25, 0.25, 0.2, 0.3]
+        probs[[2, 5, 6, 11]] = [0.25, 0.25, 0.1, 0.4]
         cdf = np.cumsum(probs / probs.sum())[[2, 5, 6]]
-        stream = np.concatenate(
-            [[0.0, np.nextafter(1.0, 0.0)]]
-            + [[np.nextafter(v, 0.0), v, np.nextafter(v, 1.0)] for v in cdf]
-        )
-
-        class FixedStream:
-            def __init__(self, bit_generator):
-                self.drawn = 0
-
-            def random(self, n):
-                out = stream[self.drawn : self.drawn + n]
-                self.drawn += n
-                return out
-
-        monkeypatch.setattr(np.random, "Generator", FixedStream)
+        steps = [int(v * 2**53) for v in cdf]
+        assert [k * 2.0**-53 for k in steps] == cdf.tolist()
+        assert steps[2] % 2 == 1
+        draws = [0, 2**53 - 1] + [k + delta for k in steps for delta in (-1, 0, 1)]
+        words = [(k << 11) | low for k, low in zip(draws, [0, 0x7FF, 1, 0x400] * 3)]
+        monkeypatch.setattr(np.random, "PCG64", raw_word_stream(words))
         monkeypatch.setattr(cl, "_CHUNK", 5)
         table = CoincidenceTable(2, probs.reshape((2,) * 4))
-        record = sample_outcomes(table, shots=stream.size, seed=0)
-        expected = oracles.naive_sample_counts(probs, stream.size, 0)
+        record = sample_outcomes(table, shots=len(words), seed=0)
+        expected = oracles.naive_search_counts(probs, [k * 2.0**-53 for k in draws])
         assert np.array_equal(record.counts.reshape(-1), expected)
 
     def test_memory_does_not_grow_with_shots(self):

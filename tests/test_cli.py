@@ -1,5 +1,7 @@
 import hashlib
 import json
+from functools import lru_cache
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -13,6 +15,30 @@ from hdbsm.report import schema_text
 from hdbsm.states import REFERENCE_CONVENTION
 
 SCHEMA = json.loads(schema_text())
+
+# SHA-256 of simulate reports rendered before the sampler binned raw PCG64
+# words, for (i, j) = (d - 1, d - 1) under the default convention, keyed
+# "d shots seed format".
+SIMULATE_PINS = json.loads(
+    Path(__file__).with_name("simulate_report_sha256.json").read_text(encoding="utf-8")
+)
+
+
+@lru_cache(maxsize=None)
+def float_platform_digest() -> str:
+    """Digest of complex exp and matmul results that differ between BLAS kernels.
+
+    Simulate reports print BLAS-rounded probabilities, whose last digit
+    differs between OpenBLAS kernels (Haswell, Zen, SkylakeX, ...), so report
+    bytes can only be pinned for the kernel they were recorded with.
+    """
+    h = hashlib.sha256()
+    for n in (4, 9, 16, 25, 36):
+        grid = np.outer(np.arange(n), np.arange(n) + 1)
+        a = np.exp(2j * np.pi * (grid % 13) / 13) / np.sqrt(n)
+        b = np.exp(1j * np.sqrt(grid + 1.0))
+        h.update(np.abs(a @ b @ a.T).tobytes())
+    return h.hexdigest()
 
 
 def run_json(capsys, argv):
@@ -148,6 +174,21 @@ class TestVerifyCommand:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == self.REPORT_SHA256[(d, label)]
 
+    @pytest.mark.parametrize("label", [None, "auto", "++"])
+    def test_one_convention_search_serves_the_report(self, capsys, monkeypatch, label):
+        calls = {"fit_index_law": 0, "find_convention": 0}
+        for name in calls:
+            original = getattr(cli.dec, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cli.dec, name, counted)
+        argv = ["verify", "-d", "6"] + ([f"--convention={label}"] if label else [])
+        assert main(argv) == 0
+        assert calls == {"fit_index_law": 4, "find_convention": 1}
+
     def test_phase_law_published(self, capsys):
         code, report = run_json(capsys, ["verify", "-d", "3"])
         phase = report["payload"]["phase_law"]
@@ -156,6 +197,17 @@ class TestVerifyCommand:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("key", sorted(SIMULATE_PINS["reports"]))
+    def test_report_bytes_pinned(self, capsys, key):
+        if float_platform_digest() != SIMULATE_PINS["float_platform"]:
+            pytest.skip("this BLAS rounds differently from the one the pins were recorded with")
+        d, shots, seed, fmt = key.split()
+        bell = str(int(d) - 1)
+        argv = ["simulate", "-d", d, "-i", bell, "-j", bell]
+        assert main(argv + ["--shots", shots, "--seed", seed, "--format", fmt]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == SIMULATE_PINS["reports"][key]
+
     def test_classification_and_determinism(self, tmp_path):
         args = ["simulate", "-d", "3", "-i", "2", "-j", "1", "--shots", "9000", "--seed", "7"]
         first = tmp_path / "a.json"

@@ -205,6 +205,16 @@ class TestShiftClockUnitary:
                 prepared = apply_local_unitary(source, u, 1)
                 assert fidelity(bell_state(d, i, j, conv), prepared) > 1 - 1e-9
 
+    @pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=lambda c: c.label())
+    @pytest.mark.parametrize(
+        "d, i, j", [(d, i, j) for d in range(2, 7) for i in range(d) for j in range(d)]
+    )
+    def test_equals_sequential_search(self, d, i, j, conv):
+        expected = oracles.sequential_search_monomial(
+            bell_state(d, 0, 0, conv), bell_state(d, i, j, conv), d, factor=1
+        )
+        assert np.array_equal(shift_clock_unitary(d, i, j, conv), expected)
+
     def test_calibration_failure_on_unreachable_target(self):
         # a product state is not reachable from a Bell state by any monomial
         from hdbsm.core import basis_state
