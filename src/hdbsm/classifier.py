@@ -10,6 +10,7 @@ sampler turns probability tables into reproducible finite-shot records.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -71,6 +72,26 @@ class DecodingTable:
             for k, m, kp, mp in zip(*np.nonzero(mask))
         ]
 
+    @cached_property
+    def class_order(self) -> np.ndarray:
+        """Flat outcome indices grouped by class, classes in (i, j) order.
+
+        A stable argsort of the class index i*d + j, so each class lists its
+        pairs in flat order.
+
+        Raises:
+            ValueError: the table is not d*d classes of d*d pairs each.
+        """
+        d = self.d
+        classes = (self.bell_i * d + self.bell_j).reshape(-1)
+        order = np.argsort(classes, kind="stable")
+        partition = np.repeat(np.arange(d * d), d * d)
+        in_range = ((self.bell_j >= 0) & (self.bell_j < d)).all()
+        if not (in_range and np.array_equal(classes[order], partition)):
+            raise ValueError(f"decoding table is not {d * d} classes of {d * d} pairs each")
+        order.flags.writeable = False
+        return order
+
     def all_pairs(self) -> Iterator[OutcomePair]:
         d = self.d
         for k in range(d):
@@ -110,15 +131,10 @@ def decoding_table_from_law(law: IndexLaw) -> DecodingTable:
     table derived from the brute-force supports.
     """
     d = law.d
-    bell_i = np.empty((d, d, d, d), dtype=np.int64)
-    bell_j = np.empty((d, d, d, d), dtype=np.int64)
-    for k in range(d):
-        for m in range(d):
-            for kp in range(d):
-                for mp in range(d):
-                    bell = law.decode(k, m, kp, mp)
-                    bell_i[k, m, kp, mp] = bell.i
-                    bell_j[k, m, kp, mp] = bell.j
+    t_inv = pow(law.t, -1, d)
+    k, m, kp, mp = np.indices((d,) * 4, dtype=np.int64)
+    bell_i = (t_inv * (kp - law.s * k)) % d
+    bell_j = (mp - m) % d
     bell_i.flags.writeable = False
     bell_j.flags.writeable = False
     return DecodingTable(d, None, bell_i, bell_j)
@@ -213,15 +229,20 @@ class Classification:
 
 
 def classify_table(table: CoincidenceTable, decoding: DecodingTable) -> Classification:
-    """Aggregate a coincidence table by decoding class and take the argmax."""
+    """Aggregate a coincidence table by decoding class and take the argmax.
+
+    Raises:
+        ValueError: the dimensions differ, or the decoding table is not d*d
+            classes of d*d pairs each.
+    """
     if table.d != decoding.d:
         raise ValueError("table and decoding dimensions differ")
     d = table.d
-    masses: dict[BellIndex, float] = {}
-    for i in range(d):
-        for j in range(d):
-            mask = (decoding.bell_i == i) & (decoding.bell_j == j)
-            masses[BellIndex(i, j)] = float(table.probs[mask].sum())
+    # Each row of the gather holds one class's pairs in flat order, as a boolean
+    # mask selects them, so every mass equals that mask's sum bit for bit
+    # (np.bincount with weights adds in another order and differs).
+    sums = table.probs.reshape(-1)[decoding.class_order].reshape(d * d, d * d).sum(axis=1)
+    masses = dict(zip(_bell_indices(d), sums.tolist()))
     best = max(masses.values())
     tied = tuple(sorted(b for b, mass in masses.items() if mass >= best - LOGIC_TOL))
     winner = tied[0]
@@ -232,6 +253,11 @@ def classify_table(table: CoincidenceTable, decoding: DecodingTable) -> Classifi
         tied_with=tied,
         class_masses=masses,
     )
+
+
+@lru_cache(maxsize=None)
+def _bell_indices(d: int) -> tuple[BellIndex, ...]:
+    return tuple(BellIndex(i, j) for i in range(d) for j in range(d))
 
 
 def classify(state: State, convention: PhaseConvention) -> Classification:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
@@ -58,12 +58,18 @@ def hyperentangled_state(
 
 @lru_cache(maxsize=None)
 def _single_basis(d: int, decomp_sign: int) -> np.ndarray:
-    """Rows: flattened decomposition-state amplitudes, row index k*d + m."""
-    conv = PhaseConvention(1, decomp_sign)
-    rows = np.empty((d * d, d * d), dtype=np.complex128)
-    for k in range(d):
-        for m in range(d):
-            rows[k * d + m] = decomp_state(d, k, m, conv).amps
+    """Rows: flattened decomposition-state amplitudes, row index k*d + m.
+
+    Row k*d + m holds exp(decomp_sign*2j*pi*k*q/d)/sqrt(d) at column
+    q*d + (q - m) mod d, with the arithmetic of :func:`decomp_state`, so each
+    row equals that state's amplitudes bit for bit.
+    """
+    digits = np.arange(d)
+    phases = np.exp(decomp_sign * 2j * np.pi * digits[:, None] * digits / d) / np.sqrt(d)
+    k, m, q = np.ix_(digits, digits, digits)
+    rows = np.zeros((d, d, d, d), dtype=np.complex128)  # [k, m, system q, auxiliary]
+    rows[k, m, q, (q - m) % d] = phases[k, q]
+    rows = rows.reshape(d * d, d * d)
     rows.flags.writeable = False
     return rows
 
@@ -96,15 +102,25 @@ class DecompositionTable:
     Bob's particle, the second Alice's. It is a read-only view, because
     :func:`decompose` and :func:`decompose_all` hand every caller the same
     cached tables.
+
+    ``flat_support`` holds the flat pair index ((k*d + m)*d + k')*d + m' of
+    each entry, in entry order. It is derived from ``entries`` when not
+    given; a key with a digit outside 0..d-1 raises ``ValueError``.
     """
 
     d: int
     bell: BellIndex
     convention: PhaseConvention
     entries: Mapping[tuple[int, int, int, int], complex]
+    flat_support: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", MappingProxyType(self.entries))
+        if self.flat_support is None:
+            keys = np.array(list(self.entries), dtype=np.intp).reshape(len(self.entries), 4)
+            flat = np.ravel_multi_index(tuple(keys.T), (self.d,) * 4)
+            flat.flags.writeable = False
+            object.__setattr__(self, "flat_support", flat)
 
     def support(self) -> frozenset[tuple[int, int, int, int]]:
         return frozenset(self.entries)
@@ -112,32 +128,27 @@ class DecompositionTable:
     def squared_weight(self) -> float:
         return float(sum(abs(c) ** 2 for c in self.entries.values()))
 
-    def alice_index_of_bob(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """(k, m) -> (k', m') over the support; errors if Bob indices repeat."""
-        out: dict[tuple[int, int], tuple[int, int]] = {}
-        for (k, m, kp, mp) in self.entries:
-            if (k, m) in out:
-                raise ValueError(f"Bob index ({k}, {m}) occurs twice in the support")
-            out[(k, m)] = (kp, mp)
-        return out
+    def coefficients(self) -> np.ndarray:
+        """The entries' coefficients as an array, in entry order."""
+        return np.fromiter(self.entries.values(), np.complex128, len(self.entries))
 
     def phase_ints(self, tol: float = LOGIC_TOL) -> dict[tuple[int, int, int, int], int]:
         """Coefficient phases as integers r with phase exp(2j*pi*r/d)."""
-        out = {}
-        for key, coeff in self.entries.items():
-            out[key] = _phase_int(coeff, self.d, tol)
-        return out
+        return dict(zip(self.entries, _phase_ints(self.coefficients(), self.d, tol).tolist()))
 
 
-def _phase_int(coeff: complex, d: int, tol: float) -> int:
-    angle = math.atan2(coeff.imag, coeff.real)
-    r = round(angle * d / (2 * math.pi)) % d
+def _phase_ints(coeffs: np.ndarray, d: int, tol: float) -> np.ndarray:
+    """Integers r with each coefficient's phase within tol of 2*pi*r/d."""
+    angle = np.arctan2(coeffs.imag, coeffs.real)
+    r = np.round(angle * d / (2 * math.pi)).astype(np.intp) % d
     residual = angle - 2 * math.pi * r / d
     residual = (residual + math.pi) % (2 * math.pi) - math.pi
-    if abs(residual) > tol:
+    bad = np.flatnonzero(np.abs(residual) > tol)
+    if bad.size:
+        n = bad[0]
         raise PhaseNotRootOfUnityError(
-            f"phase {angle} of coefficient {coeff} is {residual} radians away "
-            f"from the nearest multiple of 2*pi/{d}"
+            f"phase {float(angle[n])} of coefficient {complex(coeffs[n])} is "
+            f"{float(residual[n])} radians away from the nearest multiple of 2*pi/{d}"
         )
     return r
 
@@ -175,26 +186,43 @@ def _decompose_row(
     """
     check_dimension(d)
     conv = PhaseConvention(bell_sign, decomp_sign)
-    # Bell state j has one nonzero amplitude per n and the auxiliary state one per
-    # p, so only their d*d products enter the (d, d**2, d**2) stack.
-    digits = np.arange(d)
+    digits, scatter, aux = _row_layout(d)
     bell = np.exp(bell_sign * 2j * np.pi * i * digits / d) / np.sqrt(d)
-    aux = np.diagonal(aux_state(d).amps.reshape(d, d))
-    j, n, p = np.ix_(digits, digits, digits)
-    psi = np.zeros((d,) * 5, dtype=np.complex128)  # [j, B sys, B aux, A sys, A aux]
-    psi[j, n, p, (n + j) % d, p] = np.multiply.outer(bell, aux)
+    psi = np.zeros(d**5, dtype=np.complex128)  # [j, B sys, B aux, A sys, A aux]
+    psi[scatter] = np.multiply.outer(bell, aux)
     rows = _single_basis(d, decomp_sign).conj()
     half = rows @ psi.reshape(d, d * d, d * d)
     del psi  # keeps the tracemalloc peak of find_convention(6) under 1 MB
     coeffs = (half @ rows.T).reshape(d, d**4)
     del half
-    support = np.abs(coeffs) > LOGIC_TOL
+    js, flat = np.nonzero(np.abs(coeffs) > LOGIC_TOL)
+    flat.flags.writeable = False
     keys = _pair_keys(d)
-    entries: list[dict[tuple[int, int, int, int], complex]] = [{} for _ in range(d)]
-    js, flats = np.nonzero(support)
-    for j, flat, coeff in zip(js.tolist(), flats.tolist(), coeffs[support].tolist()):
-        entries[j][keys[flat]] = coeff
-    return tuple(DecompositionTable(d, BellIndex(i, j), conv, entries[j]) for j in range(d))
+    entries = zip(map(keys.__getitem__, flat.tolist()), coeffs[js, flat].tolist())
+    tables = []
+    start = 0
+    for j, end in enumerate(np.bincount(js, minlength=d).cumsum().tolist()):
+        row_entries = dict(itertools.islice(entries, end - start))
+        tables.append(DecompositionTable(d, BellIndex(i, j), conv, row_entries, flat[start:end]))
+        start = end
+    return tuple(tables)
+
+
+@lru_cache(maxsize=None)
+def _row_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Digits 0..d-1, where a Bell row's amplitudes go, and the auxiliary amplitudes.
+
+    Bell state j has one nonzero amplitude per system digit n and the
+    auxiliary state one per digit p, so only their d*d products enter the
+    (d, d**2, d**2) stack, at flat positions [j, n, p, (n + j) mod d, p].
+    """
+    digits = np.arange(d)
+    j, n, p = np.ix_(digits, digits, digits)
+    scatter = np.ravel_multi_index((j, n, p, (n + j) % d, p), (d,) * 5)
+    aux = np.diagonal(aux_state(d).amps.reshape(d, d))  # a read-only view
+    digits.flags.writeable = False
+    scatter.flags.writeable = False
+    return digits, scatter, aux
 
 
 @lru_cache(maxsize=None)
@@ -277,8 +305,30 @@ def _as_table_map(tables) -> dict[BellIndex, DecompositionTable]:
     return mapping
 
 
+def _support_digits(
+    mapping: dict[BellIndex, DecompositionTable],
+) -> tuple[list[DecompositionTable], np.ndarray, tuple[np.ndarray, ...]]:
+    """Digits (k, m, k', m', i, j) of every entry, in (Bell index, pair key) order.
+
+    Also returns the tables in Bell order and the permutation that takes
+    their concatenated entries to that order.
+    """
+    d = next(iter(mapping.values())).d
+    ordered = [mapping[bell] for bell in sorted(mapping)]
+    flat = np.concatenate([table.flat_support for table in ordered])
+    bell = np.repeat(np.arange(d * d), [table.flat_support.size for table in ordered])
+    order = np.argsort(bell * d**4 + flat, kind="stable")
+    k, m, kp, mp = np.unravel_index(flat[order], (d,) * 4)
+    i, j = np.divmod(bell[order], d)
+    return ordered, order, (k, m, kp, mp, i, j)
+
+
 def fit_index_law(tables) -> IndexLaw:
     """Fit the unique affine index law reproducing every support tuple.
+
+    The law constrains the support only through its (k, i, k') triples, so
+    the triples present are marked in a (d, d, d) grid and every (s, t) is
+    tested against them at once.
 
     Args:
         tables: the complete set of d*d decomposition tables for one
@@ -290,30 +340,19 @@ def fit_index_law(tables) -> IndexLaw:
     """
     mapping = _as_table_map(tables)
     d = next(iter(mapping.values())).d
-    fits = []
-    for s in range(d):
-        for t in range(d):
-            ok = True
-            for bell, table in mapping.items():
-                for (k, m, kp, mp) in table.entries:
-                    if kp != (s * k + t * bell.i) % d:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                fits.append((s, t))
+    _, _, (k, m, kp, mp, i, j) = _support_digits(mapping)
+    present = np.zeros((d,) * 3, dtype=bool)
+    present[k, i, kp] = True
+    # From here k, i and k' run over every digit, as axes of the (s, t, k, i, k') grid.
+    s, t, k, i, kp = np.ix_(*[np.arange(d)] * 5)
+    holds = ((s * k + t * i) % d == kp) | ~present
+    fits = [tuple(fit) for fit in np.argwhere(holds.all(axis=(2, 3, 4))).tolist()]
     if not fits:
         raise NoAffineLawError(f"support is not affine in (k, i) at d={d}")
     if len(fits) > 1:
         raise NoAffineLawError(f"ambiguous affine law at d={d}: {fits}")
     s, t = fits[0]
-    m_ok = all(
-        mp == (m + bell.j) % d
-        for bell, table in mapping.items()
-        for (k, m, kp, mp) in table.entries
-    )
-    return IndexLaw(d, s, t, m_ok)
+    return IndexLaw(d, s, t, bool(((m + j) % d == mp).all()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,24 +379,18 @@ def fit_phase_law(tables) -> PhaseLaw:
     """
     mapping = _as_table_map(tables)
     d = next(iter(mapping.values())).d
-    phase_table: dict[tuple[int, int, int, int], int] = {}
-    entries = []  # (kp, i, j, r) for the closed-form fit
-    for bell, table in sorted(mapping.items()):
-        for (k, m, kp, mp), coeff in sorted(table.entries.items()):
-            r = _phase_int(coeff, d, LOGIC_TOL)
-            phase_table[(k, m, bell.i, bell.j)] = r
-            entries.append((kp, bell.i, bell.j, r))
-    closed_form = None
-    for u in range(d):
-        for v in range(d):
-            for w in range(d):
-                if all((u * kp * j + v * i * j + w) % d == r for kp, i, j, r in entries):
-                    closed_form = (u, v, w)
-                    break
-            if closed_form:
-                break
-        if closed_form:
-            break
+    ordered, order, (k, m, kp, mp, i, j) = _support_digits(mapping)
+    r = _phase_ints(np.concatenate([table.coefficients() for table in ordered])[order], d, LOGIC_TOL)
+    phase_table = dict(zip(zip(k.tolist(), m.tolist(), i.tolist(), j.tolist()), r.tolist()))
+    # The form constrains the entries only through their (k'*j mod d,
+    # i*j mod d, r) triples; mark those present and test every (u, v, w) at once.
+    present = np.zeros((d,) * 3, dtype=bool)
+    present[kp * j % d, i * j % d, r] = True
+    # The (u, v, w, k'*j mod d, i*j mod d, r) grid.
+    u, v, w, a, b, r = np.ix_(*[np.arange(d)] * 6)
+    holds = ((u * a + v * b + w) % d == r) | ~present
+    fits = np.argwhere(holds.all(axis=(3, 4, 5))).tolist()
+    closed_form = tuple(fits[0]) if fits else None
     return PhaseLaw(d, phase_table, closed_form)
 
 

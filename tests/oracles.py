@@ -144,3 +144,124 @@ def sequential_search_monomial(source, target, d: int, factor: int) -> np.ndarra
                 if fidelity(target, apply_local_unitary(source, u, factor)) >= 1.0 - LOGIC_TOL:
                     return u
     raise CalibrationError("no shift/clock monomial reaches the target state")
+
+
+def mask_class_masses(probs, decoding) -> dict:
+    """BellIndex -> probability mass of its decoding class, one boolean mask per class.
+
+    The per-class sum ``classify_table`` used before it gathered the classes
+    in one step.
+    """
+    from hdbsm.states import BellIndex
+
+    d = decoding.d
+    masses = {}
+    for i in range(d):
+        for j in range(d):
+            mask = (decoding.bell_i == i) & (decoding.bell_j == j)
+            masses[BellIndex(i, j)] = float(np.asarray(probs)[mask].sum())
+    return masses
+
+
+def cyclotomic_polynomial(d: int) -> list[int]:
+    """Integer coefficients of the d-th cyclotomic polynomial, lowest degree first."""
+    poly = [-1] + [0] * (d - 1) + [1]  # x^d - 1
+    for e in range(1, d):
+        if d % e == 0:
+            divisor = cyclotomic_polynomial(e)
+            quotient = [0] * (len(poly) - len(divisor) + 1)
+            for shift in range(len(quotient) - 1, -1, -1):
+                factor = poly[shift + len(divisor) - 1]  # divisor is monic
+                quotient[shift] = factor
+                for n, c in enumerate(divisor):
+                    poly[shift + n] -= factor * c
+            poly = quotient
+    return poly
+
+
+def exact_decomposition(d: int, bell_sign: int, decomp_sign: int) -> dict:
+    """(i, j) -> {(k, m, k', m'): r}: every nonzero coefficient, which is exactly omega**r / d.
+
+    Each coefficient is d**-2 times a sum of powers omega**e, one per joint
+    term of the hyperentangled state that a decomposition pair shares, with
+    an integer exponent e. Its histogram H(x) = sum_e count_e * x**e (e mod d)
+    is reduced modulo the cyclotomic polynomial Phi_d, the minimal polynomial
+    of omega: the coefficient is zero exactly when the remainder is zero, and
+    omega**r / d exactly when the remainder equals that of d * x**r. A
+    nonzero coefficient of any other value raises ``AssertionError``.
+    """
+    phi = cyclotomic_polynomial(d)
+    degree = len(phi) - 1
+    # Row e of the reduction: the remainder of x**e modulo Phi_d.
+    reduce_ = np.zeros((d, degree), dtype=np.int64)
+    power = [1] + [0] * degree  # x**0, one spare slot for the top term
+    for e in range(d):
+        reduce_[e] = power[:degree]
+        power = [0] + power[:degree]
+        top = power[degree]
+        power = [c - top * p for c, p in zip(power, phi)]
+    # Joint term (n, p) of Bell state (i, j) and the auxiliary state sits at
+    # labels (n, p, n + j, p) with exponent bell_sign*i*n. It meets the pairs
+    # with m = n - p and m' = n + j - p, for every k and k', whose conjugated
+    # decomposition amplitudes add -decomp_sign*(k*n + k'*(n + j)).
+    i, j, n, p, k, kp = np.indices((d,) * 6).reshape(6, -1)
+    m = (n - p) % d
+    mp = (n + j - p) % d
+    exponent = (bell_sign * i * n - decomp_sign * (k * n + kp * (n + j))) % d
+    pair = ((k * d + m) * d + kp) * d + mp
+    bins = ((i * d + j) * d**4 + pair) * d + exponent
+    histogram = np.bincount(bins, minlength=d**7).reshape(d * d, d**4, d)
+    remainder = histogram @ reduce_
+    out = {}
+    for bell in range(d * d):
+        entries = {}
+        for flat in np.flatnonzero(remainder[bell].any(axis=1)).tolist():
+            matches = [
+                r for r in range(d) if np.array_equal(remainder[bell, flat], d * reduce_[r])
+            ]
+            assert len(matches) == 1, f"coefficient {flat} of Bell {bell} is not omega**r / d"
+            key = tuple(int(x) for x in np.unravel_index(flat, (d,) * 4))
+            entries[key] = matches[0]
+        out[divmod(bell, d)] = entries
+    return out
+
+
+def loop_fit_index_law(d: int, supports: dict) -> tuple[list[tuple[int, int]], bool]:
+    """Every (s, t) with k' = (s*k + t*i) mod d, and whether m' = (m + j) mod d, one tuple at a time.
+
+    ``supports`` maps (i, j) to an iterable of (k, m, k', m').
+    """
+    fits = [
+        (s, t)
+        for s in range(d)
+        for t in range(d)
+        if all(
+            kp == (s * k + t * i) % d
+            for (i, j), support in supports.items()
+            for k, m, kp, mp in support
+        )
+    ]
+    m_ok = all(
+        mp == (m + j) % d
+        for (i, j), support in supports.items()
+        for k, m, kp, mp in support
+    )
+    return fits, m_ok
+
+
+def loop_fit_phase_law(d: int, phases: dict) -> tuple[dict, tuple[int, int, int] | None]:
+    """({(k, m, i, j): r}, first (u, v, w) with r = u*k'*j + v*i*j + w mod d) from {(i, j): {key: r}}."""
+    table = {}
+    for (i, j), entries in sorted(phases.items()):
+        for (k, m, kp, mp), r in sorted(entries.items()):
+            table[(k, m, i, j)] = r
+    for u in range(d):
+        for v in range(d):
+            for w in range(d):
+                if all(
+                    (u * kp * j + v * i * j + w) % d == r
+                    for (i, j), entries in phases.items()
+                    for (k, m, kp, mp), r in entries.items()
+                ):
+                    return table, (u, v, w)
+    return table, None

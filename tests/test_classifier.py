@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from hdbsm import classifier as cl
 from hdbsm.classifier import (
+    UNREACHABLE,
     CoincidenceTable,
     CollisionError,
+    DecodingTable,
     DecompIndex,
     OutcomePair,
     build_decoding_table,
@@ -173,6 +175,54 @@ class TestClassify:
         table = CoincidenceTable(2, np.full((2,) * 4, 1 / 16))
         decoding = build_decoding_table(3, REFERENCE_CONVENTION)
         with pytest.raises(ValueError):
+            classify_table(table, decoding)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        conv=st.sampled_from(ALL_CONVENTIONS),
+        from_law=st.booleans(),
+        kind=st.sampled_from(["uniform", "pareto", "sparse", "noisy-bell"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gathered_masses_equal_mask_sums(self, d, conv, from_law, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "noisy-bell":
+            i, j = rng.integers(d, size=2)
+            bell = coincidence_probabilities(hyperentangled_state(d, i, j, conv), conv)
+            table = mix_with_white_noise(bell, rng.random())
+        else:
+            probs = {
+                "uniform": lambda: rng.random(d**4),
+                "pareto": lambda: rng.pareto(0.5, d**4) * 1e-100,
+                "sparse": lambda: rng.random(d**4) * (rng.random(d**4) < 0.1),
+            }[kind]()
+            table = CoincidenceTable(d, probs.reshape((d,) * 4))
+        if from_law:
+            decoding = decoding_table_from_law(fit_index_law(decompose_all(d, conv)))
+        else:
+            decoding = build_decoding_table(d, conv)
+        got = classify_table(table, decoding).class_masses
+        expected = oracles.mask_class_masses(table.probs, decoding)
+        assert list(got) == list(expected)
+        assert [m.hex() for m in got.values()] == [m.hex() for m in expected.values()]
+
+    @pytest.mark.parametrize("defect", ["unreachable", "moved", "j-out-of-range"])
+    def test_rejects_decoding_that_is_not_a_partition(self, defect):
+        d = 3
+        good = build_decoding_table(d, REFERENCE_CONVENTION)
+        bell_i, bell_j = good.bell_i.copy(), good.bell_j.copy()
+        key = tuple(int(x) for x in np.argwhere((bell_i == 0) & (bell_j == d - 1))[0])
+        if defect == "unreachable":
+            bell_i[key] = bell_j[key] = UNREACHABLE
+        elif defect == "moved":
+            bell_i[key], bell_j[key] = 1, 1
+        else:
+            # i*d + j still names class (0, d-1), so only the range check sees it
+            bell_i[key], bell_j[key] = 1, -1
+        decoding = DecodingTable(d, None, bell_i, bell_j)
+        table = CoincidenceTable(d, np.full((d,) * 4, 1 / d**4))
+        with pytest.raises(ValueError, match="not 9 classes of 9 pairs each"):
             classify_table(table, decoding)
 
 

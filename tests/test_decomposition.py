@@ -22,12 +22,14 @@ from hdbsm.decomposition import (
     reconstruct,
     reference_index_law,
 )
+from hdbsm.classifier import build_decoding_table, decoding_table_from_law
 from hdbsm.states import (
     ALL_CONVENTIONS,
     BellIndex,
     LITERAL_CONVENTION,
     PhaseConvention,
     REFERENCE_CONVENTION,
+    decomp_state,
 )
 
 import oracles
@@ -149,6 +151,20 @@ class TestDecompose:
                     assert list(got.entries) == list(expected)
                     assert hexes(got.entries) == hexes(expected)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_single_basis_rows_are_decomposition_states(self, d, sign):
+        conv = PhaseConvention(1, sign)
+        stacked = np.stack(
+            [decomp_state(d, k, m, conv).amps for k in range(d) for m in range(d)]
+        )
+        assert decomposition._single_basis(d, sign).tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("key", [(0, 0, 0, 3), (-1, 0, 0, 0), (0, 0, 0)])
+    def test_hand_built_table_rejects_bad_key(self, key):
+        with pytest.raises(ValueError):
+            DecompositionTable(3, BellIndex(0, 0), LITERAL_CONVENTION, {key: 1.0})
+
     def test_decompose_and_decompose_all_share_tables(self):
         tables = decompose_all(4, REFERENCE_CONVENTION)
         assert decompose(4, 2, 3, REFERENCE_CONVENTION) is tables[BellIndex(2, 3)]
@@ -211,6 +227,28 @@ class TestIndexLaw:
         )
         with pytest.raises(NoAffineLawError):
             fit_index_law(tables)
+
+    def test_no_affine_law_messages(self):
+        tables = dict(decompose_all(3, LITERAL_CONVENTION))
+        entries = dict(tables[BellIndex(0, 0)].entries)
+        entries[(0, 0, 2, 0)] = entries.pop((0, 0, 0, 0))
+        tables[BellIndex(0, 0)] = DecompositionTable(
+            3, BellIndex(0, 0), LITERAL_CONVENTION, entries
+        )
+        with pytest.raises(NoAffineLawError) as info:
+            fit_index_law(tables)
+        assert str(info.value) == "support is not affine in (k, i) at d=3"
+        # k = k' = 0 everywhere: t*i = 0 forces t = 0 and leaves s free
+        ambiguous = {
+            BellIndex(i, j): DecompositionTable(
+                3, BellIndex(i, j), LITERAL_CONVENTION, {(0, 0, 0, j): 1 / 3}
+            )
+            for i in range(3)
+            for j in range(3)
+        }
+        with pytest.raises(NoAffineLawError) as info:
+            fit_index_law(ambiguous)
+        assert str(info.value) == "ambiguous affine law at d=3: [(0, 0), (1, 0), (2, 0)]"
 
     def test_decode_inverts_law(self):
         for d in (2, 3, 4, 5):
@@ -304,6 +342,7 @@ class TestFindConvention:
         for cached in (
             decomposition._decompose_row,
             decomposition._pair_keys,
+            decomposition._row_layout,
             decomposition._single_basis,
         ):
             cached.cache_clear()
@@ -328,3 +367,100 @@ class TestIndexLawDecodeErrors:
         law = IndexLaw(d=4, s=3, t=2, m_law_holds=True)
         with pytest.raises(ValueError):
             law.decode(0, 0, 1, 0)
+        with pytest.raises(ValueError):
+            decoding_table_from_law(law)
+
+
+class TestExactOracle:
+    """Supports, phases, laws and decoding against exact cyclotomic arithmetic."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=lambda c: c.label())
+    def test_supports_and_phase_integers(self, d, conv):
+        exact = oracles.exact_decomposition(d, conv.bell_sign, conv.decomp_sign)
+        for bell, table in decompose_all(d, conv).items():
+            assert table.phase_ints() == exact[bell]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=lambda c: c.label())
+    def test_fitted_laws(self, d, conv):
+        exact = oracles.exact_decomposition(d, conv.bell_sign, conv.decomp_sign)
+        tables = decompose_all(d, conv)
+        fits, m_ok = oracles.loop_fit_index_law(d, exact)
+        assert len(fits) == 1
+        assert fit_index_law(tables) == IndexLaw(d, *fits[0], m_ok)
+        phase_law = fit_phase_law(tables)
+        assert (phase_law.table, phase_law.closed_form) == oracles.loop_fit_phase_law(d, exact)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=lambda c: c.label())
+    def test_decoding_table(self, d, conv):
+        exact = oracles.exact_decomposition(d, conv.bell_sign, conv.decomp_sign)
+        bell_i = np.full((d,) * 4, -1)
+        bell_j = np.full((d,) * 4, -1)
+        for (i, j), entries in exact.items():
+            for key in entries:
+                bell_i[key], bell_j[key] = i, j
+        law = fit_index_law(decompose_all(d, conv))
+        for table in (build_decoding_table(d, conv), decoding_table_from_law(law)):
+            assert np.array_equal(table.bell_i, bell_i)
+            assert np.array_equal(table.bell_j, bell_j)
+
+
+class TestHandBuiltFits:
+    """Both fits on hand-built tables, against the one-tuple-at-a-time loops."""
+
+    @staticmethod
+    def random_tables(d, seed):
+        """Random supports, some obeying a random affine law, with random or closed-form phases.
+
+        Keys are inserted in random order and may repeat (k, m) with another
+        (k', m'), so the phase table keeps the last in sorted order.
+        """
+        rng = np.random.default_rng(seed)
+        s, t, u, v, w = rng.integers(d, size=5).tolist()
+        affine = rng.random() < 0.5
+        closed = rng.random() < 0.5
+        tables, phases = {}, {}
+        for i in range(d):
+            for j in range(d):
+                keys = set()
+                for _ in range(rng.integers(1, d * d + 1)):
+                    k, m, kp, mp = rng.integers(d, size=4).tolist()
+                    if affine:
+                        kp, mp = (s * k + t * i) % d, (m + j) % d
+                    keys.add((k, m, kp, mp))
+                keys = sorted(keys)
+                rng.shuffle(keys)
+                phase = {
+                    key: (u * key[2] * j + v * i * j + w) % d if closed else int(rng.integers(d))
+                    for key in keys
+                }
+                entries = {key: np.exp(2j * np.pi * r / d) / d for key, r in phase.items()}
+                tables[BellIndex(i, j)] = DecompositionTable(
+                    d, BellIndex(i, j), LITERAL_CONVENTION, entries
+                )
+                phases[(i, j)] = phase
+        return tables, phases
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_index_law(self, d, seed):
+        tables, phases = self.random_tables(d, seed)
+        fits, m_ok = oracles.loop_fit_index_law(d, phases)
+        if len(fits) == 1:
+            assert fit_index_law(tables) == IndexLaw(d, *fits[0], m_ok)
+        else:
+            with pytest.raises(NoAffineLawError) as info:
+                fit_index_law(tables)
+            if fits:
+                assert str(info.value) == f"ambiguous affine law at d={d}: {fits}"
+            else:
+                assert str(info.value) == f"support is not affine in (k, i) at d={d}"
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_phase_law(self, d, seed):
+        tables, phases = self.random_tables(d, seed)
+        law = fit_phase_law(tables)
+        assert (law.table, law.closed_form) == oracles.loop_fit_phase_law(d, phases)
