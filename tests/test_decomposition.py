@@ -225,19 +225,11 @@ class TestIndexLaw:
         tables[BellIndex(0, 0)] = DecompositionTable(
             3, BellIndex(0, 0), LITERAL_CONVENTION, entries
         )
-        with pytest.raises(NoAffineLawError):
-            fit_index_law(tables)
-
-    def test_no_affine_law_messages(self):
-        tables = dict(decompose_all(3, LITERAL_CONVENTION))
-        entries = dict(tables[BellIndex(0, 0)].entries)
-        entries[(0, 0, 2, 0)] = entries.pop((0, 0, 0, 0))
-        tables[BellIndex(0, 0)] = DecompositionTable(
-            3, BellIndex(0, 0), LITERAL_CONVENTION, entries
-        )
         with pytest.raises(NoAffineLawError) as info:
             fit_index_law(tables)
         assert str(info.value) == "support is not affine in (k, i) at d=3"
+
+    def test_ambiguous_law_message(self):
         # k = k' = 0 everywhere: t*i = 0 forces t = 0 and leaves s free
         ambiguous = {
             BellIndex(i, j): DecompositionTable(
