@@ -20,10 +20,8 @@ from .core import (
 )
 from .states import (
     ALL_CONVENTIONS,
-    AuxLabelMap,
     BellIndex,
     CalibrationError,
-    DecompIndex,
     LITERAL_CONVENTION,
     PhaseConvention,
     REFERENCE_CONVENTION,
@@ -54,7 +52,6 @@ from .classifier import (
     CoincidenceTable,
     CollisionError,
     DecodingTable,
-    OutcomePair,
     ShotRecord,
     build_decoding_table,
     classify,

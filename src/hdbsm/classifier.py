@@ -11,20 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .core import LOGIC_TOL, State
 from .decomposition import IndexLaw, decompose_all, pair_coefficients
-from .states import BellIndex, DecompIndex, PhaseConvention
-
-
-class OutcomePair(NamedTuple):
-    """One coincidence event: Bob's and Alice's detector indices."""
-
-    bob: DecompIndex
-    alice: DecompIndex
+from .states import BellIndex, PhaseConvention
 
 
 class CollisionError(RuntimeError):
@@ -55,23 +47,6 @@ class DecodingTable:
     bell_i: np.ndarray
     bell_j: np.ndarray
 
-    def lookup(self, pair: OutcomePair) -> BellIndex | None:
-        idx = (pair.bob.k, pair.bob.m, pair.alice.k, pair.alice.m)
-        i = int(self.bell_i[idx])
-        if i == UNREACHABLE:
-            return None
-        return BellIndex(i, int(self.bell_j[idx]))
-
-    def class_of(self, k: int, m: int, kp: int, mp: int) -> BellIndex | None:
-        return self.lookup(OutcomePair(DecompIndex(k, m), DecompIndex(kp, mp)))
-
-    def class_members(self, bell: BellIndex) -> list[OutcomePair]:
-        mask = (self.bell_i == bell.i) & (self.bell_j == bell.j)
-        return [
-            OutcomePair(DecompIndex(int(k), int(m)), DecompIndex(int(kp), int(mp)))
-            for k, m, kp, mp in zip(*np.nonzero(mask))
-        ]
-
     @cached_property
     def class_order(self) -> np.ndarray:
         """Flat outcome indices grouped by class, classes in (i, j) order.
@@ -91,14 +66,6 @@ class DecodingTable:
             raise ValueError(f"decoding table is not {d * d} classes of {d * d} pairs each")
         order.flags.writeable = False
         return order
-
-    def all_pairs(self) -> Iterator[OutcomePair]:
-        d = self.d
-        for k in range(d):
-            for m in range(d):
-                for kp in range(d):
-                    for mp in range(d):
-                        yield OutcomePair(DecompIndex(k, m), DecompIndex(kp, mp))
 
 
 def build_decoding_table(d: int, convention: PhaseConvention) -> DecodingTable:
@@ -164,21 +131,6 @@ class CoincidenceTable:
 
     def total(self) -> float:
         return float(self.probs.sum())
-
-    def probability(self, pair: OutcomePair) -> float:
-        return float(self.probs[pair.bob.k, pair.bob.m, pair.alice.k, pair.alice.m])
-
-    def as_dict(self) -> dict[OutcomePair, float]:
-        d = self.d
-        return {
-            OutcomePair(DecompIndex(k, m), DecompIndex(kp, mp)): float(
-                self.probs[k, m, kp, mp]
-            )
-            for k in range(d)
-            for m in range(d)
-            for kp in range(d)
-            for mp in range(d)
-        }
 
 
 def coincidence_probabilities(
@@ -274,18 +226,6 @@ class ShotRecord:
     seed: int
     shots: int
     counts: np.ndarray
-
-    def count(self, pair: OutcomePair) -> int:
-        return int(self.counts[pair.bob.k, pair.bob.m, pair.alice.k, pair.alice.m])
-
-    def nonzero(self) -> dict[OutcomePair, int]:
-        out = {}
-        d = self.counts.shape[0]
-        for flat in np.flatnonzero(self.counts.reshape(-1)):
-            k, m, kp, mp = np.unravel_index(int(flat), (d,) * 4)
-            pair = OutcomePair(DecompIndex(int(k), int(m)), DecompIndex(int(kp), int(mp)))
-            out[pair] = int(self.counts[k, m, kp, mp])
-        return out
 
 
 def sample_outcomes(table: CoincidenceTable, shots: int, seed: int) -> ShotRecord:

@@ -97,6 +97,17 @@ def _check_seed(seed: int) -> None:
         raise UsageError(f"seed must fit in 64 bits, got {seed}")
 
 
+def _emit(command, args, config, payload, checks, fields=None, rows=None) -> int:
+    """Render the report as JSON, or as CSV of ``rows``, write it, and return the exit code."""
+    report = build_report(command, config, payload, checks)
+    if args.format == "csv":
+        text = render_csv(report, fields, rows)
+    else:
+        text = render_json(report)
+    _write_report(text, args.output)
+    return 0 if report["passed"] else 1
+
+
 # ---------------------------------------------------------------------------
 # payload serialization helpers
 # ---------------------------------------------------------------------------
@@ -127,22 +138,22 @@ def _decomposition_rows(table: dec.DecompositionTable) -> list[dict]:
     return rows
 
 
-def _coincidence_rows(table: cl.CoincidenceTable, record: cl.ShotRecord | None) -> list[dict]:
-    rows = []
-    d = table.d
-    for k in range(d):
-        for m in range(d):
-            for kp in range(d):
-                for mp in range(d):
-                    prob = float(table.probs[k, m, kp, mp])
-                    count = int(record.counts[k, m, kp, mp]) if record is not None else 0
-                    if prob <= 1e-12 and count == 0:
-                        continue
-                    row = {"k": k, "m": m, "k_prime": kp, "m_prime": mp, "probability": prob}
-                    if record is not None:
-                        row["count"] = count
-                    rows.append(row)
-    return rows
+def _coincidence_rows(
+    table: cl.CoincidenceTable, record: cl.ShotRecord | None
+) -> tuple[list[str], list[dict]]:
+    """Fields, and rows in flat order of the pairs with probability above 1e-12 or a count."""
+    probs = table.probs.reshape(-1)
+    fields = ["k", "m", "k_prime", "m_prime", "probability"]
+    shown = probs > 1e-12
+    if record is not None:
+        counts = record.counts.reshape(-1)
+        shown |= counts != 0
+        fields.append("count")
+    flat = np.flatnonzero(shown)
+    columns = [*np.unravel_index(flat, table.probs.shape), probs[flat]]
+    if record is not None:
+        columns.append(counts[flat])
+    return fields, [dict(zip(fields, values)) for values in zip(*(c.tolist() for c in columns))]
 
 
 def _classification_dict(result: cl.Classification) -> dict:
@@ -256,7 +267,7 @@ def format_state_file(state: State) -> str:
 def _cmd_decompose(args) -> int:
     _check_bell_args(args.d, args.i, args.j)
     convention, selection = _resolve_convention(args.d, args.convention)
-    config = RunConfig(args.d, convention, selection, fmt=args.format, output=args.output)
+    config = RunConfig(args.d, convention, selection, fmt=args.format)
     table = dec.decompose(args.d, args.i, args.j, convention)
 
     d = args.d
@@ -283,14 +294,8 @@ def _cmd_decompose(args) -> int:
         ),
     ]
     payload = {"bell": _bell_dict(table.bell), "entries": _decomposition_rows(table)}
-    report = build_report("decompose", config, payload, checks)
-    if args.format == "csv":
-        fields = ["k", "m", "k_prime", "m_prime", "re", "im", "magnitude", "phase_r"]
-        text = render_csv(report, fields, payload["entries"])
-    else:
-        text = render_json(report)
-    _write_report(text, args.output)
-    return 0 if report["passed"] else 1
+    fields = ["k", "m", "k_prime", "m_prime", "re", "im", "magnitude", "phase_r"]
+    return _emit("decompose", args, config, payload, checks, fields, payload["entries"])
 
 
 def _cmd_verify(args) -> int:
@@ -305,7 +310,7 @@ def _cmd_verify(args) -> int:
         except dec.NoMatchingConventionError as exc:
             no_match = exc
     convention, selection = _resolve_convention(d, args.convention, search)
-    config = RunConfig(d, convention, selection, fmt=args.format, output=args.output)
+    config = RunConfig(d, convention, selection, fmt=args.format)
     checks = []
     payload: dict = {}
 
@@ -386,9 +391,9 @@ def _cmd_verify(args) -> int:
     decoding_detail = f"all {d**4} outcome pairs partition into {d * d} classes of {d * d}"
     try:
         decoding = cl.build_decoding_table(d, convention)
-        sizes = {
-            len(decoding.class_members(BellIndex(i, j))) for i in range(d) for j in range(d)
-        }
+        reached = decoding.bell_i != cl.UNREACHABLE
+        classes = decoding.bell_i[reached] * d + decoding.bell_j[reached]
+        sizes = set(np.bincount(classes, minlength=d * d).tolist())
         if sizes != {d * d}:
             decoding_ok = False
             decoding_detail = f"unexpected class sizes {sorted(sizes)}"
@@ -417,11 +422,9 @@ def _cmd_verify(args) -> int:
             audits.append(_audit_dict(audit_mod.audit_reference_table(d, conv)))
     payload["audits"] = audits
 
-    report = build_report("verify", config, payload, checks)
     if args.format == "csv":
         raise UsageError("verify reports are structured; only --format json is supported")
-    _write_report(render_json(report), args.output)
-    return 0 if report["passed"] else 1
+    return _emit("verify", args, config, payload, checks)
 
 
 def _cmd_simulate(args) -> int:
@@ -431,8 +434,7 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"shots must be >= 0, got {args.shots}")
     convention, selection = _resolve_convention(args.d, args.convention)
     config = RunConfig(
-        args.d, convention, selection,
-        seed=args.seed, shots=args.shots, fmt=args.format, output=args.output,
+        args.d, convention, selection, seed=args.seed, shots=args.shots, fmt=args.format
     )
     result = optics.run_experiment(args.d, args.i, args.j, args.shots, args.seed, convention)
     decoding = cl.build_decoding_table(args.d, convention)
@@ -456,46 +458,38 @@ def _cmd_simulate(args) -> int:
         ),
     ]
     if result.record is not None:
-        observed = result.record.nonzero()
-        decoded = {decoding.lookup(pair) for pair in observed}
+        observed = result.record.counts > 0
+        decoded = set(zip(decoding.bell_i[observed].tolist(), decoding.bell_j[observed].tolist()))
         checks.append(
             check(
                 "outcomes_decode_to_input",
-                decoded == {BellIndex(args.i, args.j)},
-                f"{result.record.shots} outcomes over {len(observed)} pairs",
+                decoded == {(args.i, args.j)},
+                f"{result.record.shots} outcomes over {int(observed.sum())} pairs",
             )
         )
 
+    fields, rows = _coincidence_rows(result.probabilities, result.record)
     payload = {
         "bell": _bell_dict(result.bell),
         "equivalence_gap": result.equivalence_gap,
         "classification": _classification_dict(classification),
-        "table": _coincidence_rows(result.probabilities, result.record),
+        "table": rows,
     }
-    report = build_report("simulate", config, payload, checks)
-    if args.format == "csv":
-        fields = ["k", "m", "k_prime", "m_prime", "probability"]
-        if result.record is not None:
-            fields.append("count")
-        text = render_csv(report, fields, payload["table"])
-    else:
-        text = render_json(report)
-    _write_report(text, args.output)
-    return 0 if report["passed"] else 1
+    return _emit("simulate", args, config, payload, checks, fields, rows)
 
 
 def _cmd_classify(args) -> int:
     if not 0.0 <= args.noise <= 1.0:
         raise UsageError(f"noise weight must be in [0, 1], got {args.noise}")
     try:
-        with open(args.state_file, encoding="utf-8") as fh:
+        with open(args.state_file, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read state file: {exc}") from exc
     state = parse_state_file(text)
     d = state.radices[0]
     convention, selection = _resolve_convention(d, args.convention)
-    config = RunConfig(d, convention, selection, fmt=args.format, output=args.output)
+    config = RunConfig(d, convention, selection, fmt=args.format)
 
     table = cl.coincidence_probabilities(state, convention)
     if args.noise > 0.0:
@@ -515,15 +509,8 @@ def _cmd_classify(args) -> int:
         "noise": args.noise,
         "classification": _classification_dict(classification),
     }
-    report = build_report("classify", config, payload, checks)
-    if args.format == "csv":
-        text = render_csv(
-            report, ["i", "j", "mass"], payload["classification"]["class_masses"]
-        )
-    else:
-        text = render_json(report)
-    _write_report(text, args.output)
-    return 0 if report["passed"] else 1
+    rows = payload["classification"]["class_masses"]
+    return _emit("classify", args, config, payload, checks, ["i", "j", "mass"], rows)
 
 
 # ---------------------------------------------------------------------------

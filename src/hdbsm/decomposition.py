@@ -274,17 +274,6 @@ class IndexLaw:
     def alice_m(self, m: int, j: int) -> int:
         return (m + j) % self.d
 
-    def decode(self, k: int, m: int, kp: int, mp: int) -> BellIndex:
-        """Invert the law: recover (i, j) from an outcome pair's digits.
-
-        Requires t coprime to d, which holds for every fitted law in the
-        supported range (t is 1 or d-1).
-        """
-        t_inv = pow(self.t, -1, self.d)
-        i = (t_inv * (kp - self.s * k)) % self.d
-        j = (mp - m) % self.d
-        return BellIndex(i, j)
-
 
 def reference_index_law(d: int) -> IndexLaw:
     """The published general law: s = t = d - 1 with m' = (m + j) mod d."""

@@ -21,15 +21,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .classifier import CoincidenceTable, ShotRecord, coincidence_probabilities, sample_outcomes
-from .core import (
-    State,
-    apply_local_unitary,
-    check_dimension,
-    fourier_matrix,
-    permute_factors,
-    tensor_product,
-)
-from .states import BellIndex, DecompIndex, PhaseConvention, aux_state, bell_state, shift_clock_unitary
+from .core import State, apply_local_unitary, check_dimension, fourier_matrix
+from .decomposition import hyperentangled_state
+from .states import BellIndex, PhaseConvention, shift_clock_unitary
 
 
 @lru_cache(maxsize=None)
@@ -40,8 +34,7 @@ def prepare_source(d: int, convention: PhaseConvention) -> State:
     Built once per (d, convention) and shared; a State is immutable.
     """
     check_dimension(d)
-    joint = tensor_product(bell_state(d, 0, 0, convention), aux_state(d))
-    return permute_factors(joint, (0, 2, 1, 3))
+    return hyperentangled_state(d, 0, 0, convention)
 
 
 def prepare_bell(d: int, i: int, j: int, convention: PhaseConvention) -> State:
@@ -71,15 +64,11 @@ def oam_sort(state: State) -> State:
 
 @dataclass(frozen=True, eq=False)
 class BsaLayout:
-    """Analyser wiring: one unitary per expanded-path group plus the detector map."""
+    """Analyser wiring: one unitary per expanded-path group."""
 
     d: int
     convention: PhaseConvention
     group_unitaries: tuple[np.ndarray, ...]
-
-    def detector(self, group: int, port: int) -> DecompIndex:
-        """Decomposition index measured by the detector at (group, port)."""
-        return DecompIndex(k=port, m=group)
 
     @cached_property
     def unitary(self) -> np.ndarray:

@@ -30,7 +30,6 @@ class RunConfig:
     seed: int | None = None
     shots: int | None = None
     fmt: str = "json"
-    output: str | None = None
 
     def as_dict(self) -> dict:
         # The output path is deliberately not echoed: report content depends

@@ -17,7 +17,6 @@ which combination reconciles them is an empirical finding of this package
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -32,13 +31,6 @@ class BellIndex(NamedTuple):
 
     i: int
     j: int
-
-
-class DecompIndex(NamedTuple):
-    """Index pair (k, m) of a single-particle decomposition state."""
-
-    k: int
-    m: int
 
 
 @dataclass(frozen=True)
@@ -80,49 +72,9 @@ ALL_CONVENTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class AuxLabelMap:
-    """Bijection between auxiliary digit letters (a, b, c, ...) and digits.
-
-    The default is alphabetical: a -> 0, b -> 1, c -> 2, ... The modular
-    arithmetic on auxiliary labels in the construction rule treats the
-    letters as residues, which forces this default; a permuted map is
-    accepted for experiments and permutes the auxiliary digits everywhere.
-    """
-
-    d: int
-    digit_of_letter: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.d}")
-        if self.d > len(string.ascii_lowercase):
-            raise ValueError("auxiliary letters exhausted")
-        mapping = self.digit_of_letter or tuple(range(self.d))
-        if sorted(mapping) != list(range(self.d)):
-            raise ValueError(f"label map must be a bijection on 0..{self.d - 1}")
-        object.__setattr__(self, "digit_of_letter", tuple(int(x) for x in mapping))
-
-    def digit(self, residue: int) -> int:
-        """Physical auxiliary digit carried by the letter with the given residue."""
-        return self.digit_of_letter[residue % self.d]
-
-    def letter(self, residue: int) -> str:
-        return string.ascii_lowercase[residue % self.d]
-
-
 def _check_index(d: int, name: str, value: int) -> None:
     if not 0 <= value < d:
         raise ValueError(f"{name}={value} out of range for dimension {d}")
-
-
-def _canonical_global_phase(amps: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first nonzero amplitude is real positive."""
-    idx = np.flatnonzero(np.abs(amps) > LOGIC_TOL)
-    if idx.size == 0:
-        return amps
-    pivot = amps[idx[0]]
-    return amps * (abs(pivot) / pivot)
 
 
 def bell_state(d: int, i: int, j: int, convention: PhaseConvention = LITERAL_CONVENTION) -> State:
@@ -150,31 +102,25 @@ def aux_state(d: int) -> State:
 
 
 def decomp_state(
-    d: int,
-    k: int,
-    m: int,
-    convention: PhaseConvention = LITERAL_CONVENTION,
-    labels: AuxLabelMap | None = None,
+    d: int, k: int, m: int, convention: PhaseConvention = LITERAL_CONVENTION
 ) -> State:
     """Single-particle decomposition state across system and auxiliary factors.
 
     Shape (d, d), factor 0 the system digit, factor 1 the auxiliary digit:
 
-        (1/sqrt(d)) * sum_q exp(decomp_sign*2j*pi*k*q/d) |q, L((q-m) mod d)>
+        (1/sqrt(d)) * sum_q exp(decomp_sign*2j*pi*k*q/d) |q, (q-m) mod d>
 
-    where L is the auxiliary label map (identity by default). Successive m
+    The auxiliary letters a, b, c, ... are the digits 0, 1, 2, ..., because
+    the construction rule does modular arithmetic on them. Successive m
     shift the auxiliary letter of every term down by one, matching the
     construction rule that builds the m > 0 states from the m = 0 ones.
     """
     _check_index(d, "k", k)
     _check_index(d, "m", m)
-    labels = labels or AuxLabelMap(d)
-    if labels.d != d:
-        raise ValueError("label map dimension mismatch")
     amps = np.zeros((d, d), dtype=np.complex128)
     phases = np.exp(convention.decomp_sign * 2j * np.pi * k * np.arange(d) / d)
     for q in range(d):
-        amps[q, labels.digit(q - m)] = phases[q]
+        amps[q, (q - m) % d] = phases[q]
     return State((d, d), amps.reshape(-1) / np.sqrt(d))
 
 

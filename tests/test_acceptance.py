@@ -137,12 +137,12 @@ def test_criterion_5_discrimination():
             convention = LITERAL_CONVENTION if d == 2 else find_convention(d).preferred
             decoding = build_decoding_table(d, convention)  # raises on collision
             class_sizes = {
-                len(decoding.class_members(BellIndex(i, j)))
+                int(np.count_nonzero((decoding.bell_i == i) & (decoding.bell_j == j)))
                 for i in range(d)
                 for j in range(d)
             }
             assert class_sizes == {d * d}
-            assert sum(1 for _ in decoding.all_pairs()) == d**4
+            assert decoding.bell_i.size == decoding.bell_j.size == d**4
             for i in range(d):
                 for j in range(d):
                     result = classify(hyperentangled_state(d, i, j, convention), convention)
@@ -184,13 +184,10 @@ def test_criterion_7_sampling():
 
         p = 1 / 9
         sigma = np.sqrt(shots * p * (1 - p))
-        in_class = decoding.class_members(BellIndex(0, 0))
-        assert len(in_class) == 9
-        for pair in in_class:
-            assert abs(record.count(pair) - shots * p) < 5 * sigma
-        for pair in decoding.all_pairs():
-            if decoding.lookup(pair) != BellIndex(0, 0):
-                assert record.count(pair) == 0
+        in_class = (decoding.bell_i == 0) & (decoding.bell_j == 0)
+        assert np.count_nonzero(in_class) == 9
+        assert np.all(np.abs(record.counts[in_class] - shots * p) < 5 * sigma)
+        assert not record.counts[~in_class].any()
 
         rerun = sample_outcomes(table, shots=shots, seed=seed)
         assert record.counts.tobytes() == rerun.counts.tobytes()

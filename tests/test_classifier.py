@@ -11,8 +11,6 @@ from hdbsm.classifier import (
     CoincidenceTable,
     CollisionError,
     DecodingTable,
-    DecompIndex,
-    OutcomePair,
     build_decoding_table,
     classify,
     classify_table,
@@ -39,10 +37,6 @@ from hdbsm.states import (
 BOTH_MAIN = [LITERAL_CONVENTION, REFERENCE_CONVENTION]
 
 
-def pair(k, m, kp, mp):
-    return OutcomePair(DecompIndex(k, m), DecompIndex(kp, mp))
-
-
 CHUNK = cl._CHUNK
 
 
@@ -50,12 +44,9 @@ class TestDecodingTable:
     def test_d2_closed_form(self):
         # i = (k + k') mod 2 and j = (m' - m) mod 2 on all 16 pairs
         table = build_decoding_table(2, LITERAL_CONVENTION)
-        for k in range(2):
-            for m in range(2):
-                for kp in range(2):
-                    for mp in range(2):
-                        bell = table.class_of(k, m, kp, mp)
-                        assert bell == BellIndex((k + kp) % 2, (mp - m) % 2)
+        k, m, kp, mp = np.indices((2,) * 4)
+        assert np.array_equal(table.bell_i, (k + kp) % 2)
+        assert np.array_equal(table.bell_j, (mp - m) % 2)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("conv", BOTH_MAIN, ids=lambda c: c.label())
@@ -63,12 +54,12 @@ class TestDecodingTable:
         table = build_decoding_table(d, conv)
         for i in range(d):
             for j in range(d):
-                assert len(table.class_members(BellIndex(i, j))) == d * d
-        assert all(table.lookup(p) is not None for p in table.all_pairs())
+                assert np.count_nonzero((table.bell_i == i) & (table.bell_j == j)) == d * d
+        assert (table.bell_i != UNREACHABLE).all()
 
     def test_origin_pair_decodes_to_origin(self):
         table = build_decoding_table(3, REFERENCE_CONVENTION)
-        assert table.lookup(pair(0, 0, 0, 0)) == BellIndex(0, 0)
+        assert (table.bell_i[0, 0, 0, 0], table.bell_j[0, 0, 0, 0]) == (0, 0)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("conv", BOTH_MAIN, ids=lambda c: c.label())
@@ -120,16 +111,16 @@ class TestCoincidenceProbabilities:
         state = hyperentangled_state(3, 0, 0, conv)
         table = coincidence_probabilities(state, conv)
         decoding = build_decoding_table(3, conv)
-        for p in decoding.all_pairs():
-            expected = 1 / 9 if decoding.lookup(p) == BellIndex(0, 0) else 0.0
-            assert abs(table.probability(p) - expected) < 1e-9
+        in_class = (decoding.bell_i == 0) & (decoding.bell_j == 0)
+        expected = np.where(in_class, 1 / 9, 0.0)
+        assert np.all(np.abs(table.probs - expected) < 1e-9)
         assert abs(table.total() - 1.0) < 1e-9
 
     def test_product_input_hits_single_pair(self):
         conv = REFERENCE_CONVENTION
         state = tensor_product(decomp_state(3, 1, 2, conv), decomp_state(3, 2, 0, conv))
         table = coincidence_probabilities(State((3, 3, 3, 3), state.amps), conv)
-        assert abs(table.probability(pair(1, 2, 2, 0)) - 1.0) < 1e-12
+        assert abs(table.probs[1, 2, 2, 0] - 1.0) < 1e-12
         assert abs(table.total() - 1.0) < 1e-12
 
     def test_unnormalized_rejected(self):
@@ -318,7 +309,7 @@ class TestSampling:
         probs = np.zeros((2,) * 4)
         probs[1, 0, 1, 1] = 1.0
         record = sample_outcomes(CoincidenceTable(2, probs), shots=1, seed=5)
-        assert record.count(pair(1, 0, 1, 1)) == 1
+        assert record.counts[1, 0, 1, 1] == 1
         assert record.counts.sum() == 1
 
     def test_same_seed_identical(self):
@@ -350,7 +341,7 @@ class TestSampling:
         record = sample_outcomes(table, shots=shots, seed=2024)
         p = 1 / 9
         sigma = np.sqrt(shots * p * (1 - p))
-        for outcome, count in record.nonzero().items():
+        for count in record.counts[record.counts != 0].tolist():
             assert abs(count - shots * p) < 5 * sigma
 
     def test_million_shot_frequencies_within_five_standard_errors(self):

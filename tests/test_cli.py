@@ -41,6 +41,11 @@ def float_platform_digest() -> str:
     return h.hexdigest()
 
 
+
+def skip_off_pinned_platform() -> None:
+    if float_platform_digest() != SIMULATE_PINS["float_platform"]:
+        pytest.skip("this BLAS rounds differently from the one the pins were recorded with")
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -48,6 +53,19 @@ def run_json(capsys, argv):
     jsonschema.validate(report, SCHEMA)
     return code, report
 
+
+
+def patch_decoding(monkeypatch, edit):
+    """Make the CLI's decoding tables pass through ``edit(bell_i, bell_j)`` first."""
+    original = cli.cl.build_decoding_table
+
+    def doctored(d, convention):
+        table = original(d, convention)
+        bell_i, bell_j = table.bell_i.copy(), table.bell_j.copy()
+        edit(bell_i, bell_j)
+        return cli.cl.DecodingTable(d, convention, bell_i, bell_j)
+
+    monkeypatch.setattr(cli.cl, "build_decoding_table", doctored)
 
 class TestDecomposeCommand:
     def test_d3_origin(self, capsys):
@@ -100,6 +118,30 @@ class TestDecomposeCommand:
         for e in report["payload"]["entries"]:
             assert e["k_prime"] == (1 - e["k"]) % 3
 
+
+    # SHA-256 of decompose reports for Bell (1, d - 1) under the default
+    # convention, keyed (d, format), recorded on the BLAS kernel of the
+    # simulate pins.
+    REPORT_SHA256 = {
+        (2, "json"): "f568e3efbe6e791434b17c018d58457115abb56494a82b79079a0e6ecb732c4f",
+        (2, "csv"): "e6cc46829de26b7d5848d476c67e953c6af12b78260a13330220f0e56c139879",
+        (3, "json"): "44082f83a81be980557e33a182cd5389f275842318e49c71a324e68fd844eb16",
+        (3, "csv"): "aef184679d2da14b9e9d851ac0a1666282bb55a7e9fae4744f0cabeb932a21e1",
+        (4, "json"): "a75f42c345369ff9676bb4f8b035ed26d98689478d2e78e759013643371bcdb0",
+        (4, "csv"): "1a69ac3dce32767bdf12a61873fc2d9d347ffeb805af6b89ce089403ed58ec68",
+        (5, "json"): "6b62793d4f8e1b62a00a88aafd087a9e23c2e9d7925df327966aa39ad3f61385",
+        (5, "csv"): "bd8e8c95ce788522a02b65a3cbd6a49d46c4ba6c19735b87bca3635774094355",
+        (6, "json"): "327f9da641fa2dbbbbb4f9fbe4346680bdbfad8f95c18562f8cce31f704b7ed6",
+        (6, "csv"): "332c0ef8ba2c56f6626374356368429a524577cfc10d44d41abef7efa4b8ee08",
+    }
+
+    @pytest.mark.parametrize("d, fmt", sorted(REPORT_SHA256))
+    def test_report_bytes_pinned(self, capsys, d, fmt):
+        skip_off_pinned_platform()
+        argv = ["decompose", "-d", str(d), "-i", "1", "-j", str(d - 1), "--format", fmt]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.REPORT_SHA256[(d, fmt)]
 
 class TestVerifyCommand:
     def test_d3_report(self, capsys):
@@ -189,6 +231,46 @@ class TestVerifyCommand:
         assert main(argv) == 0
         assert calls == {"fit_index_law": 4, "find_convention": 1}
 
+    @staticmethod
+    def decoding_partition(capsys) -> dict:
+        assert main(["verify", "-d", "3"]) == 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert [name for name, c in checks.items() if not c["passed"]] == ["decoding_partition"]
+        return checks["decoding_partition"]["detail"]
+
+    def test_uneven_class_sizes_fail(self, capsys, monkeypatch):
+        def move(bell_i, bell_j):
+            bell_j[0, 0, 0, 0] = (bell_j[0, 0, 0, 0] + 1) % 3
+
+        patch_decoding(monkeypatch, move)
+        assert self.decoding_partition(capsys) == "unexpected class sizes [8, 9, 10]"
+
+    def test_unreached_pair_fails(self, capsys, monkeypatch):
+        def drop(bell_i, bell_j):
+            bell_i[1, 2, 0, 1] = bell_j[1, 2, 0, 1] = cli.cl.UNREACHABLE
+
+        patch_decoding(monkeypatch, drop)
+        assert self.decoding_partition(capsys) == "unexpected class sizes [8, 9]"
+
+    def test_partition_disagreeing_with_law_fails(self, capsys, monkeypatch):
+        def swap(bell_i, bell_j):
+            for arr in (bell_i, bell_j):
+                arr[0, 0, 0, 0], arr[2, 2, 1, 0] = arr[2, 2, 1, 0], arr[0, 0, 0, 0]
+
+        patch_decoding(monkeypatch, swap)
+        assert self.decoding_partition(capsys) == (
+            "decoding from supports disagrees with decoding from the law"
+        )
+
+    def test_collision_fails(self, capsys, monkeypatch):
+        message = "outcome pair (0, 0, 0, 0) claimed by both (0, 0) and (1, 0)"
+
+        def collide(d, convention):
+            raise cli.cl.CollisionError(message)
+
+        monkeypatch.setattr(cli.cl, "build_decoding_table", collide)
+        assert self.decoding_partition(capsys) == message
+
     def test_phase_law_published(self, capsys):
         code, report = run_json(capsys, ["verify", "-d", "3"])
         phase = report["payload"]["phase_law"]
@@ -199,8 +281,7 @@ class TestVerifyCommand:
 class TestSimulateCommand:
     @pytest.mark.parametrize("key", sorted(SIMULATE_PINS["reports"]))
     def test_report_bytes_pinned(self, capsys, key):
-        if float_platform_digest() != SIMULATE_PINS["float_platform"]:
-            pytest.skip("this BLAS rounds differently from the one the pins were recorded with")
+        skip_off_pinned_platform()
         d, shots, seed, fmt = key.split()
         bell = str(int(d) - 1)
         argv = ["simulate", "-d", d, "-i", bell, "-j", bell]
@@ -260,6 +341,24 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(cli.optics, "run_experiment", broken_run)
         assert main(["simulate", "-d", "3", "-i", "0", "-j", "0"]) == 1
+
+    def test_outcome_outside_input_class_exits_1(self, capsys, monkeypatch):
+        # Pair (0, 0, 0, 0) of Bell (0, 0) and pair (0, 0, 0, 1) of a j = 1
+        # class trade classes, so the table stays a partition.
+        def swap(bell_i, bell_j):
+            for arr in (bell_i, bell_j):
+                arr[0, 0, 0, 0], arr[0, 0, 0, 1] = arr[0, 0, 0, 1], arr[0, 0, 0, 0]
+
+        patch_decoding(monkeypatch, swap)
+        argv = ["simulate", "-d", "3", "-i", "0", "-j", "0", "--shots", "777"]
+        assert main(argv) == 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["classification_correct"]["passed"] is True
+        assert checks["outcomes_decode_to_input"] == {
+            "name": "outcomes_decode_to_input",
+            "passed": False,
+            "detail": "777 outcomes over 9 pairs",
+        }
 
     def test_negative_shots_rejected(self, capsys):
         assert main(["simulate", "-d", "3", "-i", "0", "-j", "0", "--shots", "-1"]) == 2
@@ -339,6 +438,41 @@ class TestClassifyCommand:
         header = next(ln for ln in lines if not ln.startswith("#"))
         assert header == "i,j,mass"
 
+
+    def test_utf8_bom_state_file_accepted(self, tmp_path, capsys):
+        state = hyperentangled_state(3, 1, 2, REFERENCE_CONVENTION)
+        path = tmp_path / "state.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + format_state_file(state).encode())
+        code, report = run_json(capsys, ["classify", str(path)])
+        assert code == 0
+        assert report["payload"]["classification"]["argmax"] == {"i": 1, "j": 2}
+
+    # SHA-256 of classify reports of the hyperentangled state (1, d - 1), built
+    # under the reference convention, at noise 0.3 under the default
+    # convention, keyed (d, format), recorded on the BLAS kernel of the
+    # simulate pins. The report echoes the state file path "state.txt".
+    REPORT_SHA256 = {
+        (2, "json"): "33f2ec296758f0ba72067a6f546037af8571b51648f00103f5bfac13a99ceece",
+        (2, "csv"): "bbf4b192f665a7080adad694e7ace8f045233c256ac4866aaf81ca87d09d7366",
+        (3, "json"): "34a7b30374c43b185edbe20e091501161e9d730797e201a1ec8baf01129cd7da",
+        (3, "csv"): "bc95df1c27051845f6fad74aaeb97505b54a2029c2ae010d83e17c0e22a5d647",
+        (4, "json"): "462e86c075fdd19993899ff2ea1f888131716f6873685f886335b2d2821a559d",
+        (4, "csv"): "a4ec24d8320abbfde804d2fd13e080de10dd9692c66733b744b7b3f52f558c7b",
+        (5, "json"): "1c3efb0cb96c595a1f60293601a291a75106a580b81a0199222179a19f1ea5d4",
+        (5, "csv"): "e4a2a26ba55333450c4c1aa837fc2c22ecf2640c680b52e7b6c3c3ec62b6692c",
+        (6, "json"): "ba939cc0569958614fd1afe8e68f988c5898564ee914a2458a61804d0a24ad75",
+        (6, "csv"): "a454cef5f75b39eb8dcca17385d73a7d7f2344d2b4c194708c031292fd58cdff",
+    }
+
+    @pytest.mark.parametrize("d, fmt", sorted(REPORT_SHA256))
+    def test_report_bytes_pinned(self, tmp_path, capsys, monkeypatch, d, fmt):
+        skip_off_pinned_platform()
+        monkeypatch.chdir(tmp_path)
+        state = hyperentangled_state(d, 1, d - 1, REFERENCE_CONVENTION)
+        Path("state.txt").write_text(format_state_file(state))
+        assert main(["classify", "state.txt", "--noise", "0.3", "--format", fmt]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.REPORT_SHA256[(d, fmt)]
 
 class TestExitCodeContract:
     """Each command: 0 success, 1 invariant failure, 2 usage error."""

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -245,13 +246,13 @@ class TestIndexLaw:
     def test_decode_inverts_law(self):
         for d in (2, 3, 4, 5):
             law = fit_index_law(decompose_all(d, REFERENCE_CONVENTION))
+            decoding = decoding_table_from_law(law)
             for i in range(d):
                 for j in range(d):
                     for k in range(d):
                         for m in range(d):
-                            kp = law.alice_k(k, i)
-                            mp = law.alice_m(m, j)
-                            assert law.decode(k, m, kp, mp) == BellIndex(i, j)
+                            key = (k, m, law.alice_k(k, i), law.alice_m(m, j))
+                            assert (decoding.bell_i[key], decoding.bell_j[key]) == (i, j)
 
 
 class TestPhaseLaw:
@@ -358,8 +359,6 @@ class TestIndexLawDecodeErrors:
     def test_non_invertible_t_rejected(self):
         law = IndexLaw(d=4, s=3, t=2, m_law_holds=True)
         with pytest.raises(ValueError):
-            law.decode(0, 0, 1, 0)
-        with pytest.raises(ValueError):
             decoding_table_from_law(law)
 
 
@@ -398,6 +397,22 @@ class TestExactOracle:
             assert np.array_equal(table.bell_i, bell_i)
             assert np.array_equal(table.bell_j, bell_j)
 
+
+    # Worst case measured under the SkylakeX, Haswell and Prescott OpenBLAS
+    # kernels: 24.6 ulp(1/d), at d = 6, convention -+, Bell (2, 3), pair (5, 0, 5, 3).
+    ULP_BOUND = 32
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=lambda c: c.label())
+    def test_coefficients_within_ulp_bound(self, d, conv):
+        exact = oracles.exact_decomposition(d, conv.bell_sign, conv.decomp_sign)
+        bound = self.ULP_BOUND * math.ulp(1 / d)
+        for bell, table in decompose_all(d, conv).items():
+            for key, r in exact[bell].items():
+                angle = 2 * math.pi * r / d
+                coeff = table.entries[key]
+                assert abs(coeff.real - math.cos(angle) / d) <= bound
+                assert abs(coeff.imag - math.sin(angle) / d) <= bound
 
 class TestHandBuiltFits:
     """Both fits on hand-built tables, against the one-tuple-at-a-time loops."""

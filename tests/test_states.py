@@ -4,7 +4,6 @@ import pytest
 from hdbsm.core import State, fidelity, inner_product
 from hdbsm.states import (
     ALL_CONVENTIONS,
-    AuxLabelMap,
     CalibrationError,
     LITERAL_CONVENTION,
     PhaseConvention,
@@ -141,32 +140,6 @@ class TestDecompStates:
                 for q in range(d):
                     for a in range(d):
                         assert abs(shifted[q, (a - m) % d] - base[q, a]) < 1e-12
-
-
-class TestAuxLabelMap:
-    def test_default_alphabetical(self):
-        labels = AuxLabelMap(3)
-        assert [labels.digit(r) for r in range(3)] == [0, 1, 2]
-        assert labels.letter(0) == "a"
-
-    def test_permuted_map_changes_support(self):
-        labels = AuxLabelMap(3, (2, 0, 1))
-        s = decomp_state(3, 0, 0, labels=labels)
-        assert set(s.nonzero()) == {(0, 2), (1, 0), (2, 1)}
-
-    def test_permuted_map_keeps_orthonormality(self):
-        labels = AuxLabelMap(3, (1, 2, 0))
-        states = [decomp_state(3, k, m, labels=labels) for k in range(3) for m in range(3)]
-        gram = np.array([[inner_product(u, v) for v in states] for u in states])
-        assert np.max(np.abs(gram - np.eye(9))) < 1e-12
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            AuxLabelMap(3, (0, 0, 1))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            decomp_state(3, 0, 0, labels=AuxLabelMap(4))
 
 
 class TestPhaseConvention:
