@@ -7,7 +7,8 @@ against the ``HDBSM_OUTPUT_DIR`` environment variable when it is set.
 State files are plain text: a ``d=<n>`` header line, then one amplitude per
 line as ``re im`` in flat basis order of the (d, d, d, d) composite basis
 (factor 0 most significant, factor order B system, B auxiliary, A system,
-A auxiliary).
+A auxiliary). Blank lines and lines starting with ``#`` are skipped; an
+error cites its line number in the file.
 """
 
 from __future__ import annotations
@@ -214,14 +215,15 @@ def parse_state_file(text: str) -> State:
             non-finite amplitude line, wrong amplitude count, or norm off by
             more than 1e-6.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("d="):
+    lines = [(number, ln.strip()) for number, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(number, ln) for number, ln in lines if ln and not ln.startswith("#")]
+    if not lines or not lines[0][1].startswith("d="):
         raise UsageError("state file must start with a 'd=<n>' header line")
+    header = lines[0][1]
     try:
-        d = int(lines[0][2:])
+        d = int(header[2:])
     except ValueError as exc:
-        raise UsageError(f"bad dimension header {lines[0]!r}") from exc
+        raise UsageError(f"bad dimension header {header!r}") from exc
     try:
         check_dimension(d)
     except ValueError as exc:
@@ -231,16 +233,16 @@ def parse_state_file(text: str) -> State:
     if len(body) != expected:
         raise UsageError(f"expected {expected} amplitude lines for d={d}, got {len(body)}")
     amps = np.empty(expected, dtype=np.complex128)
-    for idx, line in enumerate(body):
+    for idx, (number, line) in enumerate(body):
         parts = line.split()
         if len(parts) != 2:
-            raise UsageError(f"amplitude line {idx + 2} must be 're im', got {line!r}")
+            raise UsageError(f"amplitude line {number} must be 're im', got {line!r}")
         try:
             real, imag = float(parts[0]), float(parts[1])
         except ValueError as exc:
-            raise UsageError(f"bad amplitude on line {idx + 2}: {line!r}") from exc
+            raise UsageError(f"bad amplitude on line {number}: {line!r}") from exc
         if not (math.isfinite(real) and math.isfinite(imag)):
-            raise UsageError(f"non-finite amplitude on line {idx + 2}: {line!r}")
+            raise UsageError(f"non-finite amplitude on line {number}: {line!r}")
         amps[idx] = complex(real, imag)
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:
@@ -299,6 +301,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.format == "csv":
+        raise UsageError("verify reports are structured; only --format json is supported")
     d = args.d
     # One convention search at d >= 3 serves the auto resolution, the four
     # fitted laws and the reference_law check.
@@ -421,9 +425,6 @@ def _cmd_verify(args) -> int:
         for conv in audit_conventions:
             audits.append(_audit_dict(audit_mod.audit_reference_table(d, conv)))
     payload["audits"] = audits
-
-    if args.format == "csv":
-        raise UsageError("verify reports are structured; only --format json is supported")
     return _emit("verify", args, config, payload, checks)
 
 

@@ -80,38 +80,21 @@ class State:
 
     def nonzero(self, tol: float = LOGIC_TOL) -> dict[tuple[int, ...], complex]:
         """Map from digit tuple to amplitude, restricted to |amp| > tol."""
-        out: dict[tuple[int, ...], complex] = {}
-        for flat in np.flatnonzero(np.abs(self.amps) > tol):
-            out[offset_to_digits(int(flat), self.radices)] = complex(self.amps[flat])
-        return out
-
-
-def digits_to_offset(digits: Sequence[int], radices: Sequence[int]) -> int:
-    """Flat offset of a digit tuple, factor 0 most significant."""
-    if len(digits) != len(radices):
-        raise ValueError("digit count does not match factor count")
-    offset = 0
-    for digit, radix in zip(digits, radices):
-        if not 0 <= digit < radix:
-            raise ValueError(f"digit {digit} out of range for radix {radix}")
-        offset = offset * radix + digit
-    return offset
-
-
-def offset_to_digits(offset: int, radices: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of :func:`digits_to_offset`."""
-    digits = []
-    for radix in reversed(radices):
-        digits.append(offset % radix)
-        offset //= radix
-    return tuple(reversed(digits))
+        flat = np.flatnonzero(np.abs(self.amps) > tol)
+        digits = zip(*(axis.tolist() for axis in np.unravel_index(flat, self.radices)))
+        return dict(zip(digits, self.amps[flat].tolist()))
 
 
 def basis_state(radices: Sequence[int], digits: Sequence[int]) -> State:
-    """The computational basis state |digits> on the given composite basis."""
+    """The computational basis state |digits> on the given composite basis.
+
+    Raises:
+        ValueError: the digit count differs from the factor count, or a
+            digit is outside 0..radix-1.
+    """
     radices = tuple(int(r) for r in radices)
     amps = np.zeros(math.prod(radices), dtype=np.complex128)
-    amps[digits_to_offset(digits, radices)] = 1.0
+    amps[np.ravel_multi_index(tuple(digits), radices)] = 1.0
     return State(radices, amps)
 
 

@@ -28,6 +28,7 @@ from .states import (
     _check_index,
     aux_state,
     bell_state,
+    decomp_basis,
     decomp_state,
 )
 
@@ -56,24 +57,6 @@ def hyperentangled_state(
     return permute_factors(joint, (0, 2, 1, 3))
 
 
-@lru_cache(maxsize=None)
-def _single_basis(d: int, decomp_sign: int) -> np.ndarray:
-    """Rows: flattened decomposition-state amplitudes, row index k*d + m.
-
-    Row k*d + m holds exp(decomp_sign*2j*pi*k*q/d)/sqrt(d) at column
-    q*d + (q - m) mod d, with the arithmetic of :func:`decomp_state`, so each
-    row equals that state's amplitudes bit for bit.
-    """
-    digits = np.arange(d)
-    phases = np.exp(decomp_sign * 2j * np.pi * digits[:, None] * digits / d) / np.sqrt(d)
-    k, m, q = np.ix_(digits, digits, digits)
-    rows = np.zeros((d, d, d, d), dtype=np.complex128)  # [k, m, system q, auxiliary]
-    rows[k, m, q, (q - m) % d] = phases[k, q]
-    rows = rows.reshape(d * d, d * d)
-    rows.flags.writeable = False
-    return rows
-
-
 def pair_coefficients(state: State, convention: PhaseConvention) -> np.ndarray:
     """Coefficients <alpha_km (x) alpha_k'm' | state> as an array indexed [k, m, k', m'].
 
@@ -88,7 +71,7 @@ def pair_coefficients(state: State, convention: PhaseConvention) -> np.ndarray:
     if len(radices) != 4 or len(set(radices)) != 1:
         raise ValueError(f"expected shape (d, d, d, d), got {radices}")
     d = radices[0]
-    rows = _single_basis(d, convention.decomp_sign).conj()
+    rows = decomp_basis(d, convention.decomp_sign).conj()
     coeffs = rows @ state.amps.reshape(d * d, d * d) @ rows.T
     return coeffs.reshape(d, d, d, d)
 
@@ -179,18 +162,19 @@ def _decompose_row(
     The d hyperentangled states of the row are stacked as d matrices Psi_j
     (rows Bob's digits, columns Alice's) and projected as in
     :func:`pair_coefficients`, with one ``conj(S) @ Psi @ conj(S)^T`` over the
-    stack. Their nonzero amplitudes use the arithmetic of :func:`bell_state`,
-    :func:`aux_state` and :func:`tensor_product`, so every coefficient equals,
-    bit for bit, the one from projecting each state on its own (an exact zero
-    may differ in sign). Entries keep the flat (k, m, k', m') order.
+    stack. Their nonzero amplitudes are products of the diagonal of Bell
+    state (i, 0) and of the auxiliary state, as :func:`tensor_product` forms
+    them, so every coefficient equals, bit for bit, the one from projecting
+    each state on its own (an exact zero may differ in sign). Entries keep
+    the flat (k, m, k', m') order.
     """
     check_dimension(d)
     conv = PhaseConvention(bell_sign, decomp_sign)
-    digits, scatter, aux = _row_layout(d)
-    bell = np.exp(bell_sign * 2j * np.pi * i * digits / d) / np.sqrt(d)
+    scatter, aux = _row_layout(d)
+    bell = np.diagonal(bell_state(d, i, 0, conv).amps.reshape(d, d))
     psi = np.zeros(d**5, dtype=np.complex128)  # [j, B sys, B aux, A sys, A aux]
     psi[scatter] = np.multiply.outer(bell, aux)
-    rows = _single_basis(d, decomp_sign).conj()
+    rows = decomp_basis(d, decomp_sign).conj()
     half = rows @ psi.reshape(d, d * d, d * d)
     del psi  # keeps the tracemalloc peak of find_convention(6) under 1 MB
     coeffs = (half @ rows.T).reshape(d, d**4)
@@ -209,20 +193,18 @@ def _decompose_row(
 
 
 @lru_cache(maxsize=None)
-def _row_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Digits 0..d-1, where a Bell row's amplitudes go, and the auxiliary amplitudes.
+def _row_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where a Bell row's amplitudes go, and the auxiliary amplitudes.
 
     Bell state j has one nonzero amplitude per system digit n and the
     auxiliary state one per digit p, so only their d*d products enter the
     (d, d**2, d**2) stack, at flat positions [j, n, p, (n + j) mod d, p].
     """
-    digits = np.arange(d)
-    j, n, p = np.ix_(digits, digits, digits)
+    j, n, p = np.ix_(*[np.arange(d)] * 3)
     scatter = np.ravel_multi_index((j, n, p, (n + j) % d, p), (d,) * 5)
     aux = np.diagonal(aux_state(d).amps.reshape(d, d))  # a read-only view
-    digits.flags.writeable = False
     scatter.flags.writeable = False
-    return digits, scatter, aux
+    return scatter, aux
 
 
 @lru_cache(maxsize=None)

@@ -54,21 +54,17 @@ def oam_sort(state: State) -> State:
     if len(state.radices) != 2 or state.radices[0] != state.radices[1]:
         raise ValueError(f"expected a single-particle (d, d) state, got {state.radices}")
     d = state.radices[0]
-    grid = state.reshaped()
-    out = np.empty((d, d), dtype=np.complex128)
-    for group in range(d):
-        for port in range(d):
-            out[group, port] = grid[port, (port - group) % d]
-    return State((d, d), out.reshape(-1))
+    group, port = np.ix_(np.arange(d), np.arange(d))
+    return State((d, d), state.reshaped()[port, (port - group) % d])
 
 
 @dataclass(frozen=True, eq=False)
 class BsaLayout:
-    """Analyser wiring: one unitary per expanded-path group."""
+    """Analyser wiring: the one d-point transform that every expanded-path group applies."""
 
     d: int
     convention: PhaseConvention
-    group_unitaries: tuple[np.ndarray, ...]
+    transform: np.ndarray
 
     @cached_property
     def unitary(self) -> np.ndarray:
@@ -85,12 +81,12 @@ def bsa_layout(d: int, convention: PhaseConvention) -> BsaLayout:
     Every group carries the same transform: the Fourier matrix conjugate to
     the decomposition-state phases, so the projection onto the literal
     decomposition basis comes out exactly regardless of the convention.
-    Built once per (d, convention) and shared, with read-only transforms, so
+    Built once per (d, convention) and shared, with a read-only transform, so
     its analyser unitary is built once too.
     """
     transform = fourier_matrix(d, -convention.decomp_sign)
     transform.flags.writeable = False
-    return BsaLayout(d, convention, (transform,) * d)
+    return BsaLayout(d, convention, transform)
 
 
 def analyse(state: State, layout: BsaLayout) -> np.ndarray:
@@ -99,29 +95,20 @@ def analyse(state: State, layout: BsaLayout) -> np.ndarray:
     The amplitude at detector (k, m) equals the overlap of the input with
     the decomposition state (k, m).
     """
-    d = layout.d
-    sorted_state = oam_sort(state).reshaped()
-    out = np.empty((d, d), dtype=np.complex128)
-    for group in range(d):
-        out[:, group] = layout.group_unitaries[group] @ sorted_state[group]
-    return out
+    return layout.transform @ oam_sort(state).reshaped().T
 
 
 def bsa_unitary(layout: BsaLayout) -> np.ndarray:
     """Whole analyser as one d*d by d*d unitary.
 
     Row index k*d + m (detector), column index path*d + oam (input mode):
-    the OAM-to-path sort composed with the per-group transforms.
+    the OAM-to-path sort composed with the transform of every group.
     """
     d = layout.d
-    u = np.zeros((d * d, d * d), dtype=np.complex128)
-    for group in range(d):
-        transform = layout.group_unitaries[group]
-        for port_out in range(d):
-            for port_in in range(d):
-                oam = (port_in - group) % d
-                u[port_out * d + group, port_in * d + oam] = transform[port_out, port_in]
-    return u
+    port_out, group, port_in = np.ix_(*[np.arange(d)] * 3)
+    u = np.zeros((d,) * 4, dtype=np.complex128)  # [port out, group, port in, oam]
+    u[port_out, group, port_in, (port_in - group) % d] = layout.transform[port_out, port_in]
+    return u.reshape(d * d, d * d)
 
 
 def pipeline_probabilities(state: State, layout: BsaLayout) -> CoincidenceTable:

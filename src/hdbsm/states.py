@@ -87,10 +87,9 @@ def bell_state(d: int, i: int, j: int, convention: PhaseConvention = LITERAL_CON
     """
     _check_index(d, "i", i)
     _check_index(d, "j", j)
+    n = np.arange(d)
     amps = np.zeros((d, d), dtype=np.complex128)
-    phases = np.exp(convention.bell_sign * 2j * np.pi * i * np.arange(d) / d)
-    for n in range(d):
-        amps[n, (n + j) % d] = phases[n]
+    amps[n, (n + j) % d] = np.exp(convention.bell_sign * 2j * np.pi * i * n / d)
     return State((d, d), amps.reshape(-1) / np.sqrt(d))
 
 
@@ -117,11 +116,25 @@ def decomp_state(
     """
     _check_index(d, "k", k)
     _check_index(d, "m", m)
-    amps = np.zeros((d, d), dtype=np.complex128)
-    phases = np.exp(convention.decomp_sign * 2j * np.pi * k * np.arange(d) / d)
-    for q in range(d):
-        amps[q, (q - m) % d] = phases[q]
-    return State((d, d), amps.reshape(-1) / np.sqrt(d))
+    return State((d, d), decomp_basis(d, convention.decomp_sign)[k * d + m])
+
+
+@lru_cache(maxsize=None)
+def decomp_basis(d: int, decomp_sign: int) -> np.ndarray:
+    """Read-only (d*d, d*d) array whose row k*d + m is decomposition state (k, m).
+
+    Row k*d + m holds exp(decomp_sign*2j*pi*k*q/d)/sqrt(d) at column
+    q*d + (q - m) mod d. Built once per (d, sign) and shared by
+    :func:`decomp_state` and the pair projections of hdbsm.decomposition.
+    """
+    digits = np.arange(d)
+    phases = np.exp(decomp_sign * 2j * np.pi * digits[:, None] * digits / d) / np.sqrt(d)
+    k, m, q = np.ix_(digits, digits, digits)
+    rows = np.zeros((d, d, d, d), dtype=np.complex128)  # [k, m, system q, auxiliary]
+    rows[k, m, q, (q - m) % d] = phases[k, q]
+    rows = rows.reshape(d * d, d * d)
+    rows.flags.writeable = False
+    return rows
 
 
 def clock_matrix(d: int, exponent: int = 1) -> np.ndarray:
@@ -145,13 +158,11 @@ def _monomial_stack(d: int) -> np.ndarray:
     """Read-only stack of the 2*d*d shift/clock monomials in search order.
 
     Candidate 2*(a*d + b) is X^a Z^b and candidate 2*(a*d + b) + 1 is Z^b X^a,
-    each the same product of shift_matrix and clock_matrix, taken for all
+    products of shift_matrix(d, a) and clock_matrix(d, b) taken for all
     (a, b) in two batched products.
     """
-    n = np.arange(d)
-    shifts = ((n[:, None] - n) % d == n[:, None, None]).astype(np.complex128)
-    clocks = np.zeros((d, d, d), dtype=np.complex128)
-    clocks[:, n, n] = np.exp(2j * np.pi * n[:, None] * n / d)
+    shifts = np.stack([shift_matrix(d, a) for a in range(d)])
+    clocks = np.stack([clock_matrix(d, b) for b in range(d)])
     pairs = (shifts[:, None] @ clocks, clocks @ shifts[:, None])
     stack = np.stack(pairs, axis=2).reshape(2 * d * d, d, d)
     stack.flags.writeable = False

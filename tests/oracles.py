@@ -3,12 +3,16 @@
 Everything here is deliberately written with plain python dicts, loops and
 cmath, sharing no code with the package: states are sparse label->amplitude
 dicts and expansion coefficients come from explicit sums. Slow but obvious.
-Three oracles are the exception and keep an earlier path of the package:
+Some oracles are the exception and keep an earlier path of the package:
 ``naive_decompose`` expands one state at a time, as ``decompose`` did before
 it projected whole Bell rows, ``naive_sample_counts`` searches the CDF once
 with every uniform of a single draw, as the sampler did before its search was
 indexed, and ``sequential_search_monomial`` tests one shift/clock monomial at
 a time, as the calibration did before it scored all candidates in one product.
+The ``loop_*`` builders and ``comparison_monomial_stack`` construct the state
+families, the OAM sort, the analyser unitary and the calibration candidates
+one digit at a time, with the arithmetic of the package's array formulas, so
+their results are compared byte for byte.
 """
 
 from __future__ import annotations
@@ -102,6 +106,62 @@ def naive_decompose(d: int, i: int, j: int, convention) -> dict:
         k, m, kp, mp = np.unravel_index(int(flat), (d, d, d, d))
         entries[(int(k), int(m), int(kp), int(mp))] = complex(coeffs[k, m, kp, mp])
     return entries
+
+
+def loop_bell_amps(d: int, i: int, j: int, bell_sign: int = 1) -> np.ndarray:
+    """Flat amplitudes of Bell state (i, j), one system digit n at a time."""
+    amps = np.zeros((d, d), dtype=np.complex128)
+    phases = np.exp(bell_sign * 2j * np.pi * i * np.arange(d) / d)
+    for n in range(d):
+        amps[n, (n + j) % d] = phases[n]
+    return amps.reshape(-1) / np.sqrt(d)
+
+
+def loop_decomp_amps(d: int, k: int, m: int, decomp_sign: int = 1) -> np.ndarray:
+    """Flat amplitudes of decomposition state (k, m), one system digit q at a time."""
+    amps = np.zeros((d, d), dtype=np.complex128)
+    phases = np.exp(decomp_sign * 2j * np.pi * k * np.arange(d) / d)
+    for q in range(d):
+        amps[q, (q - m) % d] = phases[q]
+    return amps.reshape(-1) / np.sqrt(d)
+
+
+def loop_oam_sort(grid: np.ndarray) -> np.ndarray:
+    """(group, port) grid of a (path, oam) grid: group = (path - oam) mod d, port = path."""
+    d = grid.shape[0]
+    out = np.empty((d, d), dtype=np.complex128)
+    for group in range(d):
+        for port in range(d):
+            out[group, port] = grid[port, (port - group) % d]
+    return out
+
+
+def loop_bsa_unitary(d: int, transform: np.ndarray) -> np.ndarray:
+    """Analyser unitary, row k*d + m and column path*d + oam, one entry at a time.
+
+    Every group applies ``transform`` to its ports after the OAM sort.
+    """
+    u = np.zeros((d * d, d * d), dtype=np.complex128)
+    for group in range(d):
+        for port_out in range(d):
+            for port_in in range(d):
+                oam = (port_in - group) % d
+                u[port_out * d + group, port_in * d + oam] = transform[port_out, port_in]
+    return u
+
+
+def comparison_monomial_stack(d: int) -> np.ndarray:
+    """The 2*d*d candidates X^a Z^b, Z^b X^a, with each X^a found by comparing digits.
+
+    X^a has a one at (r, c) exactly when (r - c) mod d == a, and Z^b the
+    diagonal exp(2j*pi*b*n/d).
+    """
+    n = np.arange(d)
+    shifts = ((n[:, None] - n) % d == n[:, None, None]).astype(np.complex128)
+    clocks = np.zeros((d, d, d), dtype=np.complex128)
+    clocks[:, n, n] = np.exp(2j * np.pi * n[:, None] * n / d)
+    pairs = (shifts[:, None] @ clocks, clocks @ shifts[:, None])
+    return np.stack(pairs, axis=2).reshape(2 * d * d, d, d)
 
 
 def naive_sample_counts(probs, shots: int, seed: int) -> np.ndarray:

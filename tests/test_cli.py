@@ -179,6 +179,19 @@ class TestVerifyCommand:
     def test_csv_rejected(self, capsys):
         assert main(["verify", "-d", "3", "--format", "csv"]) == 2
 
+    @pytest.mark.parametrize("label", [None, "auto", "++"])
+    def test_csv_rejected_before_any_search(self, capsys, monkeypatch, label):
+        calls = []
+        monkeypatch.setattr(cli.dec, "find_convention", lambda d: calls.append(d))
+        argv = ["verify", "-d", "6", "--format", "csv"]
+        assert main(argv + ([f"--convention={label}"] if label else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: verify reports are structured; only --format json is supported\n"
+        )
+        assert calls == []
+
     # SHA-256 of the verify reports rendered before decompose projected whole
     # Bell rows; verify reports hold no floats, so the bytes are platform-free.
     REPORT_SHA256 = {
@@ -559,6 +572,20 @@ class TestStateFileFormat:
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite amplitude on line 2")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0 0 0", "amplitude line 6 must be 're im'"),
+            ("x 0", "bad amplitude on line 6"),
+            ("nan 0", "non-finite amplitude on line 6"),
+        ],
+    )
+    def test_error_cites_line_in_file(self, line, message):
+        # one comment line and one blank line come before the bad line 6
+        body = ["1 0", "0 0", line] + ["0 0"] * 13
+        with pytest.raises(cli.UsageError, match=message):
+            parse_state_file("# a comment\nd=2\n\n" + "\n".join(body) + "\n")
 
 
 _TOKENS = st.one_of(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,15 +24,18 @@ def rand_state(rng, radices):
 
 
 class TestStateBasics:
-    def test_offset_roundtrip(self):
-        radices = (3, 2, 4)
-        for offset in range(24):
-            digits = core.offset_to_digits(offset, radices)
-            assert core.digits_to_offset(digits, radices) == offset
-
     def test_factor_zero_is_most_significant(self):
         # |1, 0> on (2, 3) sits at offset 1*3 + 0
-        assert core.digits_to_offset((1, 0), (2, 3)) == 3
+        assert np.flatnonzero(basis_state((2, 3), (1, 0)).amps).tolist() == [3]
+        for offset, digits in enumerate(itertools.product(range(3), range(2), range(4))):
+            state = basis_state((3, 2, 4), digits)
+            assert np.flatnonzero(state.amps).tolist() == [offset]
+            assert state.nonzero() == {digits: 1.0}
+
+    @pytest.mark.parametrize("digits", [(0,), (0, 2), (-1, 0), (2, 0)])
+    def test_basis_state_rejects_bad_digits(self, digits):
+        with pytest.raises(ValueError):
+            basis_state((2, 2), digits)
 
     def test_invalid_radix(self):
         with pytest.raises(ValueError):

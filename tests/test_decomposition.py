@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdbsm import decomposition
+from hdbsm import decomposition, states
 from hdbsm.core import State, fidelity
 from hdbsm.decomposition import (
     DecompositionTable,
@@ -30,7 +30,6 @@ from hdbsm.states import (
     LITERAL_CONVENTION,
     PhaseConvention,
     REFERENCE_CONVENTION,
-    decomp_state,
 )
 
 import oracles
@@ -155,11 +154,10 @@ class TestDecompose:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_single_basis_rows_are_decomposition_states(self, d, sign):
-        conv = PhaseConvention(1, sign)
         stacked = np.stack(
-            [decomp_state(d, k, m, conv).amps for k in range(d) for m in range(d)]
+            [oracles.loop_decomp_amps(d, k, m, sign) for k in range(d) for m in range(d)]
         )
-        assert decomposition._single_basis(d, sign).tobytes() == stacked.tobytes()
+        assert states.decomp_basis(d, sign).tobytes() == stacked.tobytes()
 
     @pytest.mark.parametrize("key", [(0, 0, 0, 3), (-1, 0, 0, 0), (0, 0, 0)])
     def test_hand_built_table_rejects_bad_key(self, key):
@@ -336,7 +334,7 @@ class TestFindConvention:
             decomposition._decompose_row,
             decomposition._pair_keys,
             decomposition._row_layout,
-            decomposition._single_basis,
+            states.decomp_basis,
         ):
             cached.cache_clear()
         tracemalloc.start()

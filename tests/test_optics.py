@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hdbsm.classifier import build_decoding_table, classify, coincidence_probabilities
-from hdbsm.core import State, fidelity, is_unitary
+from hdbsm.core import State, fidelity, fourier_matrix, is_unitary
 from hdbsm.decomposition import decompose, hyperentangled_state
 from hdbsm.optics import (
     analyse,
@@ -17,9 +17,12 @@ from hdbsm.optics import (
 from hdbsm.states import (
     BellIndex,
     LITERAL_CONVENTION,
+    PhaseConvention,
     REFERENCE_CONVENTION,
     decomp_state,
 )
+
+import oracles
 
 BOTH_MAIN = [LITERAL_CONVENTION, REFERENCE_CONVENTION]
 
@@ -122,6 +125,11 @@ class TestOamSort:
                     back[port, (port - group) % d] = grid[group, port]
             np.testing.assert_allclose(back.reshape(-1), state.amps, atol=1e-15)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_equals_loop(self, d):
+        state = rand_single(np.random.default_rng(60 + d), d)
+        assert oam_sort(state).amps.tobytes() == oracles.loop_oam_sort(state.reshaped()).tobytes()
+
     def test_rejects_joint_states(self):
         with pytest.raises(ValueError):
             oam_sort(State((2, 2, 2, 2), np.eye(16)[0]))
@@ -169,6 +177,13 @@ class TestBsaUnitary:
     @pytest.mark.parametrize("conv", BOTH_MAIN, ids=lambda c: c.label())
     def test_lossless(self, d, conv):
         assert is_unitary(bsa_unitary(bsa_layout(d, conv)), tol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_equals_loop(self, d, sign):
+        layout = bsa_layout(d, PhaseConvention(1, sign))
+        expected = oracles.loop_bsa_unitary(d, fourier_matrix(d, -sign))
+        assert bsa_unitary(layout).tobytes() == expected.tobytes()
 
     def test_matches_analyse(self):
         rng = np.random.default_rng(57)

@@ -8,6 +8,7 @@ from hdbsm.states import (
     LITERAL_CONVENTION,
     PhaseConvention,
     REFERENCE_CONVENTION,
+    _monomial_stack,
     _search_monomial,
     aux_state,
     bell_state,
@@ -214,3 +215,27 @@ class TestClockShiftMatrices:
         # Z X = w X Z
         z, x = clock_matrix(3), shift_matrix(3)
         np.testing.assert_allclose(z @ x, W * (x @ z), atol=1e-12)
+
+
+class TestArrayFormulas:
+    """Each family's array formula equals its digit-by-digit loop, byte for byte."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_bell_state(self, d, sign):
+        for i in range(d):
+            for j in range(d):
+                got = bell_state(d, i, j, PhaseConvention(sign, 1)).amps
+                assert got.tobytes() == oracles.loop_bell_amps(d, i, j, sign).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_decomp_state(self, d, sign):
+        for k in range(d):
+            for m in range(d):
+                got = decomp_state(d, k, m, PhaseConvention(1, sign)).amps
+                assert got.tobytes() == oracles.loop_decomp_amps(d, k, m, sign).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_monomial_stack(self, d):
+        assert _monomial_stack(d).tobytes() == oracles.comparison_monomial_stack(d).tobytes()
