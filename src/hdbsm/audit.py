@@ -14,6 +14,7 @@ computed pairs that were never printed (``missing``).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
@@ -120,23 +121,15 @@ def _audit_row(
             matches.append(pair)
         else:
             mismatches.append((pair, expected))
-    seen: dict[Tuple4, int] = {}
-    for pair in printed:
-        seen[pair] = seen.get(pair, 0) + 1
-    duplicates = tuple(p for p, count in seen.items() if count > 1)
-    missing = tuple(sorted(set(computed) - set(printed)))
-    bob_counts: dict[tuple[int, int], int] = {}
-    alice_counts: dict[tuple[int, int], int] = {}
-    for (k, m, kp, mp) in printed:
-        bob_counts[(k, m)] = bob_counts.get((k, m), 0) + 1
-        alice_counts[(kp, mp)] = alice_counts.get((kp, mp), 0) + 1
+    bob_counts = Counter((k, m) for k, m, _, _ in printed)
+    alice_counts = Counter((kp, mp) for _, _, kp, mp in printed)
     return RowAudit(
         bell=bell,
         printed=tuple(printed),
         matches=tuple(matches),
         mismatches=tuple(mismatches),
-        duplicates=duplicates,
-        missing=missing,
+        duplicates=tuple(p for p, count in Counter(printed).items() if count > 1),
+        missing=tuple(sorted(computed.difference(printed))),
         repeated_bob=tuple(sorted(b for b, c in bob_counts.items() if c > 1)),
         repeated_alice=tuple(sorted(a for a, c in alice_counts.items() if c > 1)),
     )

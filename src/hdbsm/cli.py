@@ -180,16 +180,16 @@ def _audit_dict(table_audit: audit_mod.TableAudit) -> dict:
         rows.append(
             {
                 "bell": _bell_dict(row.bell),
-                "printed": [list(t) for t in row.printed],
-                "matches": [list(t) for t in row.matches],
+                "printed": row.printed,
+                "matches": row.matches,
                 "mismatches": [
-                    {"printed": list(printed), "computed": list(computed)}
+                    {"printed": printed, "computed": computed}
                     for printed, computed in row.mismatches
                 ],
-                "duplicates": [list(t) for t in row.duplicates],
-                "missing": [list(t) for t in row.missing],
-                "repeated_bob": [list(t) for t in row.repeated_bob],
-                "repeated_alice": [list(t) for t in row.repeated_alice],
+                "duplicates": row.duplicates,
+                "missing": row.missing,
+                "repeated_bob": row.repeated_bob,
+                "repeated_alice": row.repeated_alice,
             }
         )
     return {
@@ -305,91 +305,30 @@ def _cmd_verify(args) -> int:
         raise UsageError("verify reports are structured; only --format json is supported")
     d = args.d
     # One convention search at d >= 3 serves the auto resolution, the four
-    # fitted laws and the reference_law check.
-    search = None
-    no_match = None
-    if d >= 3:
-        try:
-            search = dec.find_convention(d)
-        except dec.NoMatchingConventionError as exc:
-            no_match = exc
+    # fitted laws and the reference_law check. A failed search or law fit is
+    # a structural error, and main reports it.
+    search = dec.find_convention(d) if d >= 3 else None
     convention, selection = _resolve_convention(d, args.convention, search)
     config = RunConfig(d, convention, selection, fmt=args.format)
-    checks = []
-    payload: dict = {}
 
-    laws: dict[str, dec.IndexLaw] = {}
-    law_fit_ok = True
-    law_fit_detail = "affine index law fitted under every sign convention"
     if search is not None:
-        laws = {conv.label(): law for conv, law in search.laws.items()}
-    else:
-        try:
-            for conv in ALL_CONVENTIONS:
-                laws[conv.label()] = dec.fit_index_law(dec.decompose_all(d, conv))
-        except dec.NoAffineLawError as exc:
-            law_fit_ok = False
-            law_fit_detail = str(exc)
-    checks.append(check("index_law_affine", law_fit_ok, law_fit_detail))
-    payload["index_laws"] = {label: _law_dict(law) for label, law in laws.items()}
-
-    if law_fit_ok:
-        checks.append(
-            check(
-                "aux_shift_law",
-                all(law.m_law_holds for law in laws.values()),
-                "m' = (m + j) mod d under every convention",
-            )
-        )
-
-    reference = dec.reference_index_law(d)
-    if d == 2:
-        match_ok = law_fit_ok and all(
-            (law.s, law.t) == (reference.s, reference.t) for law in laws.values()
-        )
-        checks.append(
-            check(
-                "reference_law",
-                match_ok,
-                "fitted law k' = (k + i) mod 2, m' = (m + j) mod 2",
-            )
-        )
-        payload["matching_conventions"] = sorted(laws)
-        payload["preferred_convention"] = convention.label()
-    elif search is not None:
-        payload["matching_conventions"] = [c.label() for c in search.matching]
-        payload["preferred_convention"] = search.preferred.label()
-        checks.append(
-            check(
-                "reference_law",
-                True,
-                f"s = t = {d - 1} under convention(s) "
-                + ", ".join(c.label() for c in search.matching),
-            )
+        laws = search.laws
+        matching = [c.label() for c in search.matching]
+        preferred = search.preferred.label()
+        reference_check = check(
+            "reference_law", True, f"s = t = {d - 1} under convention(s) " + ", ".join(matching)
         )
     else:
-        payload["matching_conventions"] = []
-        payload["preferred_convention"] = convention.label()
-        checks.append(check("reference_law", False, str(no_match)))
-
-    phase_ok = True
-    phase_detail = "every coefficient phase is an exact d-th root of unity"
-    phase_payload: dict = {}
-    try:
-        phase_law = dec.fit_phase_law(dec.decompose_all(d, convention))
-        phase_payload = {
-            "convention": convention.label(),
-            "closed_form": list(phase_law.closed_form) if phase_law.closed_form else None,
-            "entries": [
-                {"k": k, "m": m, "i": i, "j": j, "r": r}
-                for (k, m, i, j), r in sorted(phase_law.table.items())
-            ],
-        }
-    except dec.PhaseNotRootOfUnityError as exc:
-        phase_ok = False
-        phase_detail = str(exc)
-    checks.append(check("phase_root_of_unity", phase_ok, phase_detail))
-    payload["phase_law"] = phase_payload
+        laws = {conv: dec.fit_index_law(dec.decompose_all(d, conv)) for conv in ALL_CONVENTIONS}
+        reference = dec.reference_index_law(d)
+        matching = sorted(conv.label() for conv in laws)
+        preferred = convention.label()
+        reference_check = check(
+            "reference_law",
+            all((law.s, law.t) == (reference.s, reference.t) for law in laws.values()),
+            "fitted law k' = (k + i) mod 2, m' = (m + j) mod 2",
+        )
+    phase_law = dec.fit_phase_law(dec.decompose_all(d, convention))
 
     decoding_ok = True
     decoding_detail = f"all {d**4} outcome pairs partition into {d * d} classes of {d * d}"
@@ -401,8 +340,8 @@ def _cmd_verify(args) -> int:
         if sizes != {d * d}:
             decoding_ok = False
             decoding_detail = f"unexpected class sizes {sorted(sizes)}"
-        elif law_fit_ok:
-            from_law = cl.decoding_table_from_law(laws[convention.label()])
+        else:
+            from_law = cl.decoding_table_from_law(laws[convention])
             if not (
                 np.array_equal(decoding.bell_i, from_law.bell_i)
                 and np.array_equal(decoding.bell_j, from_law.bell_j)
@@ -412,7 +351,18 @@ def _cmd_verify(args) -> int:
     except cl.CollisionError as exc:
         decoding_ok = False
         decoding_detail = str(exc)
-    checks.append(check("decoding_partition", decoding_ok, decoding_detail))
+
+    checks = [
+        check("index_law_affine", True, "affine index law fitted under every sign convention"),
+        check(
+            "aux_shift_law",
+            all(law.m_law_holds for law in laws.values()),
+            "m' = (m + j) mod d under every convention",
+        ),
+        reference_check,
+        check("phase_root_of_unity", True, "every coefficient phase is an exact d-th root of unity"),
+        check("decoding_partition", decoding_ok, decoding_detail),
+    ]
 
     audits = []
     if d in (3, 4):
@@ -424,7 +374,20 @@ def _cmd_verify(args) -> int:
                 audit_conventions.append(convention)
         for conv in audit_conventions:
             audits.append(_audit_dict(audit_mod.audit_reference_table(d, conv)))
-    payload["audits"] = audits
+    payload = {
+        "index_laws": {conv.label(): _law_dict(law) for conv, law in laws.items()},
+        "matching_conventions": matching,
+        "preferred_convention": preferred,
+        "phase_law": {
+            "convention": convention.label(),
+            "closed_form": phase_law.closed_form,
+            "entries": [
+                {"k": k, "m": m, "i": i, "j": j, "r": r}
+                for (k, m, i, j), r in sorted(phase_law.table.items())
+            ],
+        },
+        "audits": audits,
+    }
     return _emit("verify", args, config, payload, checks)
 
 
@@ -498,10 +461,13 @@ def _cmd_classify(args) -> int:
     decoding = cl.build_decoding_table(d, convention)
     classification = cl.classify_table(table, decoding)
 
+    # The pair basis is complete, so the total is the state's squared norm,
+    # mixed with the noise weight.
+    expected_total = (1.0 - args.noise) * state.norm() ** 2 + args.noise
     checks = [
         check(
             "probabilities_total",
-            abs(table.total() - 1.0) <= 1e-9,
+            abs(table.total() - expected_total) <= 1e-9,
             f"total probability {table.total():.12f}",
         ),
     ]

@@ -115,18 +115,18 @@ class DecompositionTable:
         """The entries' coefficients as an array, in entry order."""
         return np.fromiter(self.entries.values(), np.complex128, len(self.entries))
 
-    def phase_ints(self, tol: float = LOGIC_TOL) -> dict[tuple[int, int, int, int], int]:
+    def phase_ints(self) -> dict[tuple[int, int, int, int], int]:
         """Coefficient phases as integers r with phase exp(2j*pi*r/d)."""
-        return dict(zip(self.entries, _phase_ints(self.coefficients(), self.d, tol).tolist()))
+        return dict(zip(self.entries, _phase_ints(self.coefficients(), self.d).tolist()))
 
 
-def _phase_ints(coeffs: np.ndarray, d: int, tol: float) -> np.ndarray:
-    """Integers r with each coefficient's phase within tol of 2*pi*r/d."""
+def _phase_ints(coeffs: np.ndarray, d: int) -> np.ndarray:
+    """Integers r with each coefficient's phase within LOGIC_TOL of 2*pi*r/d."""
     angle = np.arctan2(coeffs.imag, coeffs.real)
     r = np.round(angle * d / (2 * math.pi)).astype(np.intp) % d
     residual = angle - 2 * math.pi * r / d
     residual = (residual + math.pi) % (2 * math.pi) - math.pi
-    bad = np.flatnonzero(np.abs(residual) > tol)
+    bad = np.flatnonzero(np.abs(residual) > LOGIC_TOL)
     if bad.size:
         n = bad[0]
         raise PhaseNotRootOfUnityError(
@@ -262,18 +262,15 @@ def reference_index_law(d: int) -> IndexLaw:
     return IndexLaw(d, d - 1, d - 1, True)
 
 
-def _as_table_map(tables) -> dict[BellIndex, DecompositionTable]:
-    if isinstance(tables, dict):
-        mapping = dict(tables)
-    else:
-        mapping = {t.bell: t for t in tables}
-    if not mapping:
+def _check_complete(tables: dict[BellIndex, DecompositionTable]) -> int:
+    """The dimension d of the tables, which must cover all d*d Bell indices."""
+    if not tables:
         raise ValueError("no tables given")
-    d = next(iter(mapping.values())).d
+    d = next(iter(tables.values())).d
     expected = {BellIndex(i, j) for i in range(d) for j in range(d)}
-    if set(mapping) != expected:
-        raise ValueError(f"need all {d * d} Bell indices, got {len(mapping)}")
-    return mapping
+    if set(tables) != expected:
+        raise ValueError(f"need all {d * d} Bell indices, got {len(tables)}")
+    return d
 
 
 def _support_digits(
@@ -294,7 +291,7 @@ def _support_digits(
     return ordered, order, (k, m, kp, mp, i, j)
 
 
-def fit_index_law(tables) -> IndexLaw:
+def fit_index_law(tables: dict[BellIndex, DecompositionTable]) -> IndexLaw:
     """Fit the unique affine index law reproducing every support tuple.
 
     The law constrains the support only through its (k, i, k') triples, so
@@ -309,9 +306,8 @@ def fit_index_law(tables) -> IndexLaw:
         NoAffineLawError: no (s, t) pair reproduces all supports, which
             would indicate a construction bug.
     """
-    mapping = _as_table_map(tables)
-    d = next(iter(mapping.values())).d
-    _, _, (k, m, kp, mp, i, j) = _support_digits(mapping)
+    d = _check_complete(tables)
+    _, _, (k, m, kp, mp, i, j) = _support_digits(tables)
     present = np.zeros((d,) * 3, dtype=bool)
     present[k, i, kp] = True
     # From here k, i and k' run over every digit, as axes of the (s, t, k, i, k') grid.
@@ -341,17 +337,16 @@ class PhaseLaw:
     closed_form: tuple[int, int, int] | None
 
 
-def fit_phase_law(tables) -> PhaseLaw:
+def fit_phase_law(tables: dict[BellIndex, DecompositionTable]) -> PhaseLaw:
     """Record every coefficient phase as an exact d-th root of unity and fit a closed form.
 
     Raises:
         PhaseNotRootOfUnityError: a coefficient phase deviates from every
             multiple of 2*pi/d by more than the logic tolerance.
     """
-    mapping = _as_table_map(tables)
-    d = next(iter(mapping.values())).d
-    ordered, order, (k, m, kp, mp, i, j) = _support_digits(mapping)
-    r = _phase_ints(np.concatenate([table.coefficients() for table in ordered])[order], d, LOGIC_TOL)
+    d = _check_complete(tables)
+    ordered, order, (k, m, kp, mp, i, j) = _support_digits(tables)
+    r = _phase_ints(np.concatenate([table.coefficients() for table in ordered])[order], d)
     phase_table = dict(zip(zip(k.tolist(), m.tolist(), i.tolist(), j.tolist()), r.tolist()))
     # The form constrains the entries only through their (k'*j mod d,
     # i*j mod d, r) triples; mark those present and test every (u, v, w) at once.
@@ -367,7 +362,11 @@ def fit_phase_law(tables) -> PhaseLaw:
 
 @dataclass(frozen=True, eq=False)
 class ConventionSearch:
-    """Result of fitting the index law under all four sign conventions."""
+    """Result of fitting the index law under all four sign conventions.
+
+    ``matching`` holds the conventions that reproduce the reference law, in
+    preference order (see :func:`find_convention`).
+    """
 
     d: int
     laws: dict[PhaseConvention, IndexLaw]
@@ -375,14 +374,7 @@ class ConventionSearch:
 
     @property
     def preferred(self) -> PhaseConvention:
-        """The matching convention that keeps the decomposition states literal.
-
-        With literal decomposition states (decomp_sign=+1) the analyser's
-        conjugate-transform identities hold exactly as displayed, so that
-        convention is preferred when it matches.
-        """
-        if REFERENCE_CONVENTION in self.matching:
-            return REFERENCE_CONVENTION
+        """The first matching convention."""
         return self.matching[0]
 
     @property
@@ -394,7 +386,10 @@ def find_convention(d: int) -> ConventionSearch:
     """Search the four sign conventions for the ones matching the reference law.
 
     Only meaningful for d >= 3: at d = 2 every sign choice produces the same
-    states, so nothing can be discriminated.
+    states, so nothing can be discriminated. The matching conventions are
+    listed reference convention first: its decomposition states are literal
+    (decomp_sign=+1), so the analyser's conjugate-transform identities hold
+    exactly as displayed.
 
     Raises:
         ValueError: d < 3.

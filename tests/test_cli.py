@@ -460,6 +460,22 @@ class TestClassifyCommand:
         assert code == 0
         assert report["payload"]["classification"]["argmax"] == {"i": 1, "j": 2}
 
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_total_is_checked_against_the_squared_norm(self, tmp_path, capsys, noise):
+        # Seven-digit amplitudes leave the norm 6.0e-8 off 1: inside the file
+        # format's 1e-6, but the total probability is then 1.2e-7 off 1.
+        state = hyperentangled_state(3, 1, 2, REFERENCE_CONVENTION)
+        path = tmp_path / "state.txt"
+        path.write_text("d=3\n" + "".join(f"{a.real:.7f} {a.imag:.7f}\n" for a in state.amps))
+        squared_norm = parse_state_file(path.read_text()).norm() ** 2
+        assert abs(squared_norm - 1.0) > 1e-7
+        code, report = run_json(capsys, ["classify", str(path), "--noise", str(noise)])
+        assert code == 0
+        [total] = report["checks"]
+        assert total["name"] == "probabilities_total" and total["passed"]
+        assert abs(float(total["detail"].split()[-1]) - 1.0) > 1e-9
+        assert report["payload"]["classification"]["argmax"] == {"i": 1, "j": 2}
+
     # SHA-256 of classify reports of the hyperentangled state (1, d - 1), built
     # under the reference convention, at noise 0.3 under the default
     # convention, keyed (d, format), recorded on the BLAS kernel of the
@@ -511,6 +527,19 @@ class TestExitCodeContract:
 
         monkeypatch.setattr(cli.dec, "find_convention", no_match)
         assert main(["verify", "-d", "3", "--convention", "reference"]) == 1
+        assert capsys.readouterr() == ("", "invariant failure: forced\n")
+
+    @pytest.mark.parametrize(
+        "d, fit, error",
+        [(3, "fit_phase_law", "PhaseNotRootOfUnityError"), (2, "fit_index_law", "NoAffineLawError")],
+    )
+    def test_verify_failed_fit_exits_1_without_report(self, capsys, monkeypatch, d, fit, error):
+        def fail(tables):
+            raise getattr(cli.dec, error)("forced")
+
+        monkeypatch.setattr(cli.dec, fit, fail)
+        assert main(["verify", "-d", str(d)]) == 1
+        assert capsys.readouterr() == ("", "invariant failure: forced\n")
 
     def test_classify_invariant_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         from hdbsm.classifier import CoincidenceTable
