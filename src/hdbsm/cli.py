@@ -118,25 +118,10 @@ def _bell_dict(bell: BellIndex) -> dict:
     return {"i": bell.i, "j": bell.j}
 
 
-def _decomposition_rows(table: dec.DecompositionTable) -> list[dict]:
-    phase_ints = table.phase_ints()
-    rows = []
-    for key in sorted(table.entries):
-        k, m, kp, mp = key
-        coeff = table.entries[key]
-        rows.append(
-            {
-                "k": k,
-                "m": m,
-                "k_prime": kp,
-                "m_prime": mp,
-                "re": coeff.real,
-                "im": coeff.imag,
-                "magnitude": abs(coeff),
-                "phase_r": phase_ints[key],
-            }
-        )
-    return rows
+def _pair_rows(fields: list[str], d: int, flat: np.ndarray, *columns: list) -> list[dict]:
+    """One row per flat pair index: its digits k, m, k', m', then one value per column."""
+    digits = [digit.tolist() for digit in np.unravel_index(flat, (d,) * 4)]
+    return [dict(zip(fields, values)) for values in zip(*digits, *columns)]
 
 
 def _coincidence_rows(
@@ -151,10 +136,10 @@ def _coincidence_rows(
         shown |= counts != 0
         fields.append("count")
     flat = np.flatnonzero(shown)
-    columns = [*np.unravel_index(flat, table.probs.shape), probs[flat]]
+    columns = [probs[flat].tolist()]
     if record is not None:
-        columns.append(counts[flat])
-    return fields, [dict(zip(fields, values)) for values in zip(*(c.tolist() for c in columns))]
+        columns.append(counts[flat].tolist())
+    return fields, _pair_rows(fields, table.d, flat, *columns)
 
 
 def _classification_dict(result: cl.Classification) -> dict:
@@ -273,31 +258,36 @@ def _cmd_decompose(args) -> int:
     table = dec.decompose(args.d, args.i, args.j, convention)
 
     d = args.d
+    coeffs = table.coeffs.tolist()
+    # Python's complex abs, not numpy's, whose SIMD loops can round differently.
+    magnitudes = [abs(c) for c in coeffs]
+    weight = table.squared_weight()
+    _, m, _, mp = np.unravel_index(table.flat_support, (d,) * 4)
     checks = [
         check(
             "support_size",
-            len(table.entries) == d * d,
-            f"{len(table.entries)} of {d * d} expected nonzero coefficients",
+            len(coeffs) == d * d,
+            f"{len(coeffs)} of {d * d} expected nonzero coefficients",
         ),
         check(
             "magnitudes_uniform",
-            all(abs(abs(c) - 1 / d) <= 1e-9 for c in table.entries.values()),
+            all(abs(mag - 1 / d) <= 1e-9 for mag in magnitudes),
             f"all coefficient magnitudes within 1e-9 of 1/{d}",
         ),
-        check(
-            "total_weight",
-            abs(table.squared_weight() - 1.0) <= 1e-9,
-            f"squared weight {table.squared_weight():.12f}",
-        ),
+        check("total_weight", abs(weight - 1.0) <= 1e-9, f"squared weight {weight:.12f}"),
         check(
             "aux_shift_law",
-            all(mp == (m + args.j) % d for (_, m, _, mp) in table.entries),
+            bool(((m + args.j) % d == mp).all()),
             "m' = (m + j) mod d on every support tuple",
         ),
     ]
-    payload = {"bell": _bell_dict(table.bell), "entries": _decomposition_rows(table)}
     fields = ["k", "m", "k_prime", "m_prime", "re", "im", "magnitude", "phase_r"]
-    return _emit("decompose", args, config, payload, checks, fields, payload["entries"])
+    rows = _pair_rows(
+        fields, d, table.flat_support, table.coeffs.real.tolist(), table.coeffs.imag.tolist(),
+        magnitudes, table.phase_ints().tolist(),
+    )
+    payload = {"bell": _bell_dict(table.bell), "entries": rows}
+    return _emit("decompose", args, config, payload, checks, fields, rows)
 
 
 def _cmd_verify(args) -> int:

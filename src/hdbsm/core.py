@@ -60,10 +60,6 @@ class State:
         object.__setattr__(self, "amps", amps)
 
     @property
-    def dim(self) -> int:
-        return self.amps.size
-
-    @property
     def num_factors(self) -> int:
         return len(self.radices)
 

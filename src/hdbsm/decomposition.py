@@ -10,10 +10,9 @@ never assumed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -80,44 +79,45 @@ def pair_coefficients(state: State, convention: PhaseConvention) -> np.ndarray:
 class DecompositionTable:
     """Sparse expansion of one hyperentangled state over decomposition-state pairs.
 
-    ``entries`` maps (k, m, k', m') to the complex coefficient, keeping only
-    entries with magnitude above the logic threshold. The first index pair is
-    Bob's particle, the second Alice's. It is a read-only view, because
-    :func:`decompose` and :func:`decompose_all` hand every caller the same
-    cached tables.
-
     ``flat_support`` holds the flat pair index ((k*d + m)*d + k')*d + m' of
-    each entry, in entry order. It is derived from ``entries`` when not
-    given; a key with a digit outside 0..d-1 raises ``ValueError``.
+    every coefficient with magnitude above the logic threshold, and
+    ``coeffs`` the coefficients in the same order. The first index pair
+    (k, m) is Bob's particle, the second Alice's. :func:`decompose` and
+    :func:`decompose_all` hand every caller the same cached tables, so theirs
+    hold read-only arrays in ascending flat order. An index outside
+    [0, d**4), or a coefficient count other than the index count, raises
+    ``ValueError``.
     """
 
     d: int
     bell: BellIndex
     convention: PhaseConvention
-    entries: Mapping[tuple[int, int, int, int], complex]
-    flat_support: np.ndarray | None = field(default=None, repr=False)
+    flat_support: np.ndarray = field(repr=False)
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", MappingProxyType(self.entries))
-        if self.flat_support is None:
-            keys = np.array(list(self.entries), dtype=np.intp).reshape(len(self.entries), 4)
-            flat = np.ravel_multi_index(tuple(keys.T), (self.d,) * 4)
-            flat.flags.writeable = False
-            object.__setattr__(self, "flat_support", flat)
+        flat = self.flat_support
+        if self.coeffs.size != flat.size:
+            raise ValueError(f"{self.coeffs.size} coefficients for {flat.size} pair indices")
+        if not np.all((flat >= 0) & (flat < self.d**4)):
+            raise ValueError(f"pair index outside [0, {self.d**4}) at d={self.d}")
+
+    @cached_property
+    def entries(self) -> Mapping[tuple[int, int, int, int], complex]:
+        """Read-only map (k, m, k', m') -> coefficient, in ``flat_support`` order."""
+        digits = np.unravel_index(self.flat_support, (self.d,) * 4)
+        keys = zip(*(digit.tolist() for digit in digits))
+        return MappingProxyType(dict(zip(keys, self.coeffs.tolist())))
 
     def support(self) -> frozenset[tuple[int, int, int, int]]:
         return frozenset(self.entries)
 
     def squared_weight(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.entries.values()))
+        return float(sum(abs(c) ** 2 for c in self.coeffs.tolist()))
 
-    def coefficients(self) -> np.ndarray:
-        """The entries' coefficients as an array, in entry order."""
-        return np.fromiter(self.entries.values(), np.complex128, len(self.entries))
-
-    def phase_ints(self) -> dict[tuple[int, int, int, int], int]:
-        """Coefficient phases as integers r with phase exp(2j*pi*r/d)."""
-        return dict(zip(self.entries, _phase_ints(self.coefficients(), self.d).tolist()))
+    def phase_ints(self) -> np.ndarray:
+        """Integers r with coefficient phase exp(2j*pi*r/d), aligned with ``flat_support``."""
+        return _phase_ints(self.coeffs, self.d)
 
 
 def _phase_ints(coeffs: np.ndarray, d: int) -> np.ndarray:
@@ -147,10 +147,9 @@ def decompose(
     from the cached projection of the whole Bell row i (see
     :func:`_decompose_row`), so it is shared with :func:`decompose_all`.
     """
-    check_dimension(d)
-    _check_index(d, "i", i)
+    row = _decompose_row(d, i, convention.bell_sign, convention.decomp_sign)
     _check_index(d, "j", j)
-    return _decompose_row(d, i, convention.bell_sign, convention.decomp_sign)[j]
+    return row[j]
 
 
 @lru_cache(maxsize=None)
@@ -165,8 +164,8 @@ def _decompose_row(
     stack. Their nonzero amplitudes are products of the diagonal of Bell
     state (i, 0) and of the auxiliary state, as :func:`tensor_product` forms
     them, so every coefficient equals, bit for bit, the one from projecting
-    each state on its own (an exact zero may differ in sign). Entries keep
-    the flat (k, m, k', m') order.
+    each state on its own (an exact zero may differ in sign). Each table's
+    arrays are read-only slices in ascending flat order.
     """
     check_dimension(d)
     conv = PhaseConvention(bell_sign, decomp_sign)
@@ -180,16 +179,14 @@ def _decompose_row(
     coeffs = (half @ rows.T).reshape(d, d**4)
     del half
     js, flat = np.nonzero(np.abs(coeffs) > LOGIC_TOL)
+    values = coeffs[js, flat]
     flat.flags.writeable = False
-    keys = _pair_keys(d)
-    entries = zip(map(keys.__getitem__, flat.tolist()), coeffs[js, flat].tolist())
-    tables = []
-    start = 0
-    for j, end in enumerate(np.bincount(js, minlength=d).cumsum().tolist()):
-        row_entries = dict(itertools.islice(entries, end - start))
-        tables.append(DecompositionTable(d, BellIndex(i, j), conv, row_entries, flat[start:end]))
-        start = end
-    return tuple(tables)
+    values.flags.writeable = False
+    bounds = [0, *np.bincount(js, minlength=d).cumsum().tolist()]
+    return tuple(
+        DecompositionTable(d, BellIndex(i, j), conv, flat[start:end], values[start:end])
+        for j, (start, end) in enumerate(zip(bounds, bounds[1:]))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -205,12 +202,6 @@ def _row_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
     aux = np.diagonal(aux_state(d).amps.reshape(d, d))  # a read-only view
     scatter.flags.writeable = False
     return scatter, aux
-
-
-@lru_cache(maxsize=None)
-def _pair_keys(d: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Every (k, m, k', m') in flat order, shared by the tables of all conventions."""
-    return tuple(itertools.product(range(d), repeat=4))
 
 
 def decompose_all(
@@ -346,7 +337,7 @@ def fit_phase_law(tables: dict[BellIndex, DecompositionTable]) -> PhaseLaw:
     """
     d = _check_complete(tables)
     ordered, order, (k, m, kp, mp, i, j) = _support_digits(tables)
-    r = _phase_ints(np.concatenate([table.coefficients() for table in ordered])[order], d)
+    r = _phase_ints(np.concatenate([table.coeffs for table in ordered])[order], d)
     phase_table = dict(zip(zip(k.tolist(), m.tolist(), i.tolist(), j.tolist()), r.tolist()))
     # The form constrains the entries only through their (k'*j mod d,
     # i*j mod d, r) triples; mark those present and test every (u, v, w) at once.
@@ -376,10 +367,6 @@ class ConventionSearch:
     def preferred(self) -> PhaseConvention:
         """The first matching convention."""
         return self.matching[0]
-
-    @property
-    def law(self) -> IndexLaw:
-        return self.laws[self.preferred]
 
 
 def find_convention(d: int) -> ConventionSearch:

@@ -12,7 +12,8 @@ a time, as the calibration did before it scored all candidates in one product.
 The ``loop_*`` builders and ``comparison_monomial_stack`` construct the state
 families, the OAM sort, the analyser unitary and the calibration candidates
 one digit at a time, with the arithmetic of the package's array formulas, so
-their results are compared byte for byte.
+their results are compared byte for byte. ``hand_built_table`` is how tests
+make a decomposition table from a dict of their own.
 """
 
 from __future__ import annotations
@@ -106,6 +107,15 @@ def naive_decompose(d: int, i: int, j: int, convention) -> dict:
         k, m, kp, mp = np.unravel_index(int(flat), (d, d, d, d))
         entries[(int(k), int(m), int(kp), int(mp))] = complex(coeffs[k, m, kp, mp])
     return entries
+
+
+def hand_built_table(d: int, bell, convention, entries: dict):
+    """A ``DecompositionTable`` of ``entries`` ((k, m, k', m') -> coefficient), in dict order."""
+    from hdbsm.decomposition import DecompositionTable
+
+    flat = [((k * d + m) * d + kp) * d + mp for k, m, kp, mp in entries]
+    coeffs = np.array(list(entries.values()), dtype=np.complex128)
+    return DecompositionTable(d, bell, convention, np.array(flat, dtype=np.intp), coeffs)
 
 
 def loop_bell_amps(d: int, i: int, j: int, bell_sign: int = 1) -> np.ndarray:

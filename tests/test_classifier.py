@@ -21,7 +21,6 @@ from hdbsm.classifier import (
 )
 from hdbsm.core import LOGIC_TOL, State, tensor_product
 from hdbsm.decomposition import (
-    DecompositionTable,
     decompose_all,
     fit_index_law,
     hyperentangled_state,
@@ -74,7 +73,7 @@ class TestDecodingTable:
         stolen = next(iter(tables[BellIndex(0, 0)].entries))
         doctored = dict(tables[BellIndex(1, 0)].entries)
         doctored[stolen] = 0.5
-        tables[BellIndex(1, 0)] = DecompositionTable(
+        tables[BellIndex(1, 0)] = oracles.hand_built_table(
             2, BellIndex(1, 0), LITERAL_CONVENTION, doctored
         )
         monkeypatch.setattr(cl, "decompose_all", lambda d, conv: tables)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from functools import lru_cache
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracles
 from hdbsm import cli
 from hdbsm.cli import format_state_file, main, parse_state_file
-from hdbsm.decomposition import hyperentangled_state
+from hdbsm.core import State
+from hdbsm.decomposition import DecompositionTable, hyperentangled_state
 from hdbsm.report import schema_text
 from hdbsm.states import REFERENCE_CONVENTION
 
@@ -507,12 +510,11 @@ class TestExitCodeContract:
     """Each command: 0 success, 1 invariant failure, 2 usage error."""
 
     def test_decompose_invariant_failure_exits_1(self, capsys, monkeypatch):
-        from hdbsm.decomposition import DecompositionTable
-        from hdbsm.states import BellIndex, LITERAL_CONVENTION
+        from hdbsm.states import BellIndex
 
         def broken_decompose(d, i, j, convention):
             # one coefficient missing: the support-size check must fail
-            return DecompositionTable(
+            return oracles.hand_built_table(
                 d, BellIndex(i, j), convention, {(0, 0, 0, 0): 1 / d}
             )
 
@@ -569,6 +571,130 @@ class TestExitCodeContract:
         monkeypatch.setattr(cli.dec, "find_convention", no_match)
         assert main(["decompose", "-d", "3", "-i", "0", "-j", "0"]) == 1
         assert "invariant failure" in capsys.readouterr().err
+
+
+class TestDocumentedBounds:
+    """Each documented bound: an input at half of it passes, one at twice it fails.
+
+    Every case moves one observed quantity off its exact value by ``factor``
+    times the bound and leaves the other checks of the report passing.
+    """
+
+    FACTORS = [(0.5, 0), (2.0, 1)]
+
+    @staticmethod
+    def checks(capsys, argv):
+        code, report = run_json(capsys, argv)
+        return code, {c["name"]: (c["passed"], c["detail"]) for c in report["checks"]}
+
+    @staticmethod
+    def patch_coeffs(monkeypatch, edit):
+        """Make the CLI's decomposition tables carry ``edit(coeffs)`` as coefficients."""
+        original = cli.dec.decompose
+
+        def doctored(d, i, j, convention):
+            table = original(d, i, j, convention)
+            coeffs = edit(table.coeffs.copy())
+            return DecompositionTable(d, table.bell, convention, table.flat_support, coeffs)
+
+        monkeypatch.setattr(cli.dec, "decompose", doctored)
+
+    @pytest.mark.parametrize("factor, exit_code", FACTORS)
+    def test_decompose_magnitudes_uniform(self, capsys, monkeypatch, factor, exit_code):
+        delta = factor * 1e-9
+
+        def spread(coeffs):
+            # |c| = 1/3, so these move two magnitudes by +delta and -delta and the
+            # squared weight by 2 * delta**2 only.
+            coeffs[0] *= 1 + 3 * delta
+            coeffs[1] *= 1 - 3 * delta
+            return coeffs
+
+        self.patch_coeffs(monkeypatch, spread)
+        code, checks = self.checks(capsys, ["decompose", "-d", "3", "-i", "1", "-j", "2"])
+        assert code == exit_code
+        assert checks["magnitudes_uniform"] == (
+            exit_code == 0, "all coefficient magnitudes within 1e-9 of 1/3"
+        )
+        assert checks["total_weight"] == (True, "squared weight 1.000000000000")
+
+    @pytest.mark.parametrize("factor, exit_code", FACTORS)
+    def test_decompose_total_weight(self, capsys, monkeypatch, factor, exit_code):
+        excess = factor * 1e-9
+        self.patch_coeffs(monkeypatch, lambda coeffs: coeffs * (1 + excess) ** 0.5)
+        code, checks = self.checks(capsys, ["decompose", "-d", "3", "-i", "1", "-j", "2"])
+        assert code == exit_code
+        assert checks["total_weight"] == (exit_code == 0, f"squared weight {1 + excess:.12f}")
+        assert checks["magnitudes_uniform"][0] is True
+
+    @pytest.mark.parametrize("factor, exit_code", FACTORS)
+    def test_simulate_probabilities_total(self, capsys, monkeypatch, factor, exit_code):
+        excess = factor * 1e-9
+        original = cli.optics.run_experiment
+
+        def inflated(*args):
+            result = original(*args)
+            probs = result.probabilities.probs * (1 + excess)
+            return dataclasses.replace(result, probabilities=cli.cl.CoincidenceTable(3, probs))
+
+        monkeypatch.setattr(cli.optics, "run_experiment", inflated)
+        code, checks = self.checks(capsys, ["simulate", "-d", "3", "-i", "1", "-j", "2"])
+        assert code == exit_code
+        assert checks["probabilities_total"] == (
+            exit_code == 0, f"total probability {1 + excess:.12f}"
+        )
+
+    @pytest.mark.parametrize("factor, exit_code", FACTORS)
+    def test_simulate_pipeline_equivalence(self, capsys, monkeypatch, factor, exit_code):
+        gap = factor * 1e-9
+        original = cli.optics.run_experiment
+
+        def drifted(*args):
+            return dataclasses.replace(original(*args), equivalence_gap=gap)
+
+        monkeypatch.setattr(cli.optics, "run_experiment", drifted)
+        code, checks = self.checks(capsys, ["simulate", "-d", "3", "-i", "1", "-j", "2"])
+        assert code == exit_code
+        assert checks["pipeline_equivalence"] == (
+            exit_code == 0, f"max |optics - abstract| = {gap:.3e} (tolerance 1e-9)"
+        )
+        assert checks["probabilities_total"][0] is True
+
+    @pytest.mark.parametrize("factor, exit_code", FACTORS)
+    def test_classify_probabilities_total(
+        self, tmp_path, capsys, monkeypatch, factor, exit_code
+    ):
+        excess = factor * 1e-9
+        path = tmp_path / "state.txt"
+        path.write_text(format_state_file(hyperentangled_state(3, 1, 2, REFERENCE_CONVENTION)))
+        original = cli.cl.coincidence_probabilities
+
+        def inflated(state, convention):
+            return cli.cl.CoincidenceTable(3, original(state, convention).probs * (1 + excess))
+
+        monkeypatch.setattr(cli.cl, "coincidence_probabilities", inflated)
+        code, checks = self.checks(capsys, ["classify", str(path)])
+        assert code == exit_code
+        assert checks["probabilities_total"] == (
+            exit_code == 0, f"total probability {1 + excess:.12f}"
+        )
+
+    @pytest.mark.parametrize("factor, exit_code", [(0.5, 0), (2.0, 2)])
+    def test_state_file_norm(self, tmp_path, capsys, factor, exit_code):
+        excess = factor * 1e-6
+        state = hyperentangled_state(3, 1, 2, REFERENCE_CONVENTION)
+        path = tmp_path / "state.txt"
+        path.write_text(format_state_file(State(state.radices, state.amps * (1 + excess))))
+        assert main(["classify", str(path)]) == exit_code
+        out, err = capsys.readouterr()
+        if exit_code == 0:
+            assert json.loads(out)["passed"] is True and err == ""
+        else:
+            assert (out, err) == (
+                "",
+                "error: state is not normalized: norm 1.000002000 deviates from 1 "
+                "by 2.000e-06 (tolerance 1e-6)\n",
+            )
 
 
 class TestStateFileFormat:

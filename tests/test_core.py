@@ -88,7 +88,7 @@ class TestTensorProduct:
         bell = State((3, 3), np.eye(3).reshape(-1) / np.sqrt(3))
         aux = State((3, 3), np.eye(3).reshape(-1) / np.sqrt(3))
         out = tensor_product(bell, aux)
-        assert out.dim == 81
+        assert out.amps.size == 81
         expected = {(n, n, p, p): 1 / 3 for n in range(3) for p in range(3)}
         nonzero = out.nonzero()
         assert set(nonzero) == set(expected)

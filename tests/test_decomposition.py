@@ -159,10 +159,22 @@ class TestDecompose:
         )
         assert states.decomp_basis(d, sign).tobytes() == stacked.tobytes()
 
-    @pytest.mark.parametrize("key", [(0, 0, 0, 3), (-1, 0, 0, 0), (0, 0, 0)])
+    @pytest.mark.parametrize(
+        "key",  # flat pair indices, coefficients, message
+        [
+            ([-1], [1.0], "pair index outside [0, 81) at d=3"),
+            ([81], [1.0], "pair index outside [0, 81) at d=3"),
+            ([0, 80], [1.0], "1 coefficients for 2 pair indices"),
+        ],
+    )
     def test_hand_built_table_rejects_bad_key(self, key):
-        with pytest.raises(ValueError):
-            DecompositionTable(3, BellIndex(0, 0), LITERAL_CONVENTION, {key: 1.0})
+        flat, coeffs, message = key
+        with pytest.raises(ValueError) as info:
+            DecompositionTable(
+                3, BellIndex(0, 0), LITERAL_CONVENTION,
+                np.array(flat, dtype=np.intp), np.array(coeffs, dtype=np.complex128),
+            )
+        assert str(info.value) == message
 
     def test_decompose_and_decompose_all_share_tables(self):
         tables = decompose_all(4, REFERENCE_CONVENTION)
@@ -175,10 +187,22 @@ class TestDecompose:
         with pytest.raises(TypeError):
             del entries[next(iter(entries))]
 
-    @pytest.mark.parametrize("i, j", [(-1, 0), (3, 0), (0, -1), (0, 3)])
-    def test_rejects_out_of_range_bell_index(self, i, j):
-        with pytest.raises(ValueError, match="out of range for dimension 3"):
-            decompose(3, i, j, REFERENCE_CONVENTION)
+    @pytest.mark.parametrize(
+        "d, i, j, message",
+        [
+            (3, -1, 0, "i=-1 out of range for dimension 3"),
+            (3, 3, 0, "i=3 out of range for dimension 3"),
+            (3, 0, -1, "j=-1 out of range for dimension 3"),
+            (3, 0, 3, "j=3 out of range for dimension 3"),
+            (7, 0, 0, "dimension 7 outside the supported range (2..6)"),
+            (7, 9, 9, "dimension 7 outside the supported range (2..6)"),
+        ],
+        ids=["-1-0", "3-0", "0--1", "0-3", "7-0-0", "7-9-9"],
+    )
+    def test_rejects_out_of_range_bell_index(self, d, i, j, message):
+        with pytest.raises(ValueError) as info:
+            decompose(d, i, j, REFERENCE_CONVENTION)
+        assert str(info.value) == message
 
     def test_rejects_large_dimension(self):
         with pytest.raises(ValueError):
@@ -221,7 +245,7 @@ class TestIndexLaw:
         entries = dict(doctored.entries)
         coeff = entries.pop((0, 0, 0, 0))
         entries[(0, 0, 2, 0)] = coeff  # break the affine pattern
-        tables[BellIndex(0, 0)] = DecompositionTable(
+        tables[BellIndex(0, 0)] = oracles.hand_built_table(
             3, BellIndex(0, 0), LITERAL_CONVENTION, entries
         )
         with pytest.raises(NoAffineLawError) as info:
@@ -231,7 +255,7 @@ class TestIndexLaw:
     def test_ambiguous_law_message(self):
         # k = k' = 0 everywhere: t*i = 0 forces t = 0 and leaves s free
         ambiguous = {
-            BellIndex(i, j): DecompositionTable(
+            BellIndex(i, j): oracles.hand_built_table(
                 3, BellIndex(i, j), LITERAL_CONVENTION, {(0, 0, 0, j): 1 / 3}
             )
             for i in range(3)
@@ -300,7 +324,7 @@ class TestPhaseLaw:
         entries = dict(doctored.entries)
         key = next(iter(entries))
         entries[key] = entries[key] * np.exp(0.1j)
-        tables[BellIndex(1, 1)] = DecompositionTable(
+        tables[BellIndex(1, 1)] = oracles.hand_built_table(
             3, BellIndex(1, 1), LITERAL_CONVENTION, entries
         )
         with pytest.raises(PhaseNotRootOfUnityError):
@@ -313,7 +337,7 @@ class TestFindConvention:
         assert set(search.matching) == {PhaseConvention(1, -1), PhaseConvention(-1, 1)}
         assert LITERAL_CONVENTION not in search.matching
         assert search.preferred == REFERENCE_CONVENTION
-        assert search.law == reference_index_law(3)
+        assert search.laws[search.preferred] == reference_index_law(3)
 
     def test_d3_literal_law_recorded(self):
         search = find_convention(3)
@@ -322,7 +346,7 @@ class TestFindConvention:
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_higher_dimensions(self, d):
         search = find_convention(d)
-        assert search.law == reference_index_law(d)
+        assert search.laws[search.preferred] == reference_index_law(d)
         assert search.preferred == REFERENCE_CONVENTION
 
     def test_d2_rejected(self):
@@ -332,7 +356,6 @@ class TestFindConvention:
     def test_cold_d6_search_peaks_under_1_mb(self):
         for cached in (
             decomposition._decompose_row,
-            decomposition._pair_keys,
             decomposition._row_layout,
             states.decomp_basis,
         ):
@@ -368,7 +391,7 @@ class TestExactOracle:
     def test_supports_and_phase_integers(self, d, conv):
         exact = oracles.exact_decomposition(d, conv.bell_sign, conv.decomp_sign)
         for bell, table in decompose_all(d, conv).items():
-            assert table.phase_ints() == exact[bell]
+            assert dict(zip(table.entries, table.phase_ints().tolist())) == exact[bell]
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=lambda c: c.label())
@@ -442,7 +465,7 @@ class TestHandBuiltFits:
                     for key in keys
                 }
                 entries = {key: np.exp(2j * np.pi * r / d) / d for key, r in phase.items()}
-                tables[BellIndex(i, j)] = DecompositionTable(
+                tables[BellIndex(i, j)] = oracles.hand_built_table(
                     d, BellIndex(i, j), LITERAL_CONVENTION, entries
                 )
                 phases[(i, j)] = phase
