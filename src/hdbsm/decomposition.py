@@ -85,8 +85,8 @@ class DecompositionTable:
     (k, m) is Bob's particle, the second Alice's. :func:`decompose` and
     :func:`decompose_all` hand every caller the same cached tables, so theirs
     hold read-only arrays in ascending flat order. An index outside
-    [0, d**4), or a coefficient count other than the index count, raises
-    ``ValueError``.
+    [0, d**4), a repeated index, or a coefficient count other than the index
+    count raises ``ValueError``.
     """
 
     d: int
@@ -101,6 +101,8 @@ class DecompositionTable:
             raise ValueError(f"{self.coeffs.size} coefficients for {flat.size} pair indices")
         if not np.all((flat >= 0) & (flat < self.d**4)):
             raise ValueError(f"pair index outside [0, {self.d**4}) at d={self.d}")
+        if (np.diff(np.sort(flat)) == 0).any():
+            raise ValueError(f"repeated pair index in {flat.tolist()}")
 
     @cached_property
     def entries(self) -> Mapping[tuple[int, int, int, int], complex]:

@@ -16,14 +16,14 @@ digits (0, 1, 2) in alphabetical-label order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .classifier import CoincidenceTable, ShotRecord, coincidence_probabilities, sample_outcomes
+from .classifier import CoincidenceTable, ShotRecord, sample_outcomes
 from .core import State, apply_local_unitary, check_dimension, fourier_matrix
 from .decomposition import hyperentangled_state
-from .states import BellIndex, PhaseConvention, shift_clock_unitary
+from .states import BellIndex, PhaseConvention, decomp_basis, shift_clock_unitary
 
 
 @lru_cache(maxsize=None)
@@ -60,18 +60,17 @@ def oam_sort(state: State) -> State:
 
 @dataclass(frozen=True, eq=False)
 class BsaLayout:
-    """Analyser wiring: the one d-point transform that every expanded-path group applies."""
+    """Analyser wiring: the one d-point transform that every expanded-path group applies.
+
+    Also the whole read-only analyser ``unitary`` U and ``equivalence_gap``, the
+    operator distance max |U - conj(S)| from the conjugate decomposition basis S.
+    """
 
     d: int
     convention: PhaseConvention
     transform: np.ndarray
-
-    @cached_property
-    def unitary(self) -> np.ndarray:
-        """Read-only ``bsa_unitary`` of this layout, built on first use."""
-        u = bsa_unitary(self)
-        u.flags.writeable = False
-        return u
+    unitary: np.ndarray
+    equivalence_gap: float
 
 
 @lru_cache(maxsize=None)
@@ -81,12 +80,15 @@ def bsa_layout(d: int, convention: PhaseConvention) -> BsaLayout:
     Every group carries the same transform: the Fourier matrix conjugate to
     the decomposition-state phases, so the projection onto the literal
     decomposition basis comes out exactly regardless of the convention.
-    Built once per (d, convention) and shared, with a read-only transform, so
-    its analyser unitary is built once too.
+    U comes from the wiring and S from the state formula in ``decomp_basis``,
+    so the gap checks one against the other. Built once per (d, convention).
     """
     transform = fourier_matrix(d, -convention.decomp_sign)
     transform.flags.writeable = False
-    return BsaLayout(d, convention, transform)
+    unitary = bsa_unitary(d, transform)
+    unitary.flags.writeable = False
+    gap = float(np.max(np.abs(unitary - decomp_basis(d, convention.decomp_sign).conj())))
+    return BsaLayout(d, convention, transform, unitary, gap)
 
 
 def analyse(state: State, layout: BsaLayout) -> np.ndarray:
@@ -98,16 +100,15 @@ def analyse(state: State, layout: BsaLayout) -> np.ndarray:
     return layout.transform @ oam_sort(state).reshaped().T
 
 
-def bsa_unitary(layout: BsaLayout) -> np.ndarray:
+def bsa_unitary(d: int, transform: np.ndarray) -> np.ndarray:
     """Whole analyser as one d*d by d*d unitary.
 
     Row index k*d + m (detector), column index path*d + oam (input mode):
-    the OAM-to-path sort composed with the transform of every group.
+    the OAM-to-path sort composed with ``transform`` on every group.
     """
-    d = layout.d
     port_out, group, port_in = np.ix_(*[np.arange(d)] * 3)
     u = np.zeros((d,) * 4, dtype=np.complex128)  # [port out, group, port in, oam]
-    u[port_out, group, port_in, (port_in - group) % d] = layout.transform[port_out, port_in]
+    u[port_out, group, port_in, (port_in - group) % d] = transform[port_out, port_in]
     return u.reshape(d * d, d * d)
 
 
@@ -128,7 +129,7 @@ def pipeline_probabilities(state: State, layout: BsaLayout) -> CoincidenceTable:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    """Everything one simulated run produces."""
+    """Everything one simulated run produces; ``equivalence_gap`` is the layout's operator gap."""
 
     d: int
     bell: BellIndex
@@ -139,7 +140,7 @@ class ExperimentResult:
 
     @property
     def equivalent(self) -> bool:
-        """Pipeline distribution matches the abstract projection probabilities."""
+        """Analyser operator equals the conjugate decomposition basis within 1e-9."""
         return self.equivalence_gap < 1e-9
 
 
@@ -151,17 +152,14 @@ def run_experiment(
     seed: int,
     convention: PhaseConvention,
 ) -> ExperimentResult:
-    """Full optics run: prepare, analyse both particles, check, and sample.
+    """Full optics run: prepare, analyse both particles, and sample.
 
-    ``shots = 0`` produces the theoretical table only. The pipeline
-    distribution is always compared entrywise against the abstract
-    coincidence probabilities of the prepared state; the largest deviation
-    is reported as ``equivalence_gap``.
+    ``shots = 0`` produces the theoretical table only. The state is projected
+    once, through the analyser; ``equivalence_gap`` is the operator distance
+    max |U - conj(S)| of its layout, not a distance between tables.
     """
     state = prepare_bell(d, i, j, convention)
     layout = bsa_layout(d, convention)
     table = pipeline_probabilities(state, layout)
-    abstract = coincidence_probabilities(state, convention)
-    gap = float(np.max(np.abs(table.probs - abstract.probs)))
     record = sample_outcomes(table, shots, seed) if shots > 0 else None
-    return ExperimentResult(d, BellIndex(i, j), convention, table, record, gap)
+    return ExperimentResult(d, BellIndex(i, j), convention, table, record, layout.equivalence_gap)

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import oracles
 from hdbsm import cli
 from hdbsm.cli import format_state_file, main, parse_state_file
-from hdbsm.core import State
+from hdbsm.core import LOGIC_TOL, State
 from hdbsm.decomposition import DecompositionTable, hyperentangled_state
 from hdbsm.report import schema_text
 from hdbsm.states import REFERENCE_CONVENTION
@@ -358,6 +358,29 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli.optics, "run_experiment", broken_run)
         assert main(["simulate", "-d", "3", "-i", "0", "-j", "0"]) == 1
 
+    def test_analyser_phase_error_exits_1(self, capsys, monkeypatch):
+        # One transform phase off by 1e-6 rad moves the analyser operator
+        # |exp(1e-6j) - 1| / sqrt(3) away from conj(S), whatever the input.
+        original = cli.optics.fourier_matrix
+
+        def skewed(d, sign=1):
+            transform = original(d, sign)
+            transform[1, 2] *= np.exp(1e-6j)
+            return transform
+
+        monkeypatch.setattr(cli.optics, "fourier_matrix", skewed)
+        cli.optics.bsa_layout.cache_clear()
+        try:
+            code, report = run_json(capsys, ["simulate", "-d", "3", "-i", "0", "-j", "0"])
+        finally:
+            cli.optics.bsa_layout.cache_clear()
+        assert code == 1
+        assert report["checks"][0] == {
+            "name": "pipeline_equivalence",
+            "passed": False,
+            "detail": "max |optics - abstract| = 5.774e-07 (tolerance 1e-9)",
+        }
+
     def test_outcome_outside_input_class_exits_1(self, capsys, monkeypatch):
         # Pair (0, 0, 0, 0) of Bell (0, 0) and pair (0, 0, 0, 1) of a j = 1
         # class trade classes, so the table stays a partition.
@@ -626,6 +649,40 @@ class TestDocumentedBounds:
         assert code == exit_code
         assert checks["total_weight"] == (exit_code == 0, f"squared weight {1 + excess:.12f}")
         assert checks["magnitudes_uniform"][0] is True
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_decompose_support_threshold(self, capsys, monkeypatch, factor):
+        # Bell amplitude n = 0 scaled by 1 + eps adds eps / d**2 to every pair with
+        # m' = m + j, so the 18 outside the support sit at factor * LOGIC_TOL. The
+        # scaling also adds 2 * eps / d to the squared weight.
+        d = 3
+        eps = factor * d**2 * LOGIC_TOL
+        original = cli.dec.bell_state
+
+        def tilted(d, i, j, convention):
+            amps = original(d, i, j, convention).reshaped().copy()
+            amps[0] *= 1 + eps
+            return State((d, d), amps)
+
+        monkeypatch.setattr(cli.dec, "bell_state", tilted)
+        cli.dec._decompose_row.cache_clear()
+        try:
+            size = cli.dec.decompose(d, 1, 2, REFERENCE_CONVENTION).coeffs.size
+            code = main(["decompose", "-d", "3", "-i", "1", "-j", "2", "--convention", "reference"])
+        finally:
+            cli.dec._decompose_row.cache_clear()
+        out, err = capsys.readouterr()
+        assert code == 1
+        if factor < 1:
+            assert size == 9
+            checks = {c["name"]: (c["passed"], c["detail"]) for c in json.loads(out)["checks"]}
+            assert checks["support_size"] == (True, "9 of 9 expected nonzero coefficients")
+            assert checks["total_weight"] == (False, "squared weight 1.000000003000")
+        else:
+            # The 18 new coefficients carry rounding-sized phases, so the report
+            # stops at the phase check before it can print a support size.
+            assert size == 27
+            assert out == "" and err.startswith("invariant failure: phase ")
 
     @pytest.mark.parametrize("factor, exit_code", FACTORS)
     def test_simulate_probabilities_total(self, capsys, monkeypatch, factor, exit_code):

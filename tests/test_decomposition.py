@@ -165,6 +165,7 @@ class TestDecompose:
             ([-1], [1.0], "pair index outside [0, 81) at d=3"),
             ([81], [1.0], "pair index outside [0, 81) at d=3"),
             ([0, 80], [1.0], "1 coefficients for 2 pair indices"),
+            ([5, 5], [0.5, 0.5], "repeated pair index in [5, 5]"),
         ],
     )
     def test_hand_built_table_rejects_bad_key(self, key):

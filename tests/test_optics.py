@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdbsm.classifier import build_decoding_table, classify, coincidence_probabilities
 from hdbsm.core import State, fidelity, fourier_matrix, is_unitary
@@ -7,7 +8,6 @@ from hdbsm.decomposition import decompose, hyperentangled_state
 from hdbsm.optics import (
     analyse,
     bsa_layout,
-    bsa_unitary,
     oam_sort,
     pipeline_probabilities,
     prepare_bell,
@@ -15,10 +15,12 @@ from hdbsm.optics import (
     run_experiment,
 )
 from hdbsm.states import (
+    ALL_CONVENTIONS,
     BellIndex,
     LITERAL_CONVENTION,
     PhaseConvention,
     REFERENCE_CONVENTION,
+    decomp_basis,
     decomp_state,
 )
 
@@ -176,24 +178,59 @@ class TestBsaUnitary:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("conv", BOTH_MAIN, ids=lambda c: c.label())
     def test_lossless(self, d, conv):
-        assert is_unitary(bsa_unitary(bsa_layout(d, conv)), tol=1e-12)
+        assert is_unitary(bsa_layout(d, conv).unitary, tol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_equals_loop(self, d, sign):
         layout = bsa_layout(d, PhaseConvention(1, sign))
         expected = oracles.loop_bsa_unitary(d, fourier_matrix(d, -sign))
-        assert bsa_unitary(layout).tobytes() == expected.tobytes()
+        assert layout.unitary.tobytes() == expected.tobytes()
+
+    def test_layout_arrays_are_read_only(self):
+        layout = bsa_layout(3, REFERENCE_CONVENTION)
+        for array in (layout.transform, layout.unitary):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
 
     def test_matches_analyse(self):
         rng = np.random.default_rng(57)
         conv = REFERENCE_CONVENTION
         layout = bsa_layout(3, conv)
-        u = bsa_unitary(layout)
+        u = layout.unitary
         state = rand_single(rng, 3)
         np.testing.assert_allclose(
             (u @ state.amps).reshape(3, 3), analyse(state, layout), atol=1e-12
         )
+
+
+class TestOperatorEquivalence:
+    """The analyser U is checked once per (d, convention) against conj(S)."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=lambda c: c.label())
+    def test_unitary_equals_conjugate_basis(self, d, conv):
+        layout = bsa_layout(d, conv)
+        assert np.array_equal(layout.unitary, decomp_basis(d, conv.decomp_sign).conj())
+        assert layout.equivalence_gap == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        conv=st.sampled_from(ALL_CONVENTIONS),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal_operators_give_equal_tables(self, d, conv, data, seed):
+        nonzero = data.draw(st.integers(1, d**4), label="nonzero")
+        rng = np.random.default_rng(seed)
+        amps = np.zeros(d**4, dtype=np.complex128)
+        where = rng.choice(d**4, size=nonzero, replace=False)
+        amps[where] = rng.standard_normal(nonzero) + 1j * rng.standard_normal(nonzero)
+        state = State((d,) * 4, amps / np.linalg.norm(amps))
+        optical = pipeline_probabilities(state, bsa_layout(d, conv))
+        abstract = coincidence_probabilities(state, conv)
+        assert optical.probs.tobytes() == abstract.probs.tobytes()
 
 
 class TestPipeline:
