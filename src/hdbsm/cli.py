@@ -42,6 +42,10 @@ class UsageError(Exception):
     """Invalid arguments or inputs; maps to exit code 2."""
 
 
+class InvariantError(RuntimeError):
+    """A computed result breaks the protocol's structure; maps to exit code 1."""
+
+
 def _resolve_convention(
     d: int, label: str | None, search: dec.ConventionSearch | None = None
 ) -> tuple[PhaseConvention, str]:
@@ -258,6 +262,13 @@ def _cmd_decompose(args) -> int:
     table = dec.decompose(args.d, args.i, args.j, convention)
 
     d = args.d
+    # A support past d*d holds rounding-sized coefficients whose phases fail
+    # phase_ints, so the size is checked first, where it names the real fault.
+    if table.coeffs.size != d * d:
+        raise InvariantError(
+            f"decomposition of bell ({args.i}, {args.j}) has {table.coeffs.size} "
+            f"nonzero coefficients, expected {d * d}"
+        )
     coeffs = table.coeffs.tolist()
     # Python's complex abs, not numpy's, whose SIMD loops can round differently.
     magnitudes = [abs(c) for c in coeffs]
@@ -538,6 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _STRUCTURAL_ERRORS = (
+    InvariantError,
     dec.NoAffineLawError,
     dec.NoMatchingConventionError,
     dec.PhaseNotRootOfUnityError,

@@ -35,17 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml")
 HYPOTHESIS_SEED = 0
 TIMEOUT_S = 300
-# When a hypothesis test fails, hypothesis imports libcst to write its patch
-# file, and libcst warns through mypy_extensions' deprecated TypedDict where
-# they are installed. Under filterwarnings = error that turns the failure into
-# an INTERNALERROR (exit 3), so this one warning is ignored.
-PYTEST_ARGS = (
-    "-x",
-    "-q",
-    f"--hypothesis-seed={HYPOTHESIS_SEED}",
-    "-W",
-    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning",
-)
+PYTEST_ARGS = ("-x", "-q", f"--hypothesis-seed={HYPOTHESIS_SEED}")
 
 
 class Mutant(NamedTuple):
@@ -64,9 +54,22 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/classifier.py",
-        'searched = np.searchsorted(cdf, uniforms, side="right")',
-        'searched = np.searchsorted(cdf, uniforms, side="left")',
+        'np.searchsorted(cdf, uniforms, side="right")',
+        'np.searchsorted(cdf, uniforms, side="left")',
         "split-cell draws land on the outcome below a CDF step",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        "                _search_sorted(pending[:filled], cdf, hits)\n"
+        "                filled = 0\n",
+        "                _search_sorted(pending[:filled], cdf, hits)\n",
+        "a mid-call flush leaves its words in the split-cell buffer",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        "    _search_sorted(pending[:filled], cdf, hits)\n    np.add.at(",
+        "    np.add.at(",
+        "split-cell words still buffered after the last chunk are never counted",
     ),
     Mutant(
         "src/hdbsm/states.py",

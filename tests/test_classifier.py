@@ -460,3 +460,30 @@ class TestSamplerOracle:
         assert np.array_equal(counts, oracles.naive_sample_counts(probs, shots, seed))
         assert counts.sum() == shots
         assert not counts[probs.reshape(-1) == 0.0].any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(3, 6),
+        table_seed=st.integers(0, 2**32 - 1),
+        shots=st.integers(4000, 6000),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_buffer_flushes_mid_call(self, d, table_seed, shots, seed):
+        # Chunks of 8 words and a uniform table, whose CDF splits hundreds of
+        # cells: the split-cell buffer of 8 words fills and is searched several
+        # times within one call, and the counts still equal the one-shot search.
+        probs = random_table(np.random.default_rng(table_seed), d, "uniform")
+        searches = []
+        search = cl._search_sorted
+
+        def counted(words, cdf, hits):
+            searches.append(words.size)
+            search(words, cdf, hits)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cl, "_CHUNK", 8)
+            patch.setattr(cl, "_search_sorted", counted)
+            record = sample_outcomes(CoincidenceTable(d, probs), shots=shots, seed=seed)
+        assert len(searches) >= 3 and max(searches) <= 8
+        counts = record.counts.reshape(-1)
+        assert np.array_equal(counts, oracles.naive_sample_counts(probs, shots, seed))

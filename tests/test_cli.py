@@ -679,10 +679,14 @@ class TestDocumentedBounds:
             assert checks["support_size"] == (True, "9 of 9 expected nonzero coefficients")
             assert checks["total_weight"] == (False, "squared weight 1.000000003000")
         else:
-            # The 18 new coefficients carry rounding-sized phases, so the report
-            # stops at the phase check before it can print a support size.
+            # The support size is checked before the phases of the 18 new,
+            # rounding-sized coefficients, so the failure names it.
             assert size == 27
-            assert out == "" and err.startswith("invariant failure: phase ")
+            assert out == ""
+            assert err == (
+                "invariant failure: decomposition of bell (1, 2) has 27 nonzero "
+                "coefficients, expected 9\n"
+            )
 
     @pytest.mark.parametrize("factor, exit_code", FACTORS)
     def test_simulate_probabilities_total(self, capsys, monkeypatch, factor, exit_code):
