@@ -21,7 +21,6 @@ from .core import (
 from .states import (
     ALL_CONVENTIONS,
     BellIndex,
-    CalibrationError,
     LITERAL_CONVENTION,
     PhaseConvention,
     REFERENCE_CONVENTION,

@@ -233,7 +233,8 @@ def parse_state_file(text: str) -> State:
         if not (math.isfinite(real) and math.isfinite(imag)):
             raise UsageError(f"non-finite amplitude on line {number}: {line!r}")
         amps[idx] = complex(real, imag)
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):  # finite amplitudes above ~1e154 overflow to inf
+        norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:
         raise UsageError(
             f"state is not normalized: norm {norm:.9f} deviates from 1 "

@@ -38,7 +38,11 @@ def prepare_source(d: int, convention: PhaseConvention) -> State:
 
 
 def prepare_bell(d: int, i: int, j: int, convention: PhaseConvention) -> State:
-    """Source state steered to Bell index (i, j) by a local unitary on particle A's path."""
+    """Source state steered to Bell index (i, j) on particle A's path.
+
+    The steering unitary is the monomial X^j Z^(bell_sign * i) of
+    :func:`hdbsm.states.shift_clock_unitary`.
+    """
     unitary = shift_clock_unitary(d, i, j, convention)
     return apply_local_unitary(prepare_source(d, convention), unitary, factor=2)
 

@@ -76,7 +76,7 @@ def render_csv(report: dict, fieldnames: list[str], rows: list[dict]) -> str:
         ("schema_version", report["schema_version"]),
         ("command", report["command"]),
         ("d", config["d"]),
-        ("convention", _sign_label(conv["bell_sign"]) + _sign_label(conv["decomp_sign"])),
+        ("convention", PhaseConvention(conv["bell_sign"], conv["decomp_sign"]).label()),
         ("seed", config["seed"]),
         ("shots", config["shots"]),
         ("passed", str(report["passed"]).lower()),
@@ -88,10 +88,6 @@ def render_csv(report: dict, fieldnames: list[str], rows: list[dict]) -> str:
     for row in rows:
         buf.write(",".join(_csv_cell(row[f]) for f in fieldnames) + "\n")
     return buf.getvalue()
-
-
-def _sign_label(sign: int) -> str:
-    return "+" if sign == 1 else "-"
 
 
 def _csv_cell(value) -> str:

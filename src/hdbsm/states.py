@@ -16,14 +16,13 @@ which combination reconciles them is an empirical finding of this package
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import LOGIC_TOL, State
+from .core import State
 
 
 class BellIndex(NamedTuple):
@@ -149,66 +148,17 @@ def shift_matrix(d: int, exponent: int = 1) -> np.ndarray:
     return u
 
 
-class CalibrationError(RuntimeError):
-    """No shift/clock monomial maps the base Bell state to the target."""
-
-
-@lru_cache(maxsize=None)
-def _monomial_stack(d: int) -> np.ndarray:
-    """Read-only stack of the 2*d*d shift/clock monomials in search order.
-
-    Candidate 2*(a*d + b) is X^a Z^b and candidate 2*(a*d + b) + 1 is Z^b X^a,
-    products of shift_matrix(d, a) and clock_matrix(d, b) taken for all
-    (a, b) in two batched products.
-    """
-    shifts = np.stack([shift_matrix(d, a) for a in range(d)])
-    clocks = np.stack([clock_matrix(d, b) for b in range(d)])
-    pairs = (shifts[:, None] @ clocks, clocks @ shifts[:, None])
-    stack = np.stack(pairs, axis=2).reshape(2 * d * d, d, d)
-    stack.flags.writeable = False
-    return stack
-
-
-def _search_monomial(source: State, target: State, d: int, factor: int) -> np.ndarray:
-    """First monomial, in stack order, mapping source to target on one factor.
-
-    All candidates are scored in one product: the overlap of the target with
-    the source after candidate U on the factor is sum(U * M), where M contracts
-    the conjugate target with the source over every other factor.
-    """
-    left = math.prod(source.radices[:factor])
-    right = math.prod(source.radices[factor + 1 :])
-    shape = (left, d, right)
-    m = np.einsum("lmr,lkr->mk", target.amps.reshape(shape).conj(), source.amps.reshape(shape))
-    stack = _monomial_stack(d)
-    fidelities = np.abs(stack.reshape(len(stack), d * d) @ m.reshape(-1))
-    reached = np.flatnonzero(fidelities >= 1.0 - LOGIC_TOL)
-    if reached.size == 0:
-        raise CalibrationError(
-            "no shift/clock monomial reaches the target state; "
-            "this indicates an inconsistent phase convention"
-        )
-    return stack[reached[0]].copy()
-
-
 def shift_clock_unitary(
     d: int, i: int, j: int, convention: PhaseConvention = LITERAL_CONVENTION
 ) -> np.ndarray:
     """Local unitary on particle A's system factor turning the (0, 0) Bell state into (i, j).
 
-    The matrix is a monomial in the clock and shift matrices. The exact
-    exponents and ordering are found by an exhaustive fidelity search rather
-    than assumed, so the result is correct for either sign convention. All
-    2*d*d candidates X^a Z^b and Z^b X^a, held in one read-only stack per d,
-    are scored in one batched product, and the first in the order
-    a, b, then X^a Z^b before Z^b X^a whose fidelity reaches 1 - LOGIC_TOL
-    is returned, as a search testing one candidate at a time would return.
-
-    Raises:
-        CalibrationError: if no monomial achieves unit fidelity.
+    The closed form X^j Z^b with b = bell_sign * i mod d, the shift applied
+    after the clock. Since X^j Z^b |n> = exp(2j*pi*b*n/d) |(n+j) mod d>, it
+    maps sum_n |n, n> onto the bell_state(d, i, j) sum under either sign
+    convention. Every monomial X^a Z^b is unique up to a phase, so no other
+    shift/clock monomial reaches the target except as a phase multiple.
     """
     _check_index(d, "i", i)
     _check_index(d, "j", j)
-    source = bell_state(d, 0, 0, convention)
-    target = bell_state(d, i, j, convention)
-    return _search_monomial(source, target, d, factor=1)
+    return shift_matrix(d, j) @ clock_matrix(d, (convention.bell_sign * i) % d)

@@ -132,6 +132,18 @@ MUTANTS = (
         "js, flat = np.nonzero(np.abs(coeffs) > 1e-6)",
         "decomposition support threshold raised from LOGIC_TOL to 1e-6",
     ),
+    Mutant(
+        "src/hdbsm/states.py",
+        "shift_matrix(d, j) @ clock_matrix(d, (convention.bell_sign * i) % d)",
+        "shift_matrix(d, j) @ clock_matrix(d, i % d)",
+        "the steering clock exponent ignores the Bell sign",
+    ),
+    Mutant(
+        "src/hdbsm/states.py",
+        "shift_matrix(d, j) @ clock_matrix(d, (convention.bell_sign * i) % d)",
+        "clock_matrix(d, (convention.bell_sign * i) % d) @ shift_matrix(d, j)",
+        "the steering unitary applies the shift before the clock",
+    ),
 )
 
 

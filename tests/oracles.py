@@ -8,12 +8,13 @@ Some oracles are the exception and keep an earlier path of the package:
 it projected whole Bell rows, ``naive_sample_counts`` searches the CDF once
 with every uniform of a single draw, as the sampler did before its search was
 indexed, and ``sequential_search_monomial`` tests one shift/clock monomial at
-a time, as the calibration did before it scored all candidates in one product.
-The ``loop_*`` builders and ``comparison_monomial_stack`` construct the state
-families, the OAM sort, the analyser unitary and the calibration candidates
-one digit at a time, with the arithmetic of the package's array formulas, so
-their results are compared byte for byte. ``hand_built_table`` is how tests
-make a decomposition table from a dict of their own.
+a time, as the package did before it wrote the steering unitary in closed
+form; ``shift_clock_unitary`` must equal its result byte for byte. The
+``loop_*`` builders construct the state families, the OAM sort and the
+analyser unitary one digit at a time, with the arithmetic of the package's
+array formulas, so their results are compared byte for byte.
+``hand_built_table`` is how tests make a decomposition table from a dict of
+their own.
 """
 
 from __future__ import annotations
@@ -160,20 +161,6 @@ def loop_bsa_unitary(d: int, transform: np.ndarray) -> np.ndarray:
     return u
 
 
-def comparison_monomial_stack(d: int) -> np.ndarray:
-    """The 2*d*d candidates X^a Z^b, Z^b X^a, with each X^a found by comparing digits.
-
-    X^a has a one at (r, c) exactly when (r - c) mod d == a, and Z^b the
-    diagonal exp(2j*pi*b*n/d).
-    """
-    n = np.arange(d)
-    shifts = ((n[:, None] - n) % d == n[:, None, None]).astype(np.complex128)
-    clocks = np.zeros((d, d, d), dtype=np.complex128)
-    clocks[:, n, n] = np.exp(2j * np.pi * n[:, None] * n / d)
-    pairs = (shifts[:, None] @ clocks, clocks @ shifts[:, None])
-    return np.stack(pairs, axis=2).reshape(2 * d * d, d, d)
-
-
 def naive_sample_counts(probs, shots: int, seed: int) -> np.ndarray:
     """Flat outcome counts of ``shots`` PCG64 uniforms, all drawn and searched at once."""
     uniforms = np.random.Generator(np.random.PCG64(seed)).random(shots)
@@ -203,7 +190,7 @@ def sequential_search_monomial(source, target, d: int, factor: int) -> np.ndarra
     returns the first whose fidelity reaches 1 - LOGIC_TOL.
     """
     from hdbsm.core import LOGIC_TOL, apply_local_unitary, fidelity
-    from hdbsm.states import CalibrationError, clock_matrix, shift_matrix
+    from hdbsm.states import clock_matrix, shift_matrix
 
     for a in range(d):
         for b in range(d):
@@ -213,7 +200,7 @@ def sequential_search_monomial(source, target, d: int, factor: int) -> np.ndarra
             ):
                 if fidelity(target, apply_local_unitary(source, u, factor)) >= 1.0 - LOGIC_TOL:
                     return u
-    raise CalibrationError("no shift/clock monomial reaches the target state")
+    raise LookupError("no shift/clock monomial reaches the target state")
 
 
 def mask_class_masses(probs, decoding) -> dict:

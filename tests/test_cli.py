@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -789,6 +792,30 @@ class TestStateFileFormat:
         assert err.startswith("error: non-finite amplitude on line 2")
         assert len(err.splitlines()) == 1
 
+    # 1e200 squared overflows the norm's sum of squares to inf
+    HUGE_STATE = "d=2\n1e200 0\n" + "0 0\n" * 15
+    HUGE_NORM_ERROR = (
+        "error: state is not normalized: norm inf deviates from 1 by inf (tolerance 1e-6)\n"
+    )
+
+    def test_huge_finite_amplitude_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "state.txt"
+        path.write_text(self.HUGE_STATE)
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err == self.HUGE_NORM_ERROR
+
+    def test_huge_finite_amplitude_one_line_from_shell(self, tmp_path):
+        # a fresh interpreter prints warnings instead of raising them
+        path = tmp_path / "state.txt"
+        path.write_text(self.HUGE_STATE)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "hdbsm", "classify", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", self.HUGE_NORM_ERROR)
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -806,7 +833,9 @@ class TestStateFileFormat:
 
 _TOKENS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
-    st.sampled_from(["nan", "inf", "-inf", "1e999", "0", "0.25", "1_0", "#", "d=2", "x"]),
+    st.sampled_from(
+        ["nan", "inf", "-inf", "1e999", "1e200", "0", "0.25", "1_0", "#", "d=2", "x"]
+    ),
     st.text(max_size=6),
 )
 _LINES = st.one_of(
