@@ -24,7 +24,7 @@ from . import classifier as cl
 from . import decomposition as dec
 from . import optics
 from .core import MAX_DIMENSION, State, check_dimension
-from .report import RunConfig, build_report, check, render_csv, render_json, write_report
+from .report import build_report, check, render_csv, render_json, write_report
 from .states import (
     ALL_CONVENTIONS,
     BellIndex,
@@ -90,36 +90,46 @@ def _check_bell_args(d: int, i: int, j: int) -> None:
         raise UsageError(f"bell indices ({i}, {j}) out of range for d={d}")
 
 
-def _write_report(text: str, output: str | None) -> None:
-    try:
-        write_report(text, output)
-    except OSError as exc:
-        raise UsageError(f"cannot write report: {exc}") from exc
-
-
 def _check_seed(seed: int) -> None:
     if not 0 <= seed <= MAX_SEED:
         raise UsageError(f"seed must fit in 64 bits, got {seed}")
 
 
-def _emit(command, args, config, payload, checks, fields=None, rows=None) -> int:
-    """Render the report as JSON, or as CSV of ``rows``, write it, and return the exit code."""
-    report = build_report(command, config, payload, checks)
+def _emit(args, d, convention, selection, payload, checks, fields=None, rows=None) -> int:
+    """Render the report as JSON, or as CSV of ``rows``, write it, and return the exit code.
+
+    ``selection`` says how the convention was chosen: auto, explicit or default.
+    Only ``simulate`` has a seed and shots; the other commands echo them as null.
+    """
+    # The output path is deliberately not echoed: report content depends
+    # only on the scientific configuration, so identical configurations
+    # render byte-identical reports wherever they are written.
+    config = {
+        "d": d,
+        "convention": {
+            "bell_sign": convention.bell_sign,
+            "decomp_sign": convention.decomp_sign,
+            "selection": selection,
+        },
+        "seed": getattr(args, "seed", None),
+        "shots": getattr(args, "shots", None),
+        "format": args.format,
+    }
+    report = build_report(args.command, config, payload, checks)
     if args.format == "csv":
         text = render_csv(report, fields, rows)
     else:
         text = render_json(report)
-    _write_report(text, args.output)
+    try:
+        write_report(text, args.output)
+    except OSError as exc:
+        raise UsageError(f"cannot write report: {exc}") from exc
     return 0 if report["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
 # payload serialization helpers
 # ---------------------------------------------------------------------------
-
-
-def _bell_dict(bell: BellIndex) -> dict:
-    return {"i": bell.i, "j": bell.j}
 
 
 def _pair_rows(fields: list[str], d: int, flat: np.ndarray, *columns: list) -> list[dict]:
@@ -148,10 +158,10 @@ def _coincidence_rows(
 
 def _classification_dict(result: cl.Classification) -> dict:
     return {
-        "argmax": _bell_dict(result.bell),
+        "argmax": result.bell._asdict(),
         "confidence": result.confidence,
         "tie": result.tie,
-        "tied_with": [_bell_dict(b) for b in result.tied_with],
+        "tied_with": [b._asdict() for b in result.tied_with],
         "class_masses": [
             {"i": bell.i, "j": bell.j, "mass": mass}
             for bell, mass in sorted(result.class_masses.items())
@@ -159,16 +169,12 @@ def _classification_dict(result: cl.Classification) -> dict:
     }
 
 
-def _law_dict(law: dec.IndexLaw) -> dict:
-    return {"s": law.s, "t": law.t, "m_law_holds": law.m_law_holds}
-
-
 def _audit_dict(table_audit: audit_mod.TableAudit) -> dict:
     rows = []
     for row in table_audit.rows:
         rows.append(
             {
-                "bell": _bell_dict(row.bell),
+                "bell": row.bell._asdict(),
                 "printed": row.printed,
                 "matches": row.matches,
                 "mismatches": [
@@ -233,14 +239,14 @@ def parse_state_file(text: str) -> State:
         if not (math.isfinite(real) and math.isfinite(imag)):
             raise UsageError(f"non-finite amplitude on line {number}: {line!r}")
         amps[idx] = complex(real, imag)
-    with np.errstate(over="ignore"):  # finite amplitudes above ~1e154 overflow to inf
-        norm = float(np.linalg.norm(amps))
+    state = State((d, d, d, d), amps)
+    norm = state.norm()
     if abs(norm - 1.0) > 1e-6:
         raise UsageError(
             f"state is not normalized: norm {norm:.9f} deviates from 1 "
             f"by {abs(norm - 1.0):.3e} (tolerance 1e-6)"
         )
-    return State((d, d, d, d), amps)
+    return state
 
 
 def format_state_file(state: State) -> str:
@@ -259,7 +265,6 @@ def format_state_file(state: State) -> str:
 def _cmd_decompose(args) -> int:
     _check_bell_args(args.d, args.i, args.j)
     convention, selection = _resolve_convention(args.d, args.convention)
-    config = RunConfig(args.d, convention, selection, fmt=args.format)
     table = dec.decompose(args.d, args.i, args.j, convention)
 
     d = args.d
@@ -298,8 +303,8 @@ def _cmd_decompose(args) -> int:
         fields, d, table.flat_support, table.coeffs.real.tolist(), table.coeffs.imag.tolist(),
         magnitudes, table.phase_ints().tolist(),
     )
-    payload = {"bell": _bell_dict(table.bell), "entries": rows}
-    return _emit("decompose", args, config, payload, checks, fields, rows)
+    payload = {"bell": table.bell._asdict(), "entries": rows}
+    return _emit(args, d, convention, selection, payload, checks, fields, rows)
 
 
 def _cmd_verify(args) -> int:
@@ -311,7 +316,6 @@ def _cmd_verify(args) -> int:
     # a structural error, and main reports it.
     search = dec.find_convention(d) if d >= 3 else None
     convention, selection = _resolve_convention(d, args.convention, search)
-    config = RunConfig(d, convention, selection, fmt=args.format)
 
     if search is not None:
         laws = search.laws
@@ -377,7 +381,10 @@ def _cmd_verify(args) -> int:
         for conv in audit_conventions:
             audits.append(_audit_dict(audit_mod.audit_reference_table(d, conv)))
     payload = {
-        "index_laws": {conv.label(): _law_dict(law) for conv, law in laws.items()},
+        "index_laws": {
+            conv.label(): {"s": law.s, "t": law.t, "m_law_holds": law.m_law_holds}
+            for conv, law in laws.items()
+        },
         "matching_conventions": matching,
         "preferred_convention": preferred,
         "phase_law": {
@@ -390,7 +397,7 @@ def _cmd_verify(args) -> int:
         },
         "audits": audits,
     }
-    return _emit("verify", args, config, payload, checks)
+    return _emit(args, d, convention, selection, payload, checks)
 
 
 def _cmd_simulate(args) -> int:
@@ -399,9 +406,6 @@ def _cmd_simulate(args) -> int:
     if args.shots < 0:
         raise UsageError(f"shots must be >= 0, got {args.shots}")
     convention, selection = _resolve_convention(args.d, args.convention)
-    config = RunConfig(
-        args.d, convention, selection, seed=args.seed, shots=args.shots, fmt=args.format
-    )
     result = optics.run_experiment(args.d, args.i, args.j, args.shots, args.seed, convention)
     decoding = cl.build_decoding_table(args.d, convention)
     classification = cl.classify_table(result.probabilities, decoding)
@@ -436,12 +440,12 @@ def _cmd_simulate(args) -> int:
 
     fields, rows = _coincidence_rows(result.probabilities, result.record)
     payload = {
-        "bell": _bell_dict(result.bell),
+        "bell": result.bell._asdict(),
         "equivalence_gap": result.equivalence_gap,
         "classification": _classification_dict(classification),
         "table": rows,
     }
-    return _emit("simulate", args, config, payload, checks, fields, rows)
+    return _emit(args, args.d, convention, selection, payload, checks, fields, rows)
 
 
 def _cmd_classify(args) -> int:
@@ -455,7 +459,6 @@ def _cmd_classify(args) -> int:
     state = parse_state_file(text)
     d = state.radices[0]
     convention, selection = _resolve_convention(d, args.convention)
-    config = RunConfig(d, convention, selection, fmt=args.format)
 
     table = cl.coincidence_probabilities(state, convention)
     if args.noise > 0.0:
@@ -479,7 +482,7 @@ def _cmd_classify(args) -> int:
         "classification": _classification_dict(classification),
     }
     rows = payload["classification"]["class_masses"]
-    return _emit("classify", args, config, payload, checks, ["i", "j", "mass"], rows)
+    return _emit(args, d, convention, selection, payload, checks, ["i", "j", "mass"], rows)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,9 @@ class State:
         return len(self.radices)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        """Euclidean norm; inf when a finite amplitude above ~1e154 overflows its square."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.amps))
 
     def reshaped(self) -> np.ndarray:
         """Read-only view with one axis per tensor factor."""

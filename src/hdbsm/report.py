@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass
 from importlib import resources
 
 from .states import PhaseConvention
@@ -20,43 +19,15 @@ from .states import PhaseConvention
 SCHEMA_VERSION = "1"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation parameters echoed into every report."""
-
-    d: int
-    convention: PhaseConvention
-    selection: str  # how the convention was chosen: auto, explicit or default
-    seed: int | None = None
-    shots: int | None = None
-    fmt: str = "json"
-
-    def as_dict(self) -> dict:
-        # The output path is deliberately not echoed: report content depends
-        # only on the scientific configuration, so identical configurations
-        # render byte-identical reports wherever they are written.
-        return {
-            "d": self.d,
-            "convention": {
-                "bell_sign": self.convention.bell_sign,
-                "decomp_sign": self.convention.decomp_sign,
-                "selection": self.selection,
-            },
-            "seed": self.seed,
-            "shots": self.shots,
-            "format": self.fmt,
-        }
-
-
 def check(name: str, passed: bool, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def build_report(command: str, config: RunConfig, payload: dict, checks: list[dict]) -> dict:
+def build_report(command: str, config: dict, payload: dict, checks: list[dict]) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "config": config.as_dict(),
+        "config": config,
         "payload": payload,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),

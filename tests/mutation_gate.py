@@ -5,7 +5,8 @@ exactly once, the text that replaces it, and the defect that the change plants.
 For every mutant the gate copies ``src``, ``tests`` and ``pyproject.toml`` into
 a fresh temporary directory, applies the change there and runs
 ``python -m pytest -x -q`` on the copy with a fixed ``--hypothesis-seed``. A
-mutant is killed when a test fails (pytest exit code 1).
+mutant is killed when a test fails (pytest exit code 1). After the unmutated
+copy, the mutants run two at a time.
 
 The gate fails when a mutant survives, when a run ends any other way (a
 collection error or a timeout), when an old text does not occur exactly once,
@@ -28,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml")
 HYPOTHESIS_SEED = 0
 TIMEOUT_S = 300
+WORKERS = 2  # mutants tested at once, each in its own pytest process
 PYTEST_ARGS = ("-x", "-q", f"--hypothesis-seed={HYPOTHESIS_SEED}")
 
 
@@ -144,6 +147,151 @@ MUTANTS = (
         "clock_matrix(d, (convention.bell_sign * i) % d) @ shift_matrix(d, j)",
         "the steering unitary applies the shift before the clock",
     ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        '"seed": getattr(args, "seed", None),\n        "shots": getattr(args, "shots", None),',
+        '"seed": getattr(args, "shots", None),\n        "shots": getattr(args, "seed", None),',
+        "the report config swaps seed and shots",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        '"selection": selection,',
+        '"selection": "auto",',
+        "the report config names every convention selection auto",
+    ),
+    # Mutants recorded in CHANGES.md for earlier changes, retargeted to the current code.
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "coeffs = rows @ state.amps.reshape(d * d, d * d) @ rows.T",
+        "coeffs = rows @ state.amps.reshape(d * d, d * d) @ rows",
+        "pair_coefficients projects Alice's side on S^T instead of S",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "rows = decomp_basis(d, decomp_sign).conj()",
+        "rows = decomp_basis(d, decomp_sign)",
+        "the stacked row projection uses S instead of conj(S)",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "scatter = np.ravel_multi_index((j, n, p, (n + j) % d, p), (d,) * 5)",
+        "scatter = np.ravel_multi_index((j, n, p, (n - j) % d, p), (d,) * 5)",
+        "the stacked Bell row shifts Alice's digit by -j",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "conv, flat[start:end], values[start:end])",
+        "conv, flat[start:end][::-1], values[start:end][::-1])",
+        "row-built tables list their entries in descending flat order",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        '    _check_index(d, "j", j)\n    return row[j]',
+        "    return row[j]",
+        "decompose accepts a negative j",
+    ),
+    Mutant(
+        "src/hdbsm/states.py",
+        "np.exp(convention.bell_sign * 2j * np.pi * i * n / d)",
+        "np.exp(convention.bell_sign * 2j * np.pi * (i * n / d))",
+        "Bell state phases rounded in another order",
+    ),
+    Mutant(
+        "src/hdbsm/states.py",
+        "phases = np.exp(decomp_sign * 2j * np.pi * digits[:, None] * digits / d) / np.sqrt(d)",
+        "phases = np.exp(decomp_sign * 2j * np.pi * (digits[:, None] * digits / d)) / np.sqrt(d)",
+        "decomposition basis phases rounded in another order (off in the last bit at d = 6)",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        "any_split = bool(split.any())",
+        "any_split = False",
+        "draws in split cells are never searched",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        'split = first != np.searchsorted(cdf, edges[1:], side="left")',
+        'split = first != np.searchsorted(cdf, edges[:-1], side="left")',
+        "a cell is tested for a split at its lower edge instead of its upper edge",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        "uniforms = (words >> 11) * 2.0**-53",
+        "uniforms = (words >> 12) * 2.0**-52",
+        "split-cell uniforms drop the lowest of their 53 bits",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        'order = np.argsort(classes, kind="stable")',
+        "order = np.argsort(classes)",
+        "class sums add their pairs in an unstable order",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        "in_range = ((self.bell_j >= 0) & (self.bell_j < d)).all()",
+        "in_range = True",
+        "a bell_j outside 0..d-1 may alias another class",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        "bell_i = (t_inv * (kp - law.s * k)) % d",
+        "bell_i = (t_inv * (kp + law.s * k)) % d",
+        "the law inverse adds s*k instead of subtracting it",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "holds = ((s * k + t * i) % d == kp) | ~present",
+        "holds = ((s * i + t * k) % d == kp) | ~present",
+        "the index-law grid swaps the roles of s and t",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "s, t, k, i, kp = np.ix_(*[np.arange(d)] * 5)",
+        "s, t, k, i, kp = np.ix_(np.arange(d - 1), *[np.arange(d)] * 4)",
+        "the index-law grid never tries s = d - 1",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "holds = ((u * a + v * b + w) % d == r) | ~present",
+        "holds = ((u * a + v * b) % d == r) | ~present",
+        "the closed phase form has no constant w",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        'order = np.argsort(bell * d**4 + flat, kind="stable")',
+        "order = np.arange(flat.size)",
+        "the law fits read hand-built entries unsorted",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "bool(((m + j) % d == mp).all())",
+        "bool(((m - j) % d == mp).all())",
+        "the auxiliary law is tested as m' = m - j",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        "sizes = set(np.bincount(classes, minlength=d * d).tolist())",
+        "sizes = {d * d}",
+        "verify takes every decoding class size as d*d",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        "classes = decoding.bell_i[reached] * d + decoding.bell_j[reached]",
+        "classes = (decoding.bell_i * d + decoding.bell_j).reshape(-1)",
+        "verify counts unreached pairs into the class sizes",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        "decoded == {(args.i, args.j)},",
+        "True,",
+        "simulate never checks that every outcome decodes to the input",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        'f"{result.record.shots} outcomes over {int(observed.sum())} pairs"',
+        'f"{result.record.shots} outcomes over {observed.size} pairs"',
+        "the outcome check counts every cell as an observed pair",
+    ),
 )
 
 
@@ -204,15 +352,18 @@ def main() -> int:
     if code != 0:
         print(output)
         return 1
-    failures = 0
-    for mutant in MUTANTS:
+
+    def timed(mutant: Mutant) -> tuple[int | None, str, float]:
         began = time.perf_counter()
-        code, output = run_tests(mutant)
-        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"NO VERDICT (exit {code})")
-        seconds = time.perf_counter() - began
-        print(f"{verdict:<8} {seconds:5.1f} s  {mutant.path}: {mutant.reason}")
-        print(f"{'':16}{first_failure(output)}")
-        failures += code != 1
+        return (*run_tests(mutant), time.perf_counter() - began)
+
+    failures = 0
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        for mutant, (code, output, seconds) in zip(MUTANTS, pool.map(timed, MUTANTS)):
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"NO VERDICT (exit {code})")
+            print(f"{verdict:<8} {seconds:5.1f} s  {mutant.path}: {mutant.reason}")
+            print(f"{'':16}{first_failure(output)}")
+            failures += code != 1
     print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
     return 1 if failures else 0
 

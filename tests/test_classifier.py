@@ -127,6 +127,14 @@ class TestCoincidenceProbabilities:
         with pytest.raises(ValueError):
             coincidence_probabilities(state, LITERAL_CONVENTION)
 
+    def test_overflowing_norm_rejected(self):
+        # A finite amplitude above ~1e154 overflows its square; the documented
+        # error must come out, not numpy's overflow warning (an error here).
+        amps = np.zeros(16, dtype=complex)
+        amps[0] = 1e200
+        with pytest.raises(ValueError, match="^input state norm inf is not 1$"):
+            coincidence_probabilities(State((2, 2, 2, 2), amps), LITERAL_CONVENTION)
+
     def test_wrong_shape_rejected(self):
         state = State((2, 2), np.array([1, 0, 0, 0], dtype=complex))
         with pytest.raises(ValueError):

@@ -73,6 +73,58 @@ def patch_decoding(monkeypatch, edit):
 
     monkeypatch.setattr(cli.cl, "build_decoding_table", doctored)
 
+class TestReportConfig:
+    # (argv, d, bell_sign, decomp_sign, selection, seed, shots, format). The
+    # classify state file is written as "state.txt" for d = 4.
+    CASES = [
+        (["decompose", "-d", "2", "-i", "1", "-j", "1"], 2, 1, 1, "default", None, None, "json"),
+        (["decompose", "-d", "3", "-i", "1", "-j", "2", "--format", "csv"],
+         3, -1, 1, "auto", None, None, "csv"),
+        (["verify", "-d", "4", "--convention=+-"], 4, 1, -1, "explicit", None, None, "json"),
+        (["verify", "-d", "5", "--convention", "auto"], 5, -1, 1, "auto", None, None, "json"),
+        (["simulate", "-d", "2", "-i", "0", "-j", "1"], 2, 1, 1, "default", 0, 0, "json"),
+        (["simulate", "-d", "5", "-i", "2", "-j", "3", "--shots", "777", "--seed", "12345",
+          "--convention=--", "--format", "csv"], 5, -1, -1, "explicit", 12345, 777, "csv"),
+        (["simulate", "-d", "6", "-i", "5", "-j", "0", "--shots", "3", "--seed", str(2**64 - 1),
+          "--convention", "reference"], 6, -1, 1, "explicit", 2**64 - 1, 3, "json"),
+        (["classify", "state.txt", "--noise", "0.3", "--convention", "literal", "--format", "csv"],
+         4, 1, 1, "explicit", None, None, "csv"),
+        (["classify", "state.txt"], 4, -1, 1, "auto", None, None, "json"),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case[0]))
+    def test_whole_config_block(self, tmp_path, capsys, monkeypatch, case):
+        argv, d, bell_sign, decomp_sign, selection, seed, shots, fmt = case
+        monkeypatch.chdir(tmp_path)
+        state = hyperentangled_state(4, 1, 2, REFERENCE_CONVENTION)
+        (tmp_path / "state.txt").write_text(format_state_file(state), encoding="utf-8")
+        reports, build_report = [], cli.build_report
+
+        def spy(*args):
+            reports.append(build_report(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "build_report", spy)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        (report,) = reports
+        assert report["config"] == {
+            "d": d,
+            "convention": {
+                "bell_sign": bell_sign, "decomp_sign": decomp_sign, "selection": selection,
+            },
+            "seed": seed,
+            "shots": shots,
+            "format": fmt,
+        }
+        if fmt == "json":
+            assert json.loads(out)["config"] == report["config"]
+        else:
+            assert f"# d={d}\n" in out
+            assert (f"# seed={seed}\n" in out) == (seed is not None)
+            assert (f"# shots={shots}\n" in out) == (shots is not None)
+
+
 class TestDecomposeCommand:
     def test_d3_origin(self, capsys):
         code, report = run_json(capsys, ["decompose", "-d", "3", "-i", "0", "-j", "0"])
