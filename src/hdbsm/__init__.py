@@ -7,7 +7,6 @@ proposed path/OAM optics.
 """
 
 from .core import (
-    ALGEBRA_TOL,
     LOGIC_TOL,
     State,
     apply_local_unitary,

@@ -24,6 +24,7 @@ class CollisionError(RuntimeError):
 
 
 UNREACHABLE = -1
+NORM_TOL = 1e-6  # largest |norm - 1| of a state that coincidence_probabilities accepts
 
 # Indexed search of sample_outcomes: cells of [0, 1), one per value of a raw
 # 64-bit word's top _CELL_BITS bits, and words drawn per step.
@@ -144,9 +145,9 @@ def coincidence_probabilities(
         convention: phase convention of the decomposition states.
 
     Raises:
-        ValueError: wrong shape or norm off by more than 1e-6.
+        ValueError: wrong shape or norm off by more than NORM_TOL.
     """
-    if abs(state.norm() - 1.0) > 1e-6:
+    if abs(state.norm() - 1.0) > NORM_TOL:
         raise ValueError(f"input state norm {state.norm():.9f} is not 1")
     coeffs = pair_coefficients(state, convention)
     return CoincidenceTable(state.radices[0], np.abs(coeffs) ** 2)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -34,6 +35,9 @@ from .states import (
 )
 
 MAX_SEED = 2**64 - 1
+REPORT_TOL = 1e-9  # magnitudes_uniform, total_weight and probabilities_total pass within it
+ROW_THRESHOLD = 1e-12  # coincidence rows list the pairs above it, or with a count
+_bound = partial(np.format_float_scientific, trim="-", exp_digits=1)  # 1e-9, not str()'s 1e-09
 
 CONVENTION_CHOICES = ("auto", "literal", "reference", "++", "+-", "-+", "--")
 
@@ -141,10 +145,10 @@ def _pair_rows(fields: list[str], d: int, flat: np.ndarray, *columns: list) -> l
 def _coincidence_rows(
     table: cl.CoincidenceTable, record: cl.ShotRecord | None
 ) -> tuple[list[str], list[dict]]:
-    """Fields, and rows in flat order of the pairs with probability above 1e-12 or a count."""
+    """Fields, and rows in flat order of the pairs above ROW_THRESHOLD or with a count."""
     probs = table.probs.reshape(-1)
     fields = ["k", "m", "k_prime", "m_prime", "probability"]
-    shown = probs > 1e-12
+    shown = probs > ROW_THRESHOLD
     if record is not None:
         counts = record.counts.reshape(-1)
         shown |= counts != 0
@@ -208,7 +212,7 @@ def parse_state_file(text: str) -> State:
     Raises:
         UsageError: malformed header, unsupported dimension, malformed or
             non-finite amplitude line, wrong amplitude count, or norm off by
-            more than 1e-6.
+            more than classifier.NORM_TOL.
     """
     lines = [(number, ln.strip()) for number, ln in enumerate(text.splitlines(), start=1)]
     lines = [(number, ln) for number, ln in lines if ln and not ln.startswith("#")]
@@ -241,10 +245,10 @@ def parse_state_file(text: str) -> State:
         amps[idx] = complex(real, imag)
     state = State((d, d, d, d), amps)
     norm = state.norm()
-    if abs(norm - 1.0) > 1e-6:
+    if abs(norm - 1.0) > cl.NORM_TOL:
         raise UsageError(
             f"state is not normalized: norm {norm:.9f} deviates from 1 "
-            f"by {abs(norm - 1.0):.3e} (tolerance 1e-6)"
+            f"by {abs(norm - 1.0):.3e} (tolerance {_bound(cl.NORM_TOL)})"
         )
     return state
 
@@ -288,10 +292,10 @@ def _cmd_decompose(args) -> int:
         ),
         check(
             "magnitudes_uniform",
-            all(abs(mag - 1 / d) <= 1e-9 for mag in magnitudes),
-            f"all coefficient magnitudes within 1e-9 of 1/{d}",
+            all(abs(mag - 1 / d) <= REPORT_TOL for mag in magnitudes),
+            f"all coefficient magnitudes within {_bound(REPORT_TOL)} of 1/{d}",
         ),
-        check("total_weight", abs(weight - 1.0) <= 1e-9, f"squared weight {weight:.12f}"),
+        check("total_weight", abs(weight - 1.0) <= REPORT_TOL, f"squared weight {weight:.12f}"),
         check(
             "aux_shift_law",
             bool(((m + args.j) % d == mp).all()),
@@ -414,11 +418,12 @@ def _cmd_simulate(args) -> int:
         check(
             "pipeline_equivalence",
             result.equivalent,
-            f"max |optics - abstract| = {result.equivalence_gap:.3e} (tolerance 1e-9)",
+            f"max |optics - abstract| = {result.equivalence_gap:.3e} "
+            f"(tolerance {_bound(optics.EQUIVALENCE_TOL)})",
         ),
         check(
             "probabilities_total",
-            abs(result.probabilities.total() - 1.0) <= 1e-9,
+            abs(result.probabilities.total() - 1.0) <= REPORT_TOL,
             f"total probability {result.probabilities.total():.12f}",
         ),
         check(
@@ -472,7 +477,7 @@ def _cmd_classify(args) -> int:
     checks = [
         check(
             "probabilities_total",
-            abs(table.total() - expected_total) <= 1e-9,
+            abs(table.total() - expected_total) <= REPORT_TOL,
             f"total probability {table.total():.12f}",
         ),
     ]

@@ -5,10 +5,8 @@ one per tensor factor. Factor 0 is the most significant digit: the flat
 offset of a digit tuple (n0, n1, ...) is n0 * prod(radices[1:]) + ..., so
 labels read left to right exactly like ket labels |n0 n1 ...>.
 
-Tolerances used throughout the package:
-  * ALGEBRA_TOL (1e-12) for pure algebraic identities,
-  * LOGIC_TOL (1e-9) for zero/nonzero coefficient decisions. All coefficients
-    of interest have magnitude 1/d >= 1/6, eight orders above the threshold.
+LOGIC_TOL decides zero/nonzero coefficients throughout the package; every
+coefficient of interest has magnitude 1/d >= 1/6, eight orders above it.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-ALGEBRA_TOL = 1e-12
 LOGIC_TOL = 1e-9
 
 MAX_DIMENSION = 6
@@ -117,7 +114,7 @@ def fidelity(u: State, v: State) -> float:
     return abs(inner_product(u, v))
 
 
-def fourier_matrix(d: int, sign: int = 1) -> np.ndarray:
+def fourier_matrix(d: int, sign: int) -> np.ndarray:
     """Discrete Fourier matrix with entry (r, c) = exp(sign*2j*pi*r*c/d)/sqrt(d).
 
     Args:

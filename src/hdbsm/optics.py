@@ -25,6 +25,8 @@ from .core import State, apply_local_unitary, check_dimension, fourier_matrix
 from .decomposition import hyperentangled_state
 from .states import BellIndex, PhaseConvention, decomp_basis, shift_clock_unitary
 
+EQUIVALENCE_TOL = 1e-9  # an analyser is equivalent when its operator gap lies strictly below it
+
 
 @lru_cache(maxsize=None)
 def prepare_source(d: int, convention: PhaseConvention) -> State:
@@ -144,8 +146,8 @@ class ExperimentResult:
 
     @property
     def equivalent(self) -> bool:
-        """Analyser operator equals the conjugate decomposition basis within 1e-9."""
-        return self.equivalence_gap < 1e-9
+        """Analyser operator equals the conjugate decomposition basis: gap < EQUIVALENCE_TOL."""
+        return self.equivalence_gap < EQUIVALENCE_TOL
 
 
 def run_experiment(

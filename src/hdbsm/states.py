@@ -36,8 +36,8 @@ class BellIndex(NamedTuple):
 class PhaseConvention:
     """Signs of the phase exponents in the Bell and decomposition families."""
 
-    bell_sign: int = 1
-    decomp_sign: int = 1
+    bell_sign: int
+    decomp_sign: int
 
     def __post_init__(self) -> None:
         if self.bell_sign not in (1, -1) or self.decomp_sign not in (1, -1):

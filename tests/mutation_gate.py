@@ -83,36 +83,36 @@ MUTANTS = (
     Mutant(
         "src/hdbsm/classifier.py",
         "if mass >= best - LOGIC_TOL",
-        "if mass >= best - 1e-6",
-        "classes 1e-6 below the best one tie",
+        "if mass >= best - NORM_TOL",
+        "classes NORM_TOL (1e-6) below the best one tie",
     ),
     Mutant(
         "src/hdbsm/cli.py",
-        "abs(table.total() - expected_total) <= 1e-9,",
-        "abs(table.total() - expected_total) <= 1e-6,",
-        "classify probabilities_total loosened from 1e-9 to 1e-6",
+        "abs(table.total() - expected_total) <= REPORT_TOL,",
+        "abs(table.total() - expected_total) <= cl.NORM_TOL,",
+        "classify probabilities_total reads NORM_TOL (1e-6) instead of REPORT_TOL (1e-9)",
     ),
     Mutant(
         "src/hdbsm/cli.py",
-        "abs(result.probabilities.total() - 1.0) <= 1e-9,",
+        "abs(result.probabilities.total() - 1.0) <= REPORT_TOL,",
         "abs(result.probabilities.total() - 1.0) <= 1e-3,",
         "simulate probabilities_total loosened from 1e-9 to 1e-3",
     ),
     Mutant(
         "src/hdbsm/optics.py",
-        "return self.equivalence_gap < 1e-9",
+        "return self.equivalence_gap < EQUIVALENCE_TOL",
         "return self.equivalence_gap < 1e-3",
         "ExperimentResult.equivalent loosened from 1e-9 to 1e-3",
     ),
     Mutant(
         "src/hdbsm/cli.py",
-        "all(abs(mag - 1 / d) <= 1e-9 for mag in magnitudes)",
+        "all(abs(mag - 1 / d) <= REPORT_TOL for mag in magnitudes)",
         "all(abs(mag - 1 / d) <= 1e-2 for mag in magnitudes)",
         "decompose magnitudes_uniform loosened from 1e-9 to 1e-2",
     ),
     Mutant(
         "src/hdbsm/cli.py",
-        "if abs(norm - 1.0) > 1e-6:",
+        "if abs(norm - 1.0) > cl.NORM_TOL:",
         "if abs(norm - 1.0) > 1e-3:",
         "state-file norm check loosened from 1e-6 to 1e-3",
     ),
@@ -132,8 +132,8 @@ MUTANTS = (
     Mutant(
         "src/hdbsm/decomposition.py",
         "js, flat = np.nonzero(np.abs(coeffs) > LOGIC_TOL)",
-        "js, flat = np.nonzero(np.abs(coeffs) > 1e-6)",
-        "decomposition support threshold raised from LOGIC_TOL to 1e-6",
+        "js, flat = np.nonzero(np.abs(coeffs) > 1e-7)",
+        "decomposition support threshold raised from LOGIC_TOL to 1e-7",
     ),
     Mutant(
         "src/hdbsm/states.py",
@@ -291,6 +291,92 @@ MUTANTS = (
         'f"{result.record.shots} outcomes over {int(observed.sum())} pairs"',
         'f"{result.record.shots} outcomes over {observed.size} pairs"',
         "the outcome check counts every cell as an observed pair",
+    ),
+    # Each named bound loosened at its one definition, and each strict side flipped.
+    Mutant(
+        "src/hdbsm/core.py",
+        "LOGIC_TOL = 1e-9",
+        "LOGIC_TOL = 1e-7",
+        "LOGIC_TOL loosened from 1e-9 to 1e-7",
+    ),
+    Mutant(
+        "src/hdbsm/optics.py",
+        "EQUIVALENCE_TOL = 1e-9",
+        "EQUIVALENCE_TOL = 1e-3",
+        "EQUIVALENCE_TOL loosened from 1e-9 to 1e-3",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        "REPORT_TOL = 1e-9",
+        "REPORT_TOL = 1e-7",
+        "REPORT_TOL loosened from 1e-9 to 1e-7",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        "NORM_TOL = 1e-6",
+        "NORM_TOL = 1e-3",
+        "NORM_TOL loosened from 1e-6 to 1e-3",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        "ROW_THRESHOLD = 1e-12",
+        "ROW_THRESHOLD = 1e-10",
+        "ROW_THRESHOLD raised from 1e-12 to 1e-10",
+    ),
+    Mutant(
+        "src/hdbsm/core.py",
+        "flat = np.flatnonzero(np.abs(self.amps) > tol)",
+        "flat = np.flatnonzero(np.abs(self.amps) >= tol)",
+        "State.nonzero keeps an amplitude exactly at the tolerance",
+    ),
+    Mutant(
+        "src/hdbsm/optics.py",
+        "return self.equivalence_gap < EQUIVALENCE_TOL",
+        "return self.equivalence_gap <= EQUIVALENCE_TOL",
+        "a gap exactly at EQUIVALENCE_TOL counts as equivalent",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        "shown = probs > ROW_THRESHOLD",
+        "shown = probs >= ROW_THRESHOLD",
+        "a probability exactly at ROW_THRESHOLD gets a row",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        'trim="-"',
+        'trim="k"',
+        "reports print a bound as 1.e-9",
+    ),
+    # Survivors of a mechanical sweep that tests now kill.
+    Mutant(
+        "src/hdbsm/cli.py",
+        "0 <= j < d)",
+        "0 <= j <= d)",
+        "decompose and simulate accept j = d and end in a traceback",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        "tie=len(tied) > 1,",
+        "tie=len(tied) > 2,",
+        "an exact tie of two classes is not reported",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        "(self.bell_j < d)",
+        "(self.bell_j <= d)",
+        "a bell_j equal to d may alias the next class",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "if len(fits) > 1:",
+        "if len(fits) > 2:",
+        "exactly two affine fits are not reported as ambiguous",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "amps = amps + coeff * pair.amps",
+        "amps = amps - coeff * pair.amps",
+        "reconstruct rebuilds the state with the opposite global sign",
     ),
 )
 

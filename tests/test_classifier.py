@@ -205,7 +205,17 @@ class TestClassify:
         assert list(got) == list(expected)
         assert [m.hex() for m in got.values()] == [m.hex() for m in expected.values()]
 
-    @pytest.mark.parametrize("defect", ["unreachable", "moved", "j-out-of-range"])
+    def test_exact_two_class_tie(self):
+        d = 3
+        decoding = build_decoding_table(d, REFERENCE_CONVENTION)
+        probs = np.zeros((d,) * 4)
+        for i, j in [(2, 0), (0, 1)]:
+            probs[tuple(np.argwhere((decoding.bell_i == i) & (decoding.bell_j == j))[0])] = 0.5
+        result = classify_table(CoincidenceTable(d, probs), decoding)
+        assert (result.bell, result.tie) == (BellIndex(0, 1), True)
+        assert result.tied_with == (BellIndex(0, 1), BellIndex(2, 0))
+
+    @pytest.mark.parametrize("defect", ["unreachable", "moved", "j-out-of-range", "j-equal-to-d"])
     def test_rejects_decoding_that_is_not_a_partition(self, defect):
         d = 3
         good = build_decoding_table(d, REFERENCE_CONVENTION)
@@ -215,9 +225,13 @@ class TestClassify:
             bell_i[key] = bell_j[key] = UNREACHABLE
         elif defect == "moved":
             bell_i[key], bell_j[key] = 1, 1
-        else:
+        elif defect == "j-out-of-range":
             # i*d + j still names class (0, d-1), so only the range check sees it
             bell_i[key], bell_j[key] = 1, -1
+        else:
+            # likewise (0, d) names class (1, 0)
+            key = tuple(int(x) for x in np.argwhere((bell_i == 1) & (bell_j == 0))[0])
+            bell_i[key], bell_j[key] = 0, d
         decoding = DecodingTable(d, None, bell_i, bell_j)
         table = CoincidenceTable(d, np.full((d,) * 4, 1 / d**4))
         with pytest.raises(ValueError, match="not 9 classes of 9 pairs each"):

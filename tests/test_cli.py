@@ -154,6 +154,11 @@ class TestDecomposeCommand:
         assert main(["decompose", "-d", "3", "-i", "3", "-j", "0"]) == 2
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["decompose", "simulate"])
+    def test_shift_index_equal_to_d_exits_2(self, capsys, command):
+        assert main([command, "-d", "3", "-i", "0", "-j", "3"]) == 2
+        assert capsys.readouterr() == ("", "error: bell indices (0, 3) out of range for d=3\n")
+
     def test_csv_format(self, capsys):
         code = main(["decompose", "-d", "3", "-i", "1", "-j", "0", "--format", "csv"])
         assert code == 0
@@ -655,7 +660,8 @@ class TestDocumentedBounds:
     """Each documented bound: an input at half of it passes, one at twice it fails.
 
     Every case moves one observed quantity off its exact value by ``factor``
-    times the bound and leaves the other checks of the report passing.
+    times the bound's name and leaves the other checks of the report passing.
+    The report text still prints each bound as the literal the docs give.
     """
 
     FACTORS = [(0.5, 0), (2.0, 1)]
@@ -679,7 +685,7 @@ class TestDocumentedBounds:
 
     @pytest.mark.parametrize("factor, exit_code", FACTORS)
     def test_decompose_magnitudes_uniform(self, capsys, monkeypatch, factor, exit_code):
-        delta = factor * 1e-9
+        delta = factor * cli.REPORT_TOL
 
         def spread(coeffs):
             # |c| = 1/3, so these move two magnitudes by +delta and -delta and the
@@ -698,7 +704,7 @@ class TestDocumentedBounds:
 
     @pytest.mark.parametrize("factor, exit_code", FACTORS)
     def test_decompose_total_weight(self, capsys, monkeypatch, factor, exit_code):
-        excess = factor * 1e-9
+        excess = factor * cli.REPORT_TOL
         self.patch_coeffs(monkeypatch, lambda coeffs: coeffs * (1 + excess) ** 0.5)
         code, checks = self.checks(capsys, ["decompose", "-d", "3", "-i", "1", "-j", "2"])
         assert code == exit_code
@@ -745,7 +751,7 @@ class TestDocumentedBounds:
 
     @pytest.mark.parametrize("factor, exit_code", FACTORS)
     def test_simulate_probabilities_total(self, capsys, monkeypatch, factor, exit_code):
-        excess = factor * 1e-9
+        excess = factor * cli.REPORT_TOL
         original = cli.optics.run_experiment
 
         def inflated(*args):
@@ -760,9 +766,10 @@ class TestDocumentedBounds:
             exit_code == 0, f"total probability {1 + excess:.12f}"
         )
 
-    @pytest.mark.parametrize("factor, exit_code", FACTORS)
+    # The gap must lie strictly below its bound, so a gap at the bound fails.
+    @pytest.mark.parametrize("factor, exit_code", [(0.5, 0), (1.0, 1), (2.0, 1)])
     def test_simulate_pipeline_equivalence(self, capsys, monkeypatch, factor, exit_code):
-        gap = factor * 1e-9
+        gap = factor * cli.optics.EQUIVALENCE_TOL
         original = cli.optics.run_experiment
 
         def drifted(*args):
@@ -780,7 +787,7 @@ class TestDocumentedBounds:
     def test_classify_probabilities_total(
         self, tmp_path, capsys, monkeypatch, factor, exit_code
     ):
-        excess = factor * 1e-9
+        excess = factor * cli.REPORT_TOL
         path = tmp_path / "state.txt"
         path.write_text(format_state_file(hyperentangled_state(3, 1, 2, REFERENCE_CONVENTION)))
         original = cli.cl.coincidence_probabilities
@@ -797,7 +804,7 @@ class TestDocumentedBounds:
 
     @pytest.mark.parametrize("factor, exit_code", [(0.5, 0), (2.0, 2)])
     def test_state_file_norm(self, tmp_path, capsys, factor, exit_code):
-        excess = factor * 1e-6
+        excess = factor * cli.cl.NORM_TOL
         state = hyperentangled_state(3, 1, 2, REFERENCE_CONVENTION)
         path = tmp_path / "state.txt"
         path.write_text(format_state_file(State(state.radices, state.amps * (1 + excess))))

@@ -161,7 +161,7 @@ class TestFourierMatrix:
 
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
-            fourier_matrix(1)
+            fourier_matrix(1, 1)
 
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):

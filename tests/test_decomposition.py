@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hdbsm import decomposition, states
-from hdbsm.core import State, fidelity
+from hdbsm.core import State
 from hdbsm.decomposition import (
     DecompositionTable,
     IndexLaw,
@@ -123,10 +123,11 @@ class TestDecompose:
 
     @pytest.mark.parametrize("conv", BOTH_MAIN, ids=lambda c: c.label())
     def test_parseval_reconstruction(self, conv):
+        # amplitude for amplitude: a fidelity would forgive a global phase
         for (d, i, j) in [(2, 1, 1), (3, 2, 1), (4, 2, 3)]:
-            table = decompose(d, i, j, conv)
-            rebuilt = reconstruct(table)
-            assert fidelity(rebuilt, hyperentangled_state(d, i, j, conv)) > 1 - 1e-9
+            rebuilt = reconstruct(decompose(d, i, j, conv))
+            expected = hyperentangled_state(d, i, j, conv)
+            np.testing.assert_allclose(rebuilt.amps, expected.amps, rtol=0, atol=1e-12)
 
     def test_d2_conventions_degenerate(self):
         tables = [decompose_all(2, conv) for conv in ALL_CONVENTIONS]
@@ -265,6 +266,19 @@ class TestIndexLaw:
         with pytest.raises(NoAffineLawError) as info:
             fit_index_law(ambiguous)
         assert str(info.value) == "ambiguous affine law at d=3: [(0, 0), (1, 0), (2, 0)]"
+
+    def test_two_fits_are_ambiguous(self):
+        # k = 0 and k' = i everywhere: t = 1, and s may be either digit
+        ambiguous = {
+            BellIndex(i, j): oracles.hand_built_table(
+                2, BellIndex(i, j), LITERAL_CONVENTION, {(0, 0, i, j): 1 / 2}
+            )
+            for i in range(2)
+            for j in range(2)
+        }
+        with pytest.raises(NoAffineLawError) as info:
+            fit_index_law(ambiguous)
+        assert str(info.value) == "ambiguous affine law at d=2: [(0, 1), (1, 1)]"
 
     def test_decode_inverts_law(self):
         for d in (2, 3, 4, 5):
