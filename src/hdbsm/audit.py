@@ -18,6 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from .states import BellIndex, PhaseConvention
 from .decomposition import decompose_all
 
@@ -146,6 +148,7 @@ def audit_reference_table(d: int, convention: PhaseConvention) -> TableAudit:
     tables = decompose_all(d, convention)
     rows = []
     for bell in sorted(printed_rows):
-        computed = tables[bell].support()
+        digits = np.unravel_index(tables[bell].flat_support, (d,) * 4)
+        computed = frozenset(zip(*(digit.tolist() for digit in digits)))
         rows.append(_audit_row(bell, printed_rows[bell], computed))
     return TableAudit(_SOURCES[d], d, convention, tuple(rows))

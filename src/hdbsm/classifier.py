@@ -44,7 +44,6 @@ class DecodingTable:
     """
 
     d: int
-    convention: PhaseConvention | None
     bell_i: np.ndarray
     bell_j: np.ndarray
 
@@ -76,20 +75,21 @@ def build_decoding_table(d: int, convention: PhaseConvention) -> DecodingTable:
         CollisionError: two Bell indices share an outcome pair, which would
             falsify distinguishability and must not occur.
     """
-    bell_i = np.full((d, d, d, d), UNREACHABLE, dtype=np.int64)
-    bell_j = np.full((d, d, d, d), UNREACHABLE, dtype=np.int64)
+    bell_i = np.full(d**4, UNREACHABLE, dtype=np.int64)
+    bell_j = np.full(d**4, UNREACHABLE, dtype=np.int64)
     for bell, table in decompose_all(d, convention).items():
-        for key in table.entries:
-            if bell_i[key] != UNREACHABLE:
-                claimed = BellIndex(int(bell_i[key]), int(bell_j[key]))
+        for flat in table.flat_support.tolist():
+            if bell_i[flat] != UNREACHABLE:
+                pair = tuple(int(n) for n in np.unravel_index(flat, (d,) * 4))
+                claimed = BellIndex(int(bell_i[flat]), int(bell_j[flat]))
                 raise CollisionError(
-                    f"outcome pair {key} claimed by both {claimed} and {bell}"
+                    f"outcome pair {pair} claimed by both {claimed} and {bell}"
                 )
-            bell_i[key] = bell.i
-            bell_j[key] = bell.j
+            bell_i[flat] = bell.i
+            bell_j[flat] = bell.j
     bell_i.flags.writeable = False
     bell_j.flags.writeable = False
-    return DecodingTable(d, convention, bell_i, bell_j)
+    return DecodingTable(d, bell_i.reshape((d,) * 4), bell_j.reshape((d,) * 4))
 
 
 def decoding_table_from_law(law: IndexLaw) -> DecodingTable:
@@ -105,7 +105,7 @@ def decoding_table_from_law(law: IndexLaw) -> DecodingTable:
     bell_j = (mp - m) % d
     bell_i.flags.writeable = False
     bell_j.flags.writeable = False
-    return DecodingTable(d, None, bell_i, bell_j)
+    return DecodingTable(d, bell_i, bell_j)
 
 
 @dataclass(frozen=True, eq=False)

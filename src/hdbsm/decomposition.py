@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from types import MappingProxyType
-from typing import Mapping
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,16 +101,6 @@ class DecompositionTable:
             raise ValueError(f"pair index outside [0, {self.d**4}) at d={self.d}")
         if (np.diff(np.sort(flat)) == 0).any():
             raise ValueError(f"repeated pair index in {flat.tolist()}")
-
-    @cached_property
-    def entries(self) -> Mapping[tuple[int, int, int, int], complex]:
-        """Read-only map (k, m, k', m') -> coefficient, in ``flat_support`` order."""
-        digits = np.unravel_index(self.flat_support, (self.d,) * 4)
-        keys = zip(*(digit.tolist() for digit in digits))
-        return MappingProxyType(dict(zip(keys, self.coeffs.tolist())))
-
-    def support(self) -> frozenset[tuple[int, int, int, int]]:
-        return frozenset(self.entries)
 
     def squared_weight(self) -> float:
         return float(sum(abs(c) ** 2 for c in self.coeffs.tolist()))
@@ -225,7 +213,8 @@ def reconstruct(table: DecompositionTable) -> State:
     """Rebuild the joint state from its table, for round-trip checks."""
     d = table.d
     amps = np.zeros(d**4, dtype=np.complex128)
-    for (k, m, kp, mp), coeff in table.entries.items():
+    for flat, coeff in zip(table.flat_support.tolist(), table.coeffs.tolist()):
+        k, m, kp, mp = np.unravel_index(flat, (d,) * 4)
         pair = tensor_product(
             decomp_state(d, k, m, table.convention),
             decomp_state(d, kp, mp, table.convention),

@@ -76,7 +76,7 @@ def _check_index(d: int, name: str, value: int) -> None:
         raise ValueError(f"{name}={value} out of range for dimension {d}")
 
 
-def bell_state(d: int, i: int, j: int, convention: PhaseConvention = LITERAL_CONVENTION) -> State:
+def bell_state(d: int, i: int, j: int, convention: PhaseConvention) -> State:
     """Two-particle Bell state on the system degree of freedom.
 
     Shape (d, d), factor 0 the first particle's digit (particle B), factor 1
@@ -99,9 +99,7 @@ def aux_state(d: int) -> State:
     return State((d, d), amps.reshape(-1) / np.sqrt(d))
 
 
-def decomp_state(
-    d: int, k: int, m: int, convention: PhaseConvention = LITERAL_CONVENTION
-) -> State:
+def decomp_state(d: int, k: int, m: int, convention: PhaseConvention) -> State:
     """Single-particle decomposition state across system and auxiliary factors.
 
     Shape (d, d), factor 0 the system digit, factor 1 the auxiliary digit:
@@ -148,9 +146,7 @@ def shift_matrix(d: int, exponent: int = 1) -> np.ndarray:
     return u
 
 
-def shift_clock_unitary(
-    d: int, i: int, j: int, convention: PhaseConvention = LITERAL_CONVENTION
-) -> np.ndarray:
+def shift_clock_unitary(d: int, i: int, j: int, convention: PhaseConvention) -> np.ndarray:
     """Local unitary on particle A's system factor turning the (0, 0) Bell state into (i, j).
 
     The closed form X^j Z^b with b = bell_sign * i mod d, the shift applied

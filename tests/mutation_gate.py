@@ -378,6 +378,59 @@ MUTANTS = (
         "amps = amps - coeff * pair.amps",
         "reconstruct rebuilds the state with the opposite global sign",
     ),
+    Mutant(
+        "src/hdbsm/audit.py",
+        "return not (self.mismatches or self.duplicates or self.missing)",
+        "return not (self.mismatches and self.duplicates and self.missing)",
+        "a row with one kind of defect counts as clean",
+    ),
+    Mutant(
+        "src/hdbsm/audit.py",
+        "repeated_bob=tuple(sorted(b for b, c in bob_counts.items() if c > 1)),",
+        "repeated_bob=tuple(sorted(b for b, c in bob_counts.items() if c > 2)),",
+        "a Bob index printed exactly twice is not reported",
+    ),
+    Mutant(
+        "src/hdbsm/audit.py",
+        "enumerate(text.splitlines(), start=1)",
+        "enumerate(text.splitlines(), start=2)",
+        "a transcription error names the line after the bad one",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "if len(radices) != 4 or len(set(radices)) != 1:",
+        "if len(radices) != 4 and len(set(radices)) != 1:",
+        "pair_coefficients accepts a state that fails one of its two shape checks",
+    ),
+    Mutant(
+        "src/hdbsm/optics.py",
+        "if len(state.radices) != 2 or state.radices[0] != state.radices[1]:",
+        "if len(state.radices) != 2 and state.radices[0] != state.radices[1]:",
+        "oam_sort accepts a state that fails one of its two shape checks",
+    ),
+    Mutant(
+        "src/hdbsm/core.py",
+        "if u.ndim != 2 or u.shape[0] != u.shape[1]:",
+        "if u.ndim != 2 and u.shape[0] != u.shape[1]:",
+        "is_unitary multiplies out a non-square matrix instead of rejecting it",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        "            if bell_i[flat] != UNREACHABLE:\n"
+        "                pair = tuple(int(n) for n in np.unravel_index(flat, (d,) * 4))\n"
+        "                claimed = BellIndex(int(bell_i[flat]), int(bell_j[flat]))\n"
+        "                raise CollisionError(\n"
+        '                    f"outcome pair {pair} claimed by both {claimed} and {bell}"\n'
+        "                )\n",
+        "",
+        "the decoding table lets a later Bell index overwrite a claimed pair",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        "bell_j[flat] = bell.j",
+        "bell_j[flat] = bell.i",
+        "the decoding table writes the phase index into bell_j",
+    ),
 )
 
 

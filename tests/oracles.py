@@ -14,7 +14,7 @@ form; ``shift_clock_unitary`` must equal its result byte for byte. The
 analyser unitary one digit at a time, with the arithmetic of the package's
 array formulas, so their results are compared byte for byte.
 ``hand_built_table`` is how tests make a decomposition table from a dict of
-their own.
+their own, and ``table_entries`` reads a table back as such a dict.
 """
 
 from __future__ import annotations
@@ -117,6 +117,16 @@ def hand_built_table(d: int, bell, convention, entries: dict):
     flat = [((k * d + m) * d + kp) * d + mp for k, m, kp, mp in entries]
     coeffs = np.array(list(entries.values()), dtype=np.complex128)
     return DecompositionTable(d, bell, convention, np.array(flat, dtype=np.intp), coeffs)
+
+
+def table_entries(table) -> dict:
+    """(k, m, k', m') -> coefficient of a decomposition table, in ``flat_support`` order."""
+    d = table.d
+    entries = {}
+    for flat, coeff in zip(table.flat_support.tolist(), table.coeffs.tolist()):
+        bob, alice = divmod(flat, d * d)
+        entries[(*divmod(bob, d), *divmod(alice, d))] = coeff
+    return entries
 
 
 def loop_bell_amps(d: int, i: int, j: int, bell_sign: int = 1) -> np.ndarray:

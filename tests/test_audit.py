@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
+from hdbsm import audit as audit_mod
 from hdbsm.audit import audit_reference_table, load_reference_table
 from hdbsm.states import BellIndex, LITERAL_CONVENTION, REFERENCE_CONVENTION
 
@@ -18,6 +21,14 @@ class TestTranscriptions:
     def test_unknown_dimension(self):
         with pytest.raises(ValueError):
             load_reference_table(5)
+
+    def test_bad_line_names_its_line_number(self, monkeypatch, tmp_path):
+        text = "# comment\n\n0 0 : 0 0 0 0\n0 0 : 1 0 2\n"
+        (tmp_path / "reference_decomposition_d3.txt").write_text(text)
+        monkeypatch.setattr(audit_mod, "resources", SimpleNamespace(files=lambda package: tmp_path))
+        with pytest.raises(ValueError) as info:
+            load_reference_table(3)
+        assert str(info.value) == "bad transcription line 4: '0 0 : 1 0 2'"
 
     def test_known_misprints_preserved(self):
         rows = load_reference_table(3)
@@ -103,6 +114,42 @@ class TestAuditUnderLiteralConvention:
         for i in (1, 2):
             for j in range(3):
                 assert len(audit.row(i, j).mismatches) == 9
+
+
+# The computed support of Bell (0, 0) at d = 3, printed without a misprint.
+ORIGIN_ROW = [
+    (0, 0, 0, 0), (1, 0, 2, 0), (2, 0, 1, 0),
+    (0, 1, 0, 1), (1, 1, 2, 1), (2, 1, 1, 1),
+    (0, 2, 0, 2), (1, 2, 2, 2), (2, 2, 1, 2),
+]
+
+
+class TestSingleDefectRows:
+    """The d = 3 origin row printed with one defect, audited under the reference convention."""
+
+    @pytest.mark.parametrize(
+        "printed, mismatches, duplicates, missing, repeated_bob, repeated_alice",
+        [
+            (ORIGIN_ROW + [(0, 0, 1, 0)], (((0, 0, 1, 0), (0, 0, 0, 0)),), (), (), ((0, 0),),
+             ((1, 0),)),
+            (ORIGIN_ROW + [(1, 1, 2, 1)], (), ((1, 1, 2, 1),), (), ((1, 1),), ((2, 1),)),
+            (ORIGIN_ROW[:-1], (), (), ((2, 2, 1, 2),), (), ()),
+        ],
+        ids=["mismatch", "duplicate", "missing"],
+    )
+    def test_one_defect_makes_the_row_unclean(
+        self, monkeypatch, printed, mismatches, duplicates, missing, repeated_bob, repeated_alice
+    ):
+        monkeypatch.setattr(audit_mod, "load_reference_table", lambda d: {BellIndex(0, 0): printed})
+        table_audit = audit_reference_table(3, REFERENCE_CONVENTION)
+        row = table_audit.row(0, 0)
+        assert row.mismatches == mismatches
+        assert row.duplicates == duplicates
+        assert row.missing == missing
+        assert row.repeated_bob == repeated_bob
+        assert row.repeated_alice == repeated_alice
+        assert not row.clean
+        assert not table_audit.clean
 
 
 class TestAuditD4:

@@ -70,8 +70,8 @@ class TestDecodingTable:
 
     def test_collision_detected(self, monkeypatch):
         tables = dict(decompose_all(2, LITERAL_CONVENTION))
-        stolen = next(iter(tables[BellIndex(0, 0)].entries))
-        doctored = dict(tables[BellIndex(1, 0)].entries)
+        stolen = next(iter(oracles.table_entries(tables[BellIndex(0, 0)])))
+        doctored = oracles.table_entries(tables[BellIndex(1, 0)])
         doctored[stolen] = 0.5
         tables[BellIndex(1, 0)] = oracles.hand_built_table(
             2, BellIndex(1, 0), LITERAL_CONVENTION, doctored
@@ -79,6 +79,23 @@ class TestDecodingTable:
         monkeypatch.setattr(cl, "decompose_all", lambda d, conv: tables)
         with pytest.raises(CollisionError):
             build_decoding_table(2, LITERAL_CONVENTION)
+
+    def test_collision_message_names_first_claim_in_table_order(self, monkeypatch):
+        # Bell (1, 2) also lists a pair of Bell (0, 0), then a pair of Bell
+        # (0, 1) with a smaller flat index; the first in its own order is reported.
+        tables = dict(decompose_all(3, LITERAL_CONVENTION))
+        doctored = oracles.table_entries(tables[BellIndex(1, 2)])
+        doctored[(2, 1, 1, 1)] = 1 / 3
+        doctored[(0, 0, 0, 1)] = 1 / 3
+        tables[BellIndex(1, 2)] = oracles.hand_built_table(
+            3, BellIndex(1, 2), LITERAL_CONVENTION, doctored
+        )
+        monkeypatch.setattr(cl, "decompose_all", lambda d, conv: tables)
+        with pytest.raises(CollisionError) as info:
+            build_decoding_table(3, LITERAL_CONVENTION)
+        assert str(info.value) == (
+            "outcome pair (2, 1, 1, 1) claimed by both BellIndex(i=0, j=0) and BellIndex(i=1, j=2)"
+        )
 
 
 class TestCoincidenceTable:
@@ -232,7 +249,7 @@ class TestClassify:
             # likewise (0, d) names class (1, 0)
             key = tuple(int(x) for x in np.argwhere((bell_i == 1) & (bell_j == 0))[0])
             bell_i[key], bell_j[key] = 0, d
-        decoding = DecodingTable(d, None, bell_i, bell_j)
+        decoding = DecodingTable(d, bell_i, bell_j)
         table = CoincidenceTable(d, np.full((d,) * 4, 1 / d**4))
         with pytest.raises(ValueError, match="not 9 classes of 9 pairs each"):
             classify_table(table, decoding)

@@ -69,7 +69,7 @@ def patch_decoding(monkeypatch, edit):
         table = original(d, convention)
         bell_i, bell_j = table.bell_i.copy(), table.bell_j.copy()
         edit(bell_i, bell_j)
-        return cli.cl.DecodingTable(d, convention, bell_i, bell_j)
+        return cli.cl.DecodingTable(d, bell_i, bell_j)
 
     monkeypatch.setattr(cli.cl, "build_decoding_table", doctored)
 

@@ -168,6 +168,15 @@ class TestFourierMatrix:
             fourier_matrix(3, 2)
 
 
+class TestIsUnitary:
+    def test_fourier_matrix_is_unitary(self):
+        assert core.is_unitary(fourier_matrix(3, 1))
+
+    def test_non_square_matrix_is_not_unitary(self):
+        # two axes, so only the square check fails; its rows are orthonormal
+        assert core.is_unitary(np.eye(2, 3)) is False
+
+
 class TestApplyLocalUnitary:
     def test_identity(self):
         rng = np.random.default_rng(20)

@@ -60,7 +60,7 @@ class TestDecompose:
         # matches the reference table's first row exactly (both conventions
         # agree on this row)
         table = decompose(3, 0, 0, LITERAL_CONVENTION)
-        assert table.support() == {
+        assert set(oracles.table_entries(table)) == {
             (0, 0, 0, 0), (1, 0, 2, 0), (2, 0, 1, 0),
             (0, 1, 0, 1), (1, 1, 2, 1), (2, 1, 1, 1),
             (0, 2, 0, 2), (1, 2, 2, 2), (2, 2, 1, 2),
@@ -69,19 +69,20 @@ class TestDecompose:
     def test_literal_i1_support_differs_from_reference_row(self):
         # the literal signs give k' = (i - k) mod 3, not the printed row
         table = decompose(3, 1, 0, LITERAL_CONVENTION)
-        assert table.support() == {(k, m, (1 - k) % 3, m) for k in range(3) for m in range(3)}
+        support = set(oracles.table_entries(table))
+        assert support == {(k, m, (1 - k) % 3, m) for k in range(3) for m in range(3)}
 
     @pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=lambda c: c.label())
     def test_matches_naive_oracle_d3(self, conv):
         for i in range(3):
             for j in range(3):
-                got = decompose(3, i, j, conv)
+                got = oracles.table_entries(decompose(3, i, j, conv))
                 expected = oracles.naive_sum_decompose(
                     3, i, j, conv.bell_sign, conv.decomp_sign
                 )
-                assert set(got.entries) == set(expected)
+                assert set(got) == set(expected)
                 for key in expected:
-                    assert abs(got.entries[key] - expected[key]) < 1e-12
+                    assert abs(got[key] - expected[key]) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -101,13 +102,22 @@ class TestDecompose:
         for key, coeff in expected.items():
             assert abs(got[key] - coeff) < 1e-12
 
+    # Each shape fails exactly one check: the factor count or the equal radices.
+    @pytest.mark.parametrize("radices", [(3, 3, 3), (2, 2, 2, 3)])
+    def test_pair_coefficients_rejects_bad_shape(self, radices):
+        state = State(radices, np.eye(math.prod(radices))[0])
+        with pytest.raises(ValueError) as info:
+            pair_coefficients(state, LITERAL_CONVENTION)
+        assert str(info.value) == f"expected shape (d, d, d, d), got {radices}"
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("conv", BOTH_MAIN, ids=lambda c: c.label())
     def test_structure_invariants(self, d, conv):
         for bell, table in decompose_all(d, conv).items():
-            assert len(table.entries) == d * d
+            entries = oracles.table_entries(table)
+            assert len(entries) == d * d
             assert abs(table.squared_weight() - 1.0) < 1e-9
-            for (k, m, kp, mp), coeff in table.entries.items():
+            for (k, m, kp, mp), coeff in entries.items():
                 assert abs(abs(coeff) - 1 / d) < 1e-9
                 assert mp == (m + bell.j) % d
 
@@ -116,7 +126,7 @@ class TestDecompose:
         conv = REFERENCE_CONVENTION
         seen: dict = {}
         for bell, table in decompose_all(d, conv).items():
-            for key in table.entries:
+            for key in oracles.table_entries(table):
                 assert key not in seen, f"{key} shared by {seen.get(key)} and {bell}"
                 seen[key] = bell
         assert len(seen) == d**4
@@ -134,9 +144,11 @@ class TestDecompose:
         reference = tables[0]
         for other in tables[1:]:
             for bell in reference:
-                assert reference[bell].support() == other[bell].support()
-                for key, coeff in reference[bell].entries.items():
-                    assert abs(coeff - other[bell].entries[key]) < 1e-12
+                expected = oracles.table_entries(reference[bell])
+                got = oracles.table_entries(other[bell])
+                assert set(expected) == set(got)
+                for key, coeff in expected.items():
+                    assert abs(coeff - got[key]) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=lambda c: c.label())
@@ -148,9 +160,10 @@ class TestDecompose:
         for i in range(d):
             for j in range(d):
                 expected = oracles.naive_decompose(d, i, j, conv)
-                for got in (decompose(d, i, j, conv), tables[BellIndex(i, j)]):
-                    assert list(got.entries) == list(expected)
-                    assert hexes(got.entries) == hexes(expected)
+                for table in (decompose(d, i, j, conv), tables[BellIndex(i, j)]):
+                    got = oracles.table_entries(table)
+                    assert list(got) == list(expected)
+                    assert hexes(got) == hexes(expected)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -183,11 +196,11 @@ class TestDecompose:
         assert decompose(4, 2, 3, REFERENCE_CONVENTION) is tables[BellIndex(2, 3)]
 
     def test_shared_entries_are_read_only(self):
-        entries = decompose(3, 1, 2, REFERENCE_CONVENTION).entries
-        with pytest.raises(TypeError):
-            entries[(0, 0, 0, 0)] = 1.0
-        with pytest.raises(TypeError):
-            del entries[next(iter(entries))]
+        table = decompose(3, 1, 2, REFERENCE_CONVENTION)
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat_support[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            table.coeffs[0] = 1.0
 
     @pytest.mark.parametrize(
         "d, i, j, message",
@@ -243,8 +256,7 @@ class TestIndexLaw:
 
     def test_non_affine_support_detected(self):
         tables = dict(decompose_all(3, LITERAL_CONVENTION))
-        doctored = tables[BellIndex(0, 0)]
-        entries = dict(doctored.entries)
+        entries = oracles.table_entries(tables[BellIndex(0, 0)])
         coeff = entries.pop((0, 0, 0, 0))
         entries[(0, 0, 2, 0)] = coeff  # break the affine pattern
         tables[BellIndex(0, 0)] = oracles.hand_built_table(
@@ -313,7 +325,7 @@ class TestPhaseLaw:
         for conv in ALL_CONVENTIONS:
             for i in range(3):
                 table = decompose(3, i, 0, conv)
-                for coeff in table.entries.values():
+                for coeff in table.coeffs.tolist():
                     assert abs(coeff.imag) < 1e-12
                     assert coeff.real > 0
 
@@ -322,7 +334,7 @@ class TestPhaseLaw:
         tables = decompose_all(4, conv)
         law = fit_phase_law(tables)
         for bell, table in tables.items():
-            for (k, m, kp, mp), coeff in table.entries.items():
+            for (k, m, kp, mp), coeff in oracles.table_entries(table).items():
                 r = law.table[(k, m, bell.i, bell.j)]
                 predicted = np.exp(2j * np.pi * r / 4) / 4
                 assert abs(coeff - predicted) < 1e-9
@@ -330,13 +342,12 @@ class TestPhaseLaw:
     def test_magnitudes_uniform(self):
         for d in (2, 3, 4, 5):
             for table in decompose_all(d, REFERENCE_CONVENTION).values():
-                for coeff in table.entries.values():
+                for coeff in table.coeffs.tolist():
                     assert abs(abs(coeff) - 1 / d) < 1e-9
 
     def test_non_root_of_unity_detected(self):
         tables = dict(decompose_all(3, LITERAL_CONVENTION))
-        doctored = tables[BellIndex(1, 1)]
-        entries = dict(doctored.entries)
+        entries = oracles.table_entries(tables[BellIndex(1, 1)])
         key = next(iter(entries))
         entries[key] = entries[key] * np.exp(0.1j)
         tables[BellIndex(1, 1)] = oracles.hand_built_table(
@@ -387,7 +398,7 @@ class TestFindConvention:
         # d = 6 is the largest supported dimension
         tables = decompose_all(6, REFERENCE_CONVENTION)
         for bell, table in tables.items():
-            assert len(table.entries) == 36
+            assert len(oracles.table_entries(table)) == 36
             assert abs(table.squared_weight() - 1.0) < 1e-9
 
 
@@ -406,7 +417,8 @@ class TestExactOracle:
     def test_supports_and_phase_integers(self, d, conv):
         exact = oracles.exact_decomposition(d, conv.bell_sign, conv.decomp_sign)
         for bell, table in decompose_all(d, conv).items():
-            assert dict(zip(table.entries, table.phase_ints().tolist())) == exact[bell]
+            phases = dict(zip(oracles.table_entries(table), table.phase_ints().tolist()))
+            assert phases == exact[bell]
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=lambda c: c.label())
@@ -444,9 +456,10 @@ class TestExactOracle:
         exact = oracles.exact_decomposition(d, conv.bell_sign, conv.decomp_sign)
         bound = self.ULP_BOUND * math.ulp(1 / d)
         for bell, table in decompose_all(d, conv).items():
+            entries = oracles.table_entries(table)
             for key, r in exact[bell].items():
                 angle = 2 * math.pi * r / d
-                coeff = table.entries[key]
+                coeff = entries[key]
                 assert abs(coeff.real - math.cos(angle) / d) <= bound
                 assert abs(coeff.imag - math.sin(angle) / d) <= bound
 

@@ -132,9 +132,16 @@ class TestOamSort:
         state = rand_single(np.random.default_rng(60 + d), d)
         assert oam_sort(state).amps.tobytes() == oracles.loop_oam_sort(state.reshaped()).tobytes()
 
+    # Each input fails exactly one check: the factor count or the equal radices.
     def test_rejects_joint_states(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             oam_sort(State((2, 2, 2, 2), np.eye(16)[0]))
+        assert str(info.value) == "expected a single-particle (d, d) state, got (2, 2, 2, 2)"
+
+    def test_rejects_unequal_radices(self):
+        with pytest.raises(ValueError) as info:
+            oam_sort(State((2, 3), np.eye(6)[0]))
+        assert str(info.value) == "expected a single-particle (d, d) state, got (2, 3)"
 
 
 class TestAnalyse:
@@ -288,4 +295,4 @@ class TestRunExperiment:
         result = run_experiment(3, 2, 1, shots=0, seed=0, convention=conv)
         support = np.argwhere(result.probabilities.probs > 1e-12).tolist()
         table = decompose(3, 2, 1, conv)
-        assert {tuple(p) for p in support} == table.support()
+        assert {tuple(p) for p in support} == set(oracles.table_entries(table))

@@ -32,7 +32,7 @@ class TestLiteralConformance:
     @pytest.mark.parametrize("ij", sorted(BELL_D3_LITERAL))
     def test_bell_d3(self, ij):
         i, j = ij
-        assert_state_equals(bell_state(3, i, j), BELL_D3_LITERAL[ij], S3)
+        assert_state_equals(bell_state(3, i, j, LITERAL_CONVENTION), BELL_D3_LITERAL[ij], S3)
 
     def test_aux_d3(self):
         assert_state_equals(aux_state(3), {(p, p): 1 for p in range(3)}, S3)
@@ -40,13 +40,13 @@ class TestLiteralConformance:
     @pytest.mark.parametrize("km", sorted(DECOMP_D3_LITERAL))
     def test_decomp_d3(self, km):
         k, m = km
-        assert_state_equals(decomp_state(3, k, m), DECOMP_D3_LITERAL[km], S3)
+        assert_state_equals(decomp_state(3, k, m, LITERAL_CONVENTION), DECOMP_D3_LITERAL[km], S3)
 
     def test_decomp_matches_naive_oracle(self):
         for k in range(3):
             for m in range(3):
                 expected = oracles.naive_decomp(3, k, m)
-                got = decomp_state(3, k, m).nonzero(tol=1e-12)
+                got = decomp_state(3, k, m, LITERAL_CONVENTION).nonzero(tol=1e-12)
                 assert set(got) == set(expected)
                 for label in expected:
                     assert abs(got[label] - expected[label]) < 1e-12
@@ -55,12 +55,12 @@ class TestLiteralConformance:
 class TestBellStates:
     def test_d2_singlet_like(self):
         # i=1, j=1 at d=2: (|01> - |10>)/sqrt(2)
-        s = bell_state(2, 1, 1)
+        s = bell_state(2, 1, 1, LITERAL_CONVENTION)
         assert abs(s.amplitude((0, 1)) - 1 / np.sqrt(2)) < 1e-12
         assert abs(s.amplitude((1, 0)) + 1 / np.sqrt(2)) < 1e-12
 
     def test_phase_entry(self):
-        assert abs(bell_state(3, 1, 0).amplitude((1, 1)) - W / S3) < 1e-12
+        assert abs(bell_state(3, 1, 0, LITERAL_CONVENTION).amplitude((1, 1)) - W / S3) < 1e-12
 
     def test_bell_sign_conjugates_phases(self):
         minus = bell_state(3, 1, 0, PhaseConvention(-1, 1))
@@ -75,9 +75,9 @@ class TestBellStates:
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            bell_state(3, 3, 0)
+            bell_state(3, 3, 0, LITERAL_CONVENTION)
         with pytest.raises(ValueError):
-            bell_state(3, 0, -1)
+            bell_state(3, 0, -1, LITERAL_CONVENTION)
 
     def test_first_amplitude_real_positive(self):
         for conv in ALL_CONVENTIONS:
@@ -104,15 +104,17 @@ class TestDecompStates:
     def test_shifted_support(self):
         # (k=0, m=1): letters shift down by one, |0 c> + |1 a> + |2 b>
         assert_state_equals(
-            decomp_state(3, 0, 1), {(0, 2): 1, (1, 0): 1, (2, 1): 1}, S3
+            decomp_state(3, 0, 1, LITERAL_CONVENTION), {(0, 2): 1, (1, 0): 1, (2, 1): 1}, S3
         )
 
     def test_phase_entry(self):
-        assert abs(decomp_state(3, 1, 2).amplitude((1, 2)) - W / S3) < 1e-12
+        assert abs(decomp_state(3, 1, 2, LITERAL_CONVENTION).amplitude((1, 2)) - W / S3) < 1e-12
 
     def test_gram_matrix_d3(self):
         # all 81 inner products: exact Kronecker deltas
-        states = {(k, m): decomp_state(3, k, m) for k in range(3) for m in range(3)}
+        states = {
+            (k, m): decomp_state(3, k, m, LITERAL_CONVENTION) for k in range(3) for m in range(3)
+        }
         for (k, m), u in states.items():
             for (kp, mp), v in states.items():
                 expected = 1.0 if (k, m) == (kp, mp) else 0.0
@@ -121,7 +123,7 @@ class TestDecompStates:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_completeness(self, d):
         rng = np.random.default_rng(40 + d)
-        basis = [decomp_state(d, k, m) for k in range(d) for m in range(d)]
+        basis = [decomp_state(d, k, m, LITERAL_CONVENTION) for k in range(d) for m in range(d)]
         for _ in range(5):
             v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
             state = State((d, d), v / np.linalg.norm(v))
@@ -132,9 +134,9 @@ class TestDecompStates:
     def test_construction_rule_shift(self, d):
         # the m-th state is the m=0 state with its auxiliary digit lowered by m
         for k in range(d):
-            base = decomp_state(d, k, 0).reshaped()
+            base = decomp_state(d, k, 0, LITERAL_CONVENTION).reshaped()
             for m in range(d):
-                shifted = decomp_state(d, k, m).reshaped()
+                shifted = decomp_state(d, k, m, LITERAL_CONVENTION).reshaped()
                 for q in range(d):
                     for a in range(d):
                         assert abs(shifted[q, (a - m) % d] - base[q, a]) < 1e-12
