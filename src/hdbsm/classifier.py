@@ -35,34 +35,31 @@ _CHUNK = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class DecodingTable:
-    """Total map from outcome pairs to Bell indices.
+    """Total map from outcome pairs to Bell classes.
 
-    ``bell_i`` and ``bell_j`` are int arrays indexed [k, m, k', m'];
-    UNREACHABLE (-1) marks pairs no Bell input can produce. For the
-    protocol's states no pair is unreachable: the classes partition all
-    d**4 pairs into d*d groups of d*d.
+    ``classes`` is a read-only int array indexed [k, m, k', m'] that holds the
+    class index i*d + j of each pair's Bell index (i, j); UNREACHABLE (-1)
+    marks pairs no Bell input can produce. For the protocol's states no pair
+    is unreachable: the classes partition all d**4 pairs into d*d groups of d*d.
     """
 
     d: int
-    bell_i: np.ndarray
-    bell_j: np.ndarray
+    classes: np.ndarray
 
     @cached_property
     def class_order(self) -> np.ndarray:
         """Flat outcome indices grouped by class, classes in (i, j) order.
 
-        A stable argsort of the class index i*d + j, so each class lists its
-        pairs in flat order.
+        A stable argsort of the class index, so each class lists its pairs in
+        flat order.
 
         Raises:
             ValueError: the table is not d*d classes of d*d pairs each.
         """
         d = self.d
-        classes = (self.bell_i * d + self.bell_j).reshape(-1)
+        classes = self.classes.reshape(-1)
         order = np.argsort(classes, kind="stable")
-        partition = np.repeat(np.arange(d * d), d * d)
-        in_range = ((self.bell_j >= 0) & (self.bell_j < d)).all()
-        if not (in_range and np.array_equal(classes[order], partition)):
+        if not np.array_equal(classes[order], np.repeat(np.arange(d * d), d * d)):
             raise ValueError(f"decoding table is not {d * d} classes of {d * d} pairs each")
         order.flags.writeable = False
         return order
@@ -75,21 +72,18 @@ def build_decoding_table(d: int, convention: PhaseConvention) -> DecodingTable:
         CollisionError: two Bell indices share an outcome pair, which would
             falsify distinguishability and must not occur.
     """
-    bell_i = np.full(d**4, UNREACHABLE, dtype=np.int64)
-    bell_j = np.full(d**4, UNREACHABLE, dtype=np.int64)
+    classes = np.full(d**4, UNREACHABLE, dtype=np.int64)
     for bell, table in decompose_all(d, convention).items():
         for flat in table.flat_support.tolist():
-            if bell_i[flat] != UNREACHABLE:
+            if classes[flat] != UNREACHABLE:
                 pair = tuple(int(n) for n in np.unravel_index(flat, (d,) * 4))
-                claimed = BellIndex(int(bell_i[flat]), int(bell_j[flat]))
+                claimed = BellIndex(*divmod(int(classes[flat]), d))
                 raise CollisionError(
                     f"outcome pair {pair} claimed by both {claimed} and {bell}"
                 )
-            bell_i[flat] = bell.i
-            bell_j[flat] = bell.j
-    bell_i.flags.writeable = False
-    bell_j.flags.writeable = False
-    return DecodingTable(d, bell_i.reshape((d,) * 4), bell_j.reshape((d,) * 4))
+            classes[flat] = bell.i * d + bell.j
+    classes.flags.writeable = False
+    return DecodingTable(d, classes.reshape((d,) * 4))
 
 
 def decoding_table_from_law(law: IndexLaw) -> DecodingTable:
@@ -101,11 +95,9 @@ def decoding_table_from_law(law: IndexLaw) -> DecodingTable:
     d = law.d
     t_inv = pow(law.t, -1, d)
     k, m, kp, mp = np.indices((d,) * 4, dtype=np.int64)
-    bell_i = (t_inv * (kp - law.s * k)) % d
-    bell_j = (mp - m) % d
-    bell_i.flags.writeable = False
-    bell_j.flags.writeable = False
-    return DecodingTable(d, bell_i, bell_j)
+    classes = (t_inv * (kp - law.s * k)) % d * d + (mp - m) % d
+    classes.flags.writeable = False
+    return DecodingTable(d, classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +187,7 @@ def classify_table(table: CoincidenceTable, decoding: DecodingTable) -> Classifi
     # mask selects them, so every mass equals that mask's sum bit for bit
     # (np.bincount with weights adds in another order and differs).
     sums = table.probs.reshape(-1)[decoding.class_order].reshape(d * d, d * d).sum(axis=1)
-    masses = dict(zip(_bell_indices(d), sums.tolist()))
+    masses = dict(zip(_class_bells(d), sums.tolist()))
     best = max(masses.values())
     tied = tuple(sorted(b for b, mass in masses.items() if mass >= best - LOGIC_TOL))
     winner = tied[0]
@@ -209,7 +201,7 @@ def classify_table(table: CoincidenceTable, decoding: DecodingTable) -> Classifi
 
 
 @lru_cache(maxsize=None)
-def _bell_indices(d: int) -> tuple[BellIndex, ...]:
+def _class_bells(d: int) -> tuple[BellIndex, ...]:
     return tuple(BellIndex(i, j) for i in range(d) for j in range(d))
 
 

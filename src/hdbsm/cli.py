@@ -344,18 +344,14 @@ def _cmd_verify(args) -> int:
     decoding_detail = f"all {d**4} outcome pairs partition into {d * d} classes of {d * d}"
     try:
         decoding = cl.build_decoding_table(d, convention)
-        reached = decoding.bell_i != cl.UNREACHABLE
-        classes = decoding.bell_i[reached] * d + decoding.bell_j[reached]
+        classes = decoding.classes[decoding.classes != cl.UNREACHABLE]
         sizes = set(np.bincount(classes, minlength=d * d).tolist())
         if sizes != {d * d}:
             decoding_ok = False
             decoding_detail = f"unexpected class sizes {sorted(sizes)}"
         else:
             from_law = cl.decoding_table_from_law(laws[convention])
-            if not (
-                np.array_equal(decoding.bell_i, from_law.bell_i)
-                and np.array_equal(decoding.bell_j, from_law.bell_j)
-            ):
+            if not np.array_equal(decoding.classes, from_law.classes):
                 decoding_ok = False
                 decoding_detail = "decoding from supports disagrees with decoding from the law"
     except cl.CollisionError as exc:
@@ -434,11 +430,11 @@ def _cmd_simulate(args) -> int:
     ]
     if result.record is not None:
         observed = result.record.counts > 0
-        decoded = set(zip(decoding.bell_i[observed].tolist(), decoding.bell_j[observed].tolist()))
+        decoded = set(decoding.classes[observed].tolist())
         checks.append(
             check(
                 "outcomes_decode_to_input",
-                decoded == {(args.i, args.j)},
+                decoded == {args.i * args.d + args.j},
                 f"{result.record.shots} outcomes over {int(observed.sum())} pairs",
             )
         )

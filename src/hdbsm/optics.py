@@ -73,7 +73,6 @@ class BsaLayout:
     """
 
     d: int
-    convention: PhaseConvention
     transform: np.ndarray
     unitary: np.ndarray
     equivalence_gap: float
@@ -94,7 +93,7 @@ def bsa_layout(d: int, convention: PhaseConvention) -> BsaLayout:
     unitary = bsa_unitary(d, transform)
     unitary.flags.writeable = False
     gap = float(np.max(np.abs(unitary - decomp_basis(d, convention.decomp_sign).conj())))
-    return BsaLayout(d, convention, transform, unitary, gap)
+    return BsaLayout(d, transform, unitary, gap)
 
 
 def analyse(state: State, layout: BsaLayout) -> np.ndarray:
@@ -137,9 +136,7 @@ def pipeline_probabilities(state: State, layout: BsaLayout) -> CoincidenceTable:
 class ExperimentResult:
     """Everything one simulated run produces; ``equivalence_gap`` is the layout's operator gap."""
 
-    d: int
     bell: BellIndex
-    convention: PhaseConvention
     probabilities: CoincidenceTable
     record: ShotRecord | None
     equivalence_gap: float
@@ -168,4 +165,4 @@ def run_experiment(
     layout = bsa_layout(d, convention)
     table = pipeline_probabilities(state, layout)
     record = sample_outcomes(table, shots, seed) if shots > 0 else None
-    return ExperimentResult(d, BellIndex(i, j), convention, table, record, layout.equivalence_gap)
+    return ExperimentResult(BellIndex(i, j), table, record, layout.equivalence_gap)

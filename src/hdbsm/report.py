@@ -72,22 +72,15 @@ def schema_text() -> str:
     return resources.files("hdbsm.data").joinpath("report.schema.json").read_text()
 
 
-def resolve_output_path(output: str | None) -> str | None:
-    """Resolve a report path against the HDBSM_OUTPUT_DIR environment default."""
-    if output is None:
-        return None
-    base = os.environ.get("HDBSM_OUTPUT_DIR", "")
-    if base and not os.path.isabs(output):
-        return os.path.join(base, output)
-    return output
-
-
 def write_report(text: str, output: str | None) -> None:
-    """Write report text to the resolved path, or stdout when no path is set."""
-    path = resolve_output_path(output)
-    if path is None:
+    """Write report text to stdout, or to ``output`` under HDBSM_OUTPUT_DIR when set.
+
+    ``os.path.join`` drops an empty base and keeps an absolute path as it is.
+    """
+    if output is None:
         print(text, end="")
         return
+    path = os.path.join(os.environ.get("HDBSM_OUTPUT_DIR", ""), output)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)

@@ -228,14 +228,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/classifier.py",
-        "in_range = ((self.bell_j >= 0) & (self.bell_j < d)).all()",
-        "in_range = True",
-        "a bell_j outside 0..d-1 may alias another class",
-    ),
-    Mutant(
-        "src/hdbsm/classifier.py",
-        "bell_i = (t_inv * (kp - law.s * k)) % d",
-        "bell_i = (t_inv * (kp + law.s * k)) % d",
+        "classes = (t_inv * (kp - law.s * k)) % d * d",
+        "classes = (t_inv * (kp + law.s * k)) % d * d",
         "the law inverse adds s*k instead of subtracting it",
     ),
     Mutant(
@@ -276,13 +270,13 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/cli.py",
-        "classes = decoding.bell_i[reached] * d + decoding.bell_j[reached]",
-        "classes = (decoding.bell_i * d + decoding.bell_j).reshape(-1)",
+        "classes = decoding.classes[decoding.classes != cl.UNREACHABLE]",
+        "classes = decoding.classes.reshape(-1)",
         "verify counts unreached pairs into the class sizes",
     ),
     Mutant(
         "src/hdbsm/cli.py",
-        "decoded == {(args.i, args.j)},",
+        "decoded == {args.i * args.d + args.j},",
         "True,",
         "simulate never checks that every outcome decodes to the input",
     ),
@@ -361,12 +355,6 @@ MUTANTS = (
         "an exact tie of two classes is not reported",
     ),
     Mutant(
-        "src/hdbsm/classifier.py",
-        "(self.bell_j < d)",
-        "(self.bell_j <= d)",
-        "a bell_j equal to d may alias the next class",
-    ),
-    Mutant(
         "src/hdbsm/decomposition.py",
         "if len(fits) > 1:",
         "if len(fits) > 2:",
@@ -416,9 +404,9 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/classifier.py",
-        "            if bell_i[flat] != UNREACHABLE:\n"
+        "            if classes[flat] != UNREACHABLE:\n"
         "                pair = tuple(int(n) for n in np.unravel_index(flat, (d,) * 4))\n"
-        "                claimed = BellIndex(int(bell_i[flat]), int(bell_j[flat]))\n"
+        "                claimed = BellIndex(*divmod(int(classes[flat]), d))\n"
         "                raise CollisionError(\n"
         '                    f"outcome pair {pair} claimed by both {claimed} and {bell}"\n'
         "                )\n",
@@ -427,9 +415,9 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/classifier.py",
-        "bell_j[flat] = bell.j",
-        "bell_j[flat] = bell.i",
-        "the decoding table writes the phase index into bell_j",
+        "classes[flat] = bell.i * d + bell.j",
+        "classes[flat] = bell.j * d + bell.i",
+        "the decoding table writes class j*d + i instead of i*d + j",
     ),
 )
 

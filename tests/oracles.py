@@ -15,6 +15,7 @@ analyser unitary one digit at a time, with the arithmetic of the package's
 array formulas, so their results are compared byte for byte.
 ``hand_built_table`` is how tests make a decomposition table from a dict of
 their own, and ``table_entries`` reads a table back as such a dict.
+``bell_arrays`` splits a decoding table's class indices into its i and j arrays.
 """
 
 from __future__ import annotations
@@ -129,6 +130,18 @@ def table_entries(table) -> dict:
     return entries
 
 
+def bell_arrays(decoding) -> tuple[np.ndarray, np.ndarray]:
+    """(bell_i, bell_j) of a decoding table by divmod, indexed [k, m, k', m'].
+
+    Both arrays hold -1 (the package's UNREACHABLE) where the table does.
+    """
+    classes = decoding.classes
+    bell_i, bell_j = np.divmod(classes, decoding.d)
+    unreached = classes == -1
+    bell_i[unreached] = bell_j[unreached] = -1
+    return bell_i, bell_j
+
+
 def loop_bell_amps(d: int, i: int, j: int, bell_sign: int = 1) -> np.ndarray:
     """Flat amplitudes of Bell state (i, j), one system digit n at a time."""
     amps = np.zeros((d, d), dtype=np.complex128)
@@ -222,10 +235,11 @@ def mask_class_masses(probs, decoding) -> dict:
     from hdbsm.states import BellIndex
 
     d = decoding.d
+    bell_i, bell_j = bell_arrays(decoding)
     masses = {}
     for i in range(d):
         for j in range(d):
-            mask = (decoding.bell_i == i) & (decoding.bell_j == j)
+            mask = (bell_i == i) & (bell_j == j)
             masses[BellIndex(i, j)] = float(np.asarray(probs)[mask].sum())
     return masses
 

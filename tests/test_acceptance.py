@@ -138,13 +138,14 @@ def test_criterion_5_discrimination():
         for d in (2, 3, 4, 5):
             convention = LITERAL_CONVENTION if d == 2 else find_convention(d).preferred
             decoding = build_decoding_table(d, convention)  # raises on collision
+            bell_i, bell_j = oracles.bell_arrays(decoding)
             class_sizes = {
-                int(np.count_nonzero((decoding.bell_i == i) & (decoding.bell_j == j)))
+                int(np.count_nonzero((bell_i == i) & (bell_j == j)))
                 for i in range(d)
                 for j in range(d)
             }
             assert class_sizes == {d * d}
-            assert decoding.bell_i.size == decoding.bell_j.size == d**4
+            assert bell_i.size == bell_j.size == d**4
             for i in range(d):
                 for j in range(d):
                     result = classify(hyperentangled_state(d, i, j, convention), convention)
@@ -186,7 +187,8 @@ def test_criterion_7_sampling():
 
         p = 1 / 9
         sigma = np.sqrt(shots * p * (1 - p))
-        in_class = (decoding.bell_i == 0) & (decoding.bell_j == 0)
+        bell_i, bell_j = oracles.bell_arrays(decoding)
+        in_class = (bell_i == 0) & (bell_j == 0)
         assert np.count_nonzero(in_class) == 9
         assert np.all(np.abs(record.counts[in_class] - shots * p) < 5 * sigma)
         assert not record.counts[~in_class].any()

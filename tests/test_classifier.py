@@ -42,31 +42,30 @@ CHUNK = cl._CHUNK
 class TestDecodingTable:
     def test_d2_closed_form(self):
         # i = (k + k') mod 2 and j = (m' - m) mod 2 on all 16 pairs
-        table = build_decoding_table(2, LITERAL_CONVENTION)
+        bell_i, bell_j = oracles.bell_arrays(build_decoding_table(2, LITERAL_CONVENTION))
         k, m, kp, mp = np.indices((2,) * 4)
-        assert np.array_equal(table.bell_i, (k + kp) % 2)
-        assert np.array_equal(table.bell_j, (mp - m) % 2)
+        assert np.array_equal(bell_i, (k + kp) % 2)
+        assert np.array_equal(bell_j, (mp - m) % 2)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("conv", BOTH_MAIN, ids=lambda c: c.label())
     def test_partition(self, d, conv):
-        table = build_decoding_table(d, conv)
+        bell_i, bell_j = oracles.bell_arrays(build_decoding_table(d, conv))
         for i in range(d):
             for j in range(d):
-                assert np.count_nonzero((table.bell_i == i) & (table.bell_j == j)) == d * d
-        assert (table.bell_i != UNREACHABLE).all()
+                assert np.count_nonzero((bell_i == i) & (bell_j == j)) == d * d
+        assert (bell_i != UNREACHABLE).all()
 
     def test_origin_pair_decodes_to_origin(self):
-        table = build_decoding_table(3, REFERENCE_CONVENTION)
-        assert (table.bell_i[0, 0, 0, 0], table.bell_j[0, 0, 0, 0]) == (0, 0)
+        bell_i, bell_j = oracles.bell_arrays(build_decoding_table(3, REFERENCE_CONVENTION))
+        assert (bell_i[0, 0, 0, 0], bell_j[0, 0, 0, 0]) == (0, 0)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("conv", BOTH_MAIN, ids=lambda c: c.label())
     def test_equals_table_from_law(self, d, conv):
         from_supports = build_decoding_table(d, conv)
         from_law = decoding_table_from_law(fit_index_law(decompose_all(d, conv)))
-        assert np.array_equal(from_supports.bell_i, from_law.bell_i)
-        assert np.array_equal(from_supports.bell_j, from_law.bell_j)
+        assert np.array_equal(from_supports.classes, from_law.classes)
 
     def test_collision_detected(self, monkeypatch):
         tables = dict(decompose_all(2, LITERAL_CONVENTION))
@@ -126,8 +125,8 @@ class TestCoincidenceProbabilities:
         conv = REFERENCE_CONVENTION
         state = hyperentangled_state(3, 0, 0, conv)
         table = coincidence_probabilities(state, conv)
-        decoding = build_decoding_table(3, conv)
-        in_class = (decoding.bell_i == 0) & (decoding.bell_j == 0)
+        bell_i, bell_j = oracles.bell_arrays(build_decoding_table(3, conv))
+        in_class = (bell_i == 0) & (bell_j == 0)
         expected = np.where(in_class, 1 / 9, 0.0)
         assert np.all(np.abs(table.probs - expected) < 1e-9)
         assert abs(table.total() - 1.0) < 1e-9
@@ -225,31 +224,30 @@ class TestClassify:
     def test_exact_two_class_tie(self):
         d = 3
         decoding = build_decoding_table(d, REFERENCE_CONVENTION)
+        bell_i, bell_j = oracles.bell_arrays(decoding)
         probs = np.zeros((d,) * 4)
         for i, j in [(2, 0), (0, 1)]:
-            probs[tuple(np.argwhere((decoding.bell_i == i) & (decoding.bell_j == j))[0])] = 0.5
+            probs[tuple(np.argwhere((bell_i == i) & (bell_j == j))[0])] = 0.5
         result = classify_table(CoincidenceTable(d, probs), decoding)
         assert (result.bell, result.tie) == (BellIndex(0, 1), True)
         assert result.tied_with == (BellIndex(0, 1), BellIndex(2, 0))
 
-    @pytest.mark.parametrize("defect", ["unreachable", "moved", "j-out-of-range", "j-equal-to-d"])
+    @pytest.mark.parametrize(
+        "defect", ["unreachable", "moved", "class-d-squared", "class-minus-two"]
+    )
     def test_rejects_decoding_that_is_not_a_partition(self, defect):
         d = 3
-        good = build_decoding_table(d, REFERENCE_CONVENTION)
-        bell_i, bell_j = good.bell_i.copy(), good.bell_j.copy()
-        key = tuple(int(x) for x in np.argwhere((bell_i == 0) & (bell_j == d - 1))[0])
-        if defect == "unreachable":
-            bell_i[key] = bell_j[key] = UNREACHABLE
-        elif defect == "moved":
-            bell_i[key], bell_j[key] = 1, 1
-        elif defect == "j-out-of-range":
-            # i*d + j still names class (0, d-1), so only the range check sees it
-            bell_i[key], bell_j[key] = 1, -1
-        else:
-            # likewise (0, d) names class (1, 0)
-            key = tuple(int(x) for x in np.argwhere((bell_i == 1) & (bell_j == 0))[0])
-            bell_i[key], bell_j[key] = 0, d
-        decoding = DecodingTable(d, bell_i, bell_j)
+        # One pair of class (0, d - 1) moves to no class, to class (1, 1), or to
+        # a class index just above or below 0..d*d - 1.
+        value = {
+            "unreachable": UNREACHABLE,
+            "moved": d + 1,
+            "class-d-squared": d * d,
+            "class-minus-two": -2,
+        }[defect]
+        classes = build_decoding_table(d, REFERENCE_CONVENTION).classes.copy()
+        classes[tuple(np.argwhere(classes == d - 1)[0])] = value
+        decoding = DecodingTable(d, classes)
         table = CoincidenceTable(d, np.full((d,) * 4, 1 / d**4))
         with pytest.raises(ValueError, match="not 9 classes of 9 pairs each"):
             classify_table(table, decoding)

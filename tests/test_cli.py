@@ -66,10 +66,10 @@ def patch_decoding(monkeypatch, edit):
     original = cli.cl.build_decoding_table
 
     def doctored(d, convention):
-        table = original(d, convention)
-        bell_i, bell_j = table.bell_i.copy(), table.bell_j.copy()
+        bell_i, bell_j = oracles.bell_arrays(original(d, convention))
         edit(bell_i, bell_j)
-        return cli.cl.DecodingTable(d, bell_i, bell_j)
+        unreached = bell_i == cli.cl.UNREACHABLE
+        return cli.cl.DecodingTable(d, np.where(unreached, cli.cl.UNREACHABLE, bell_i * d + bell_j))
 
     monkeypatch.setattr(cli.cl, "build_decoding_table", doctored)
 
@@ -411,9 +411,7 @@ class TestSimulateCommand:
 
         def broken_run(d, i, j, shots, seed, convention):
             probs = np.full((d,) * 4, 1 / d**4)
-            return ExperimentResult(
-                d, BellIndex(i, j), convention, CoincidenceTable(d, probs), None, 0.5
-            )
+            return ExperimentResult(BellIndex(i, j), CoincidenceTable(d, probs), None, 0.5)
 
         monkeypatch.setattr(cli.optics, "run_experiment", broken_run)
         assert main(["simulate", "-d", "3", "-i", "0", "-j", "0"]) == 1
@@ -986,6 +984,12 @@ class TestOutputHandling:
         target = tmp_path / "sub" / "report.json"
         assert target.exists()
         jsonschema.validate(json.loads(target.read_text()), SCHEMA)
+
+    def test_empty_env_var_writes_relative_to_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HDBSM_OUTPUT_DIR", "")
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "-d", "2", "-o", "sub/report.json"]) == 0
+        jsonschema.validate(json.loads((tmp_path / "sub" / "report.json").read_text()), SCHEMA)
 
     def test_output_naming_a_directory_exits_2(self, tmp_path, capsys):
         assert main(["verify", "-d", "3", "-o", str(tmp_path)]) == 2

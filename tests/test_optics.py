@@ -262,13 +262,13 @@ class TestPipeline:
 class TestRunExperiment:
     def test_every_outcome_decodes_to_input(self):
         conv = REFERENCE_CONVENTION
-        decoding = build_decoding_table(3, conv)
+        bell_i, bell_j = oracles.bell_arrays(build_decoding_table(3, conv))
         for i in range(3):
             for j in range(3):
                 result = run_experiment(3, i, j, shots=300, seed=17, convention=conv)
                 assert result.equivalent
                 observed = result.record.counts > 0
-                decoded = zip(decoding.bell_i[observed].tolist(), decoding.bell_j[observed].tolist())
+                decoded = zip(bell_i[observed].tolist(), bell_j[observed].tolist())
                 assert set(decoded) == {(i, j)}
 
     def test_theory_only_run(self):
