@@ -25,14 +25,10 @@ from .decomposition import decompose_all
 
 Tuple4 = tuple[int, int, int, int]
 
-_DATA_FILES = {
-    3: "reference_decomposition_d3.txt",
-    4: "reference_decomposition_d4_i2_j3.txt",
-}
-
-_SOURCES = {
-    3: "reference decomposition table, d=3",
-    4: "reference decomposition listing, d=4, bell (2, 3)",
+_TRANSCRIPTIONS = {  # d: (data file, the source an audit names)
+    3: ("reference_decomposition_d3.txt", "reference decomposition table, d=3"),
+    4: ("reference_decomposition_d4_i2_j3.txt",
+        "reference decomposition listing, d=4, bell (2, 3)"),
 }
 
 
@@ -42,9 +38,11 @@ def load_reference_table(d: int) -> dict[BellIndex, list[Tuple4]]:
     Raises:
         ValueError: no transcription is shipped for this dimension.
     """
-    if d not in _DATA_FILES:
-        raise ValueError(f"no reference transcription for d={d}; available: {sorted(_DATA_FILES)}")
-    text = resources.files("hdbsm.data").joinpath(_DATA_FILES[d]).read_text()
+    if d not in _TRANSCRIPTIONS:
+        raise ValueError(
+            f"no reference transcription for d={d}; available: {sorted(_TRANSCRIPTIONS)}"
+        )
+    text = resources.files("hdbsm.data").joinpath(_TRANSCRIPTIONS[d][0]).read_text()
     rows: dict[BellIndex, list[Tuple4]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -83,7 +81,6 @@ class TableAudit:
     """Diff of a whole transcribed table against computed decompositions."""
 
     source: str
-    d: int
     convention: PhaseConvention
     rows: tuple[RowAudit, ...]
 
@@ -151,4 +148,4 @@ def audit_reference_table(d: int, convention: PhaseConvention) -> TableAudit:
         digits = np.unravel_index(tables[bell].flat_support, (d,) * 4)
         computed = frozenset(zip(*(digit.tolist() for digit in digits)))
         rows.append(_audit_row(bell, printed_rows[bell], computed))
-    return TableAudit(_SOURCES[d], d, convention, tuple(rows))
+    return TableAudit(_TRANSCRIPTIONS[d][1], convention, tuple(rows))

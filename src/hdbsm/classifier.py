@@ -216,7 +216,6 @@ def classify(state: State, convention: PhaseConvention) -> Classification:
 class ShotRecord:
     """Outcome counts of a finite sampling run, indexed like the table."""
 
-    seed: int
     shots: int
     counts: np.ndarray
 
@@ -292,7 +291,7 @@ def sample_outcomes(table: CoincidenceTable, shots: int, seed: int) -> ShotRecor
     counts[support] = hits
     counts = counts.reshape(table.probs.shape)
     counts.flags.writeable = False
-    return ShotRecord(seed=seed, shots=shots, counts=counts)
+    return ShotRecord(shots=shots, counts=counts)
 
 
 def _search_sorted(words: np.ndarray, cdf: np.ndarray, hits: np.ndarray) -> None:

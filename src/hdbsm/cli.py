@@ -39,7 +39,11 @@ REPORT_TOL = 1e-9  # magnitudes_uniform, total_weight and probabilities_total pa
 ROW_THRESHOLD = 1e-12  # coincidence rows list the pairs above it, or with a count
 _bound = partial(np.format_float_scientific, trim="-", exp_digits=1)  # 1e-9, not str()'s 1e-09
 
-CONVENTION_CHOICES = ("auto", "literal", "reference", "++", "+-", "-+", "--")
+_EXPLICIT = {  # every --convention value but auto, in the order --help lists them
+    "literal": LITERAL_CONVENTION, "reference": REFERENCE_CONVENTION,
+    **{c.label(): c for c in ALL_CONVENTIONS},
+}
+CONVENTION_CHOICES = ("auto", *_EXPLICIT)
 
 
 class UsageError(Exception):
@@ -54,27 +58,16 @@ def _resolve_convention(
     d: int, label: str | None, search: dec.ConventionSearch | None = None
 ) -> tuple[PhaseConvention, str]:
     """Convention and how it was selected; ``auto`` reuses ``search`` when given."""
-    if label is None:
-        if d == 2:
-            return LITERAL_CONVENTION, "default"
-        label = "auto"
-    if label == "auto":
-        if d == 2:
-            raise UsageError(
-                "convention 'auto' is undefined at d=2 (all sign conventions "
-                "coincide); omit the flag or pick one explicitly"
-            )
-        if search is None:
-            search = dec.find_convention(d)
-        return search.preferred, "auto"
-    if label == "literal":
-        return LITERAL_CONVENTION, "explicit"
-    if label == "reference":
-        return REFERENCE_CONVENTION, "explicit"
-    try:
-        return PhaseConvention.from_label(label), "explicit"
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if label in _EXPLICIT:
+        return _EXPLICIT[label], "explicit"
+    if label is None and d == 2:
+        return LITERAL_CONVENTION, "default"
+    if d == 2:
+        raise UsageError(
+            "convention 'auto' is undefined at d=2 (all sign conventions "
+            "coincide); omit the flag or pick one explicitly"
+        )
+    return (search or dec.find_convention(d)).preferred, "auto"
 
 
 class _ConventionAction(argparse.Action):

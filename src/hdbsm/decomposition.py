@@ -257,20 +257,21 @@ def _check_complete(tables: dict[BellIndex, DecompositionTable]) -> int:
 
 def _support_digits(
     mapping: dict[BellIndex, DecompositionTable],
-) -> tuple[list[DecompositionTable], np.ndarray, tuple[np.ndarray, ...]]:
-    """Digits (k, m, k', m', i, j) of every entry, in (Bell index, pair key) order.
+) -> tuple[int, list[DecompositionTable], np.ndarray, tuple[np.ndarray, ...]]:
+    """Checked dimension d, tables in Bell order, sort permutation and digits.
 
-    Also returns the tables in Bell order and the permutation that takes
-    their concatenated entries to that order.
+    The permutation takes the tables' concatenated entries to (Bell index,
+    flat pair index) order, the order of the digits (k, m, k', m', i, j).
+    :func:`fit_phase_law` names the first bad phase in that order.
     """
-    d = next(iter(mapping.values())).d
+    d = _check_complete(mapping)
     ordered = [mapping[bell] for bell in sorted(mapping)]
     flat = np.concatenate([table.flat_support for table in ordered])
     bell = np.repeat(np.arange(d * d), [table.flat_support.size for table in ordered])
     order = np.argsort(bell * d**4 + flat, kind="stable")
     k, m, kp, mp = np.unravel_index(flat[order], (d,) * 4)
     i, j = np.divmod(bell[order], d)
-    return ordered, order, (k, m, kp, mp, i, j)
+    return d, ordered, order, (k, m, kp, mp, i, j)
 
 
 def fit_index_law(tables: dict[BellIndex, DecompositionTable]) -> IndexLaw:
@@ -288,8 +289,7 @@ def fit_index_law(tables: dict[BellIndex, DecompositionTable]) -> IndexLaw:
         NoAffineLawError: no (s, t) pair reproduces all supports, which
             would indicate a construction bug.
     """
-    d = _check_complete(tables)
-    _, _, (k, m, kp, mp, i, j) = _support_digits(tables)
+    d, _, _, (k, m, kp, mp, i, j) = _support_digits(tables)
     present = np.zeros((d,) * 3, dtype=bool)
     present[k, i, kp] = True
     # From here k, i and k' run over every digit, as axes of the (s, t, k, i, k') grid.
@@ -314,7 +314,6 @@ class PhaseLaw:
     None when the three-parameter form fits nothing.
     """
 
-    d: int
     table: dict[tuple[int, int, int, int], int]
     closed_form: tuple[int, int, int] | None
 
@@ -326,8 +325,7 @@ def fit_phase_law(tables: dict[BellIndex, DecompositionTable]) -> PhaseLaw:
         PhaseNotRootOfUnityError: a coefficient phase deviates from every
             multiple of 2*pi/d by more than the logic tolerance.
     """
-    d = _check_complete(tables)
-    ordered, order, (k, m, kp, mp, i, j) = _support_digits(tables)
+    d, ordered, order, (k, m, kp, mp, i, j) = _support_digits(tables)
     r = _phase_ints(np.concatenate([table.coeffs for table in ordered])[order], d)
     phase_table = dict(zip(zip(k.tolist(), m.tolist(), i.tolist(), j.tolist()), r.tolist()))
     # The form constrains the entries only through their (k'*j mod d,
@@ -339,7 +337,7 @@ def fit_phase_law(tables: dict[BellIndex, DecompositionTable]) -> PhaseLaw:
     holds = ((u * a + v * b + w) % d == r) | ~present
     fits = np.argwhere(holds.all(axis=(3, 4, 5))).tolist()
     closed_form = tuple(fits[0]) if fits else None
-    return PhaseLaw(d, phase_table, closed_form)
+    return PhaseLaw(phase_table, closed_form)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,7 +348,6 @@ class ConventionSearch:
     preference order (see :func:`find_convention`).
     """
 
-    d: int
     laws: dict[PhaseConvention, IndexLaw]
     matching: tuple[PhaseConvention, ...]
 
@@ -387,4 +384,4 @@ def find_convention(d: int) -> ConventionSearch:
     if not matching:
         raise NoMatchingConventionError(f"no sign convention yields s = t = {d - 1} at d={d}")
     matching.sort(key=lambda c: (c != REFERENCE_CONVENTION,))
-    return ConventionSearch(d, laws, tuple(matching))
+    return ConventionSearch(laws, tuple(matching))

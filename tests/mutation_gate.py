@@ -159,6 +159,24 @@ MUTANTS = (
         '"selection": "auto",',
         "the report config names every convention selection auto",
     ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        '"reference": REFERENCE_CONVENTION',
+        '"reference": LITERAL_CONVENTION',
+        "--convention reference selects the literal convention",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        "if label is None and d == 2:",
+        "if d == 2:",
+        "--convention auto at d = 2 falls back to the literal default",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        "(search or dec.find_convention(d))",
+        "dec.find_convention(d)",
+        "verify's auto resolution repeats the convention search",
+    ),
     # Mutants recorded in CHANGES.md for earlier changes, retargeted to the current code.
     Mutant(
         "src/hdbsm/decomposition.py",
@@ -255,6 +273,18 @@ MUTANTS = (
         'order = np.argsort(bell * d**4 + flat, kind="stable")',
         "order = np.arange(flat.size)",
         "the law fits read hand-built entries unsorted",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        'order = np.argsort(bell * d**4 + flat, kind="stable")',
+        'order = np.argsort(bell + d**4 + flat, kind="stable")',
+        "the law fits rank an entry's pair index above its Bell index",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        'order = np.argsort(bell * d**4 + flat, kind="stable")',
+        'order = np.argsort(bell * d**3 + flat, kind="stable")',
+        "the law fits interleave the entries of neighbouring Bell indices",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",

@@ -83,6 +83,11 @@ class TestReportConfig:
         (["verify", "-d", "4", "--convention=+-"], 4, 1, -1, "explicit", None, None, "json"),
         (["verify", "-d", "5", "--convention", "auto"], 5, -1, 1, "auto", None, None, "json"),
         (["simulate", "-d", "2", "-i", "0", "-j", "1"], 2, 1, 1, "default", 0, 0, "json"),
+        # The two labels whose signs equal a default are still explicit.
+        (["decompose", "-d", "2", "-i", "0", "-j", "1", "--convention=++"],
+         2, 1, 1, "explicit", None, None, "json"),
+        (["simulate", "-d", "3", "-i", "2", "-j", "1", "--convention=-+", "--format", "csv"],
+         3, -1, 1, "explicit", 0, 0, "csv"),
         (["simulate", "-d", "5", "-i", "2", "-j", "3", "--shots", "777", "--seed", "12345",
           "--convention=--", "--format", "csv"], 5, -1, -1, "explicit", 12345, 777, "csv"),
         (["simulate", "-d", "6", "-i", "5", "-j", "0", "--shots", "3", "--seed", str(2**64 - 1),

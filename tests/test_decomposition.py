@@ -356,6 +356,21 @@ class TestPhaseLaw:
         with pytest.raises(PhaseNotRootOfUnityError):
             fit_phase_law(tables)
 
+    def test_first_bad_phase_in_bell_then_pair_order(self):
+        # Bell (0, 1) holds the last pair index and Bell (1, 0) the first, so
+        # a sort key that ranks the pair index above the Bell index names 0.2.
+        tables = dict(decompose_all(2, LITERAL_CONVENTION))
+        for bell, key, phase in [((0, 1), (1, 1, 1, 1), 0.3), ((1, 0), (0, 0, 0, 0), 0.2)]:
+            tables[BellIndex(*bell)] = oracles.hand_built_table(
+                2, BellIndex(*bell), LITERAL_CONVENTION, {key: np.exp(1j * phase) / 2}
+            )
+        with pytest.raises(PhaseNotRootOfUnityError) as info:
+            fit_phase_law(tables)
+        assert str(info.value) == (
+            "phase 0.3 of coefficient (0.477668244562803+0.14776010333066977j) is "
+            "0.2999999999999998 radians away from the nearest multiple of 2*pi/2"
+        )
+
 
 class TestFindConvention:
     def test_d3_matching_set(self):
