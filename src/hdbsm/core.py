@@ -12,6 +12,7 @@ coefficient of interest has magnitude 1/d >= 1/6, eight orders above it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -35,13 +36,21 @@ class State:
     Instances are immutable value objects: the amplitude array is copied on
     construction and marked read-only. All functions in this package treat
     states as pure values, so sharing across threads is safe.
+
+    Raises:
+        ValueError: a radix is not an integer >= 2 (numpy integers are stored
+            as ``int``), the amplitude count is not the product of the
+            radices, or an amplitude is not finite.
     """
 
     radices: tuple[int, ...]
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        radices = tuple(int(r) for r in self.radices)
+        try:
+            radices = tuple(operator.index(r) for r in self.radices)
+        except TypeError:
+            raise ValueError(f"every radix must be an integer, got {self.radices}") from None
         if not radices or any(r < 2 for r in radices):
             raise ValueError(f"every radix must be >= 2, got {radices}")
         amps = np.ascontiguousarray(self.amps, dtype=np.complex128).reshape(-1).copy()

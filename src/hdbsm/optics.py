@@ -160,7 +160,12 @@ def run_experiment(
     ``shots = 0`` produces the theoretical table only. The state is projected
     once, through the analyser; ``equivalence_gap`` is the operator distance
     max |U - conj(S)| of its layout, not a distance between tables.
+
+    Raises:
+        ValueError: ``shots`` is negative, or d, i or j is out of range.
     """
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
     state = prepare_bell(d, i, j, convention)
     layout = bsa_layout(d, convention)
     table = pipeline_probabilities(state, layout)

@@ -449,6 +449,42 @@ MUTANTS = (
         "classes[flat] = bell.j * d + bell.i",
         "the decoding table writes class j*d + i instead of i*d + j",
     ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        "classification.bell == BellIndex(args.i, args.j) and not classification.tie,",
+        "classification.bell == BellIndex(args.i, args.j) or not classification.tie,",
+        "simulate passes classification_correct for a wrong argmax without a tie",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        "choices=range(2, MAX_DIMENSION + 1),",
+        "choices=range(2, MAX_DIMENSION + 2),",
+        "the parser admits -d 7, which then raises a ValueError traceback",
+    ),
+    Mutant(
+        "src/hdbsm/states.py",
+        "if len(label) != 2 or label[0] not in signs or label[1] not in signs:",
+        "if len(label) != 2 and label[0] not in signs or label[1] not in signs:",
+        "from_label reads '+++' and 'x-' as conventions",
+    ),
+    Mutant(
+        "src/hdbsm/optics.py",
+        "if shots < 0:",
+        "if shots < -1:",
+        "run_experiment returns a theory-only result for shots = -1",
+    ),
+    Mutant(
+        "src/hdbsm/core.py",
+        "radices = tuple(operator.index(r) for r in self.radices)",
+        "radices = tuple(int(r) for r in self.radices)",
+        "State truncates a radix of 3.5 to 3",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        'f"s = t = {d - 1} under convention(s) "',
+        'f"s = t = {d - 1} under convention(s): "',
+        "one character of the verify report moves; only the digest file pins it",
+    ),
 )
 
 

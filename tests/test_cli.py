@@ -1,10 +1,8 @@
 import dataclasses
-import hashlib
 import json
 import os
 import subprocess
 import sys
-from functools import lru_cache
 from pathlib import Path
 
 import jsonschema
@@ -13,44 +11,26 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
+import report_digests
 from hdbsm import cli
 from hdbsm.cli import format_state_file, main, parse_state_file
 from hdbsm.core import LOGIC_TOL, State
 from hdbsm.decomposition import DecompositionTable, hyperentangled_state
 from hdbsm.report import schema_text
-from hdbsm.states import REFERENCE_CONVENTION
+from hdbsm.states import REFERENCE_CONVENTION, BellIndex
 
 SCHEMA = json.loads(schema_text())
 
-# SHA-256 of simulate reports rendered before the sampler binned raw PCG64
-# words, for (i, j) = (d - 1, d - 1) under the default convention, keyed
-# "d shots seed format".
-SIMULATE_PINS = json.loads(
-    Path(__file__).with_name("simulate_report_sha256.json").read_text(encoding="utf-8")
-)
-
-
-@lru_cache(maxsize=None)
-def float_platform_digest() -> str:
-    """Digest of complex exp and matmul results that differ between BLAS kernels.
-
-    Simulate reports print BLAS-rounded probabilities, whose last digit
-    differs between OpenBLAS kernels (Haswell, Zen, SkylakeX, ...), so report
-    bytes can only be pinned for the kernel they were recorded with.
-    """
-    h = hashlib.sha256()
-    for n in (4, 9, 16, 25, 36):
-        grid = np.outer(np.arange(n), np.arange(n) + 1)
-        a = np.exp(2j * np.pi * (grid % 13) / 13) / np.sqrt(n)
-        b = np.exp(1j * np.sqrt(grid + 1.0))
-        h.update(np.abs(a @ b @ a.T).tobytes())
-    return h.hexdigest()
-
-
 
 def skip_off_pinned_platform() -> None:
-    if float_platform_digest() != SIMULATE_PINS["float_platform"]:
-        pytest.skip("this BLAS rounds differently from the one the pins were recorded with")
+    header, _ = report_digests.read()
+    here = {
+        "python": report_digests.python_version(),
+        "float_platform": report_digests.float_platform_digest(),
+    }
+    if header != here:
+        pytest.skip("this Python or BLAS prints some runs unlike the machine that recorded them")
+
 
 def run_json(capsys, argv):
     code = main(argv)
@@ -72,6 +52,35 @@ def patch_decoding(monkeypatch, edit):
         return cli.cl.DecodingTable(d, np.where(unreached, cli.cl.UNREACHABLE, bell_i * d + bell_j))
 
     monkeypatch.setattr(cli.cl, "build_decoding_table", doctored)
+
+
+class TestReportDigests:
+    """Every run of the report_digests.py grid prints what report_digests.txt pins."""
+
+    @pytest.fixture(scope="class")
+    def rerun(self, tmp_path_factory):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
+            monkeypatch.chdir(tmp_path_factory.mktemp("digests"))
+            return report_digests.results()
+
+    @staticmethod
+    def changed(rerun, portable):
+        _, pinned = report_digests.read()
+        assert len(pinned) == len(rerun), "the grid and report_digests.txt differ in length"
+        return [
+            f"run {index} ({' '.join(argv)}): pinned {want}, now {got}"
+            for index, ((argv, got, _), (want, flag)) in enumerate(zip(rerun, pinned))
+            if flag == portable and got != want
+        ]
+
+    def test_portable_runs(self, rerun):
+        assert self.changed(rerun, portable=True) == []
+
+    def test_kernel_pinned_runs(self, rerun):
+        skip_off_pinned_platform()
+        assert self.changed(rerun, portable=False) == []
+
 
 class TestReportConfig:
     # (argv, d, bell_sign, decomp_sign, selection, seed, shots, format). The
@@ -187,30 +196,6 @@ class TestDecomposeCommand:
             assert e["k_prime"] == (1 - e["k"]) % 3
 
 
-    # SHA-256 of decompose reports for Bell (1, d - 1) under the default
-    # convention, keyed (d, format), recorded on the BLAS kernel of the
-    # simulate pins.
-    REPORT_SHA256 = {
-        (2, "json"): "f568e3efbe6e791434b17c018d58457115abb56494a82b79079a0e6ecb732c4f",
-        (2, "csv"): "e6cc46829de26b7d5848d476c67e953c6af12b78260a13330220f0e56c139879",
-        (3, "json"): "44082f83a81be980557e33a182cd5389f275842318e49c71a324e68fd844eb16",
-        (3, "csv"): "aef184679d2da14b9e9d851ac0a1666282bb55a7e9fae4744f0cabeb932a21e1",
-        (4, "json"): "a75f42c345369ff9676bb4f8b035ed26d98689478d2e78e759013643371bcdb0",
-        (4, "csv"): "1a69ac3dce32767bdf12a61873fc2d9d347ffeb805af6b89ce089403ed58ec68",
-        (5, "json"): "6b62793d4f8e1b62a00a88aafd087a9e23c2e9d7925df327966aa39ad3f61385",
-        (5, "csv"): "bd8e8c95ce788522a02b65a3cbd6a49d46c4ba6c19735b87bca3635774094355",
-        (6, "json"): "327f9da641fa2dbbbbb4f9fbe4346680bdbfad8f95c18562f8cce31f704b7ed6",
-        (6, "csv"): "332c0ef8ba2c56f6626374356368429a524577cfc10d44d41abef7efa4b8ee08",
-    }
-
-    @pytest.mark.parametrize("d, fmt", sorted(REPORT_SHA256))
-    def test_report_bytes_pinned(self, capsys, d, fmt):
-        skip_off_pinned_platform()
-        argv = ["decompose", "-d", str(d), "-i", "1", "-j", str(d - 1), "--format", fmt]
-        assert main(argv) == 0
-        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == self.REPORT_SHA256[(d, fmt)]
-
 class TestVerifyCommand:
     def test_d3_report(self, capsys):
         code, report = run_json(capsys, ["verify", "-d", "3"])
@@ -259,43 +244,6 @@ class TestVerifyCommand:
             "error: verify reports are structured; only --format json is supported\n"
         )
         assert calls == []
-
-    # SHA-256 of the verify reports rendered before decompose projected whole
-    # Bell rows; verify reports hold no floats, so the bytes are platform-free.
-    REPORT_SHA256 = {
-        (2, None): "abeb72cde2f8be41b94f48f4a29cbfd77a1a1b47df989c4e246f0476fd667f85",
-        (2, "++"): "4f3a2046c9cc05977d8f4d626065456934b53df931dc393a02458708cb788cde",
-        (2, "+-"): "67cbd39786009c26f69a985b87d09585001c730b1daacd4724cf35e827a80c40",
-        (2, "-+"): "bd5c7f5dbf4dcdebc2bef5a674a97550be407129e55a19fded558b3ddc55cb0c",
-        (2, "--"): "efc01b297f1452626add55aeddf22ee8ac0bada8e6d06740668ae02d342e7e7b",
-        (3, None): "f44c8094c1474388f219ad00d25c97f61de90fc2982439ee0268fa4ffc6f8e44",
-        (3, "++"): "d1a1a8f1fbcd0db4618ca871de7cb8786820e3347b7fa9c5be730258a3592a59",
-        (3, "+-"): "d3c99670f1ba43d0ca89edb6d96963ae6cfe850fc4cf057f33c92dcac9f87008",
-        (3, "-+"): "ae7eb1aac3d3f02525050577876cb7d1724573430fd74faa50b886a2d33bce34",
-        (3, "--"): "48bb59de9f4eac62c48ecda100fdb4d798df27c922c208cf37795e4cdce90b23",
-        (4, None): "0478f506176d8103abdd471a14d237cc69725543962d146b31a40c9c6d56eeb6",
-        (4, "++"): "09d9cc09579f55412c9feef6a36488c23dbef32601fc8a7c93da4be9f350bf66",
-        (4, "+-"): "891fbdfe83fb9f07bb7e46c86a3143220ccf38eb9b52e5729af168e537782c29",
-        (4, "-+"): "4bb72fd91ea41795c6a509c3500de21945573572f933b51389edd5278d493efb",
-        (4, "--"): "34ec4cc47d6db41e070236ff939dd8449293f506b0df0ad468cb5f53366c0da4",
-        (5, None): "a9d4662215846663b9bf8dcc90f91e96152441013a29be474eebe35cf0e97897",
-        (5, "++"): "8d323f7047ad17fb844d64d5ce90ddb05bc815ec5b44daa99e1d1fe9e6a2cff1",
-        (5, "+-"): "00da3d62ef11b153eca1ab6c9d91226ea6f6b43fe4b2e5c5d95e9131968adc39",
-        (5, "-+"): "7d3caaa3bdcdfcce0c83ba62f5652f741d2d0ef03ef3fef5d67f96eb634aa5b0",
-        (5, "--"): "67d128d217185811e94929db9bc01670d6b809e25830edfee833a30e86f1e92e",
-        (6, None): "7ca04b7ef4207137e378a69eea597d55185025ee1777dd9c0c0368060d7a9e6c",
-        (6, "++"): "be03eaef10778880d82ce155c582a7c1a65e81ad944999ecb64c4dcf71fb384e",
-        (6, "+-"): "6b6634e068bd7d31c481b50193db93a939917173187c416d1591cfffef8b4f06",
-        (6, "-+"): "e4e62fbdf4f998248d6100803914069760427614d429a8dc6440422b779c8316",
-        (6, "--"): "53b70dc4ccf203812e3b8bd8735fed46b08212084a9cef2bfc89b164c4ad50af",
-    }
-
-    @pytest.mark.parametrize("d, label", sorted(REPORT_SHA256, key=str))
-    def test_report_bytes_pinned(self, capsys, d, label):
-        argv = ["verify", "-d", str(d)] + ([f"--convention={label}"] if label else [])
-        assert main(argv) == 0
-        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == self.REPORT_SHA256[(d, label)]
 
     @pytest.mark.parametrize("label", [None, "auto", "++"])
     def test_one_convention_search_serves_the_report(self, capsys, monkeypatch, label):
@@ -360,16 +308,6 @@ class TestVerifyCommand:
 
 
 class TestSimulateCommand:
-    @pytest.mark.parametrize("key", sorted(SIMULATE_PINS["reports"]))
-    def test_report_bytes_pinned(self, capsys, key):
-        skip_off_pinned_platform()
-        d, shots, seed, fmt = key.split()
-        bell = str(int(d) - 1)
-        argv = ["simulate", "-d", d, "-i", bell, "-j", bell]
-        assert main(argv + ["--shots", shots, "--seed", seed, "--format", fmt]) == 0
-        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == SIMULATE_PINS["reports"][key]
-
     def test_classification_and_determinism(self, tmp_path):
         args = ["simulate", "-d", "3", "-i", "2", "-j", "1", "--shots", "9000", "--seed", "7"]
         first = tmp_path / "a.json"
@@ -460,6 +398,21 @@ class TestSimulateCommand:
             "name": "outcomes_decode_to_input",
             "passed": False,
             "detail": "777 outcomes over 9 pairs",
+        }
+
+    def test_wrong_argmax_without_tie_exits_1(self, capsys, monkeypatch):
+        original = cli.cl.classify_table
+
+        def misread(table, decoding):
+            return dataclasses.replace(original(table, decoding), bell=BellIndex(0, 0))
+
+        monkeypatch.setattr(cli.cl, "classify_table", misread)
+        assert main(["simulate", "-d", "3", "-i", "1", "-j", "2"]) == 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["classification_correct"] == {
+            "name": "classification_correct",
+            "passed": False,
+            "detail": "argmax class (0, 0)",
         }
 
     def test_negative_shots_rejected(self, capsys):
@@ -565,32 +518,6 @@ class TestClassifyCommand:
         assert abs(float(total["detail"].split()[-1]) - 1.0) > 1e-9
         assert report["payload"]["classification"]["argmax"] == {"i": 1, "j": 2}
 
-    # SHA-256 of classify reports of the hyperentangled state (1, d - 1), built
-    # under the reference convention, at noise 0.3 under the default
-    # convention, keyed (d, format), recorded on the BLAS kernel of the
-    # simulate pins. The report echoes the state file path "state.txt".
-    REPORT_SHA256 = {
-        (2, "json"): "33f2ec296758f0ba72067a6f546037af8571b51648f00103f5bfac13a99ceece",
-        (2, "csv"): "bbf4b192f665a7080adad694e7ace8f045233c256ac4866aaf81ca87d09d7366",
-        (3, "json"): "34a7b30374c43b185edbe20e091501161e9d730797e201a1ec8baf01129cd7da",
-        (3, "csv"): "bc95df1c27051845f6fad74aaeb97505b54a2029c2ae010d83e17c0e22a5d647",
-        (4, "json"): "462e86c075fdd19993899ff2ea1f888131716f6873685f886335b2d2821a559d",
-        (4, "csv"): "a4ec24d8320abbfde804d2fd13e080de10dd9692c66733b744b7b3f52f558c7b",
-        (5, "json"): "1c3efb0cb96c595a1f60293601a291a75106a580b81a0199222179a19f1ea5d4",
-        (5, "csv"): "e4a2a26ba55333450c4c1aa837fc2c22ecf2640c680b52e7b6c3c3ec62b6692c",
-        (6, "json"): "ba939cc0569958614fd1afe8e68f988c5898564ee914a2458a61804d0a24ad75",
-        (6, "csv"): "a454cef5f75b39eb8dcca17385d73a7d7f2344d2b4c194708c031292fd58cdff",
-    }
-
-    @pytest.mark.parametrize("d, fmt", sorted(REPORT_SHA256))
-    def test_report_bytes_pinned(self, tmp_path, capsys, monkeypatch, d, fmt):
-        skip_off_pinned_platform()
-        monkeypatch.chdir(tmp_path)
-        state = hyperentangled_state(d, 1, d - 1, REFERENCE_CONVENTION)
-        Path("state.txt").write_text(format_state_file(state))
-        assert main(["classify", "state.txt", "--noise", "0.3", "--format", fmt]) == 0
-        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == self.REPORT_SHA256[(d, fmt)]
 
 class TestExitCodeContract:
     """Each command: 0 success, 1 invariant failure, 2 usage error."""
@@ -642,6 +569,21 @@ class TestExitCodeContract:
 
         monkeypatch.setattr(cli.cl, "coincidence_probabilities", lossy_probabilities)
         assert main(["classify", str(path)]) == 1
+
+    # argparse rejects the dimension before any command runs, so nothing
+    # raises past main: it exits 2 with its one-line error.
+    @pytest.mark.parametrize("d", ["1", "7"])
+    @pytest.mark.parametrize("command", ["verify", "decompose", "simulate"])
+    def test_dimension_outside_choices_is_usage_error(self, capsys, command, d):
+        bell = [] if command == "verify" else ["-i", "0", "-j", "0"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-d", d, *bell])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            f"hdbsm {command}: error: argument -d: invalid choice: "
+        )
 
     def test_success_is_0_and_usage_is_2(self, capsys):
         assert main(["verify", "-d", "2"]) == 0

@@ -41,6 +41,16 @@ class TestStateBasics:
         with pytest.raises(ValueError):
             State((1,), np.ones(1))
 
+    @pytest.mark.parametrize("radix", [3.5, 3.0, np.float64(3.0), "3"])
+    def test_non_integral_radix(self, radix):
+        with pytest.raises(ValueError, match="every radix must be an integer"):
+            State((radix,), np.ones(3))
+
+    def test_numpy_integer_radix_stored_as_int(self):
+        state = State((np.int64(2), np.uint8(3)), np.ones(6))
+        assert state.radices == (2, 3)
+        assert all(type(r) is int for r in state.radices)
+
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             State((2, 2), np.ones(3))

@@ -279,6 +279,10 @@ class TestRunExperiment:
         assert np.count_nonzero(support) == 9
         assert np.all(np.abs(probs[support] - 1 / 9) < 1e-9)
 
+    def test_negative_shots_rejected(self):
+        with pytest.raises(ValueError, match="shots must be >= 0, got -1"):
+            run_experiment(3, 0, 0, shots=-1, seed=0, convention=REFERENCE_CONVENTION)
+
     def test_d2_outcome_classes(self):
         # two-dimensional run: outcomes land exactly in the (k + k', m' - m)
         # class of the input

@@ -147,11 +147,18 @@ class TestPhaseConvention:
         assert PhaseConvention(1, -1).label() == "+-"
         assert PhaseConvention.from_label("-+") == REFERENCE_CONVENTION
 
+    @pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=lambda c: c.label())
+    def test_label_round_trip(self, conv):
+        assert PhaseConvention.from_label(conv.label()) == conv
+
+    @pytest.mark.parametrize("label", ["", "+", "+++", "+x", "x-"])
+    def test_malformed_label_rejected(self, label):
+        with pytest.raises(ValueError, match="convention label must be two of"):
+            PhaseConvention.from_label(label)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PhaseConvention(0, 1)
-        with pytest.raises(ValueError):
-            PhaseConvention.from_label("+x")
 
 
 class TestShiftClockUnitary:
