@@ -20,6 +20,8 @@ from hdbsm.report import schema_text
 from hdbsm.states import REFERENCE_CONVENTION, BellIndex
 
 SCHEMA = json.loads(schema_text())
+FORMATS = report_digests.FORMATS
+SIGNS = (None, "++", "+-", "-+", "--")  # no --convention flag, then each sign label
 
 
 def skip_off_pinned_platform() -> None:
@@ -54,32 +56,44 @@ def patch_decoding(monkeypatch, edit):
     monkeypatch.setattr(cli.cl, "build_decoding_table", doctored)
 
 
+@pytest.fixture(scope="module")
+def grid_runs(tmp_path_factory):
+    """Each run of the report_digests.py grid: argv, result now, pinned result, portable flag."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
+        monkeypatch.chdir(tmp_path_factory.mktemp("digests"))
+        rerun = report_digests.results()
+    _, pinned = report_digests.read()
+    assert len(pinned) == len(rerun), "the grid and report_digests.txt differ in length"
+    return [(argv, got, *pin) for (argv, got, _), pin in zip(rerun, pinned)]
+
+
+def check_pinned_run(grid_runs, argv, nth=0):
+    """Assert that the ``nth`` grid run of ``argv`` prints what report_digests.txt pins."""
+    runs = [(index, *run[1:]) for index, run in enumerate(grid_runs) if run[0] == argv]
+    index, got, want, portable = runs[nth]
+    if not portable:
+        skip_off_pinned_platform()
+    assert got == want, f"run {index} ({' '.join(argv)})"
+
+
 class TestReportDigests:
     """Every run of the report_digests.py grid prints what report_digests.txt pins."""
 
-    @pytest.fixture(scope="class")
-    def rerun(self, tmp_path_factory):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
-            monkeypatch.chdir(tmp_path_factory.mktemp("digests"))
-            return report_digests.results()
-
     @staticmethod
-    def changed(rerun, portable):
-        _, pinned = report_digests.read()
-        assert len(pinned) == len(rerun), "the grid and report_digests.txt differ in length"
+    def changed(grid_runs, portable):
         return [
             f"run {index} ({' '.join(argv)}): pinned {want}, now {got}"
-            for index, ((argv, got, _), (want, flag)) in enumerate(zip(rerun, pinned))
+            for index, (argv, got, want, flag) in enumerate(grid_runs)
             if flag == portable and got != want
         ]
 
-    def test_portable_runs(self, rerun):
-        assert self.changed(rerun, portable=True) == []
+    def test_portable_runs(self, grid_runs):
+        assert self.changed(grid_runs, portable=True) == []
 
-    def test_kernel_pinned_runs(self, rerun):
+    def test_kernel_pinned_runs(self, grid_runs):
         skip_off_pinned_platform()
-        assert self.changed(rerun, portable=False) == []
+        assert self.changed(grid_runs, portable=False) == []
 
 
 class TestReportConfig:
@@ -195,6 +209,12 @@ class TestDecomposeCommand:
         for e in report["payload"]["entries"]:
             assert e["k_prime"] == (1 - e["k"]) % 3
 
+    # Bell (1, d - 1) under the default convention.
+    @pytest.mark.parametrize("d, fmt", [(d, fmt) for d in range(2, 7) for fmt in FORMATS])
+    def test_report_bytes_pinned(self, grid_runs, d, fmt):
+        argv = ["decompose", "-d", str(d), "-i", "1", "-j", str(d - 1), "--format", fmt]
+        check_pinned_run(grid_runs, argv)
+
 
 class TestVerifyCommand:
     def test_d3_report(self, capsys):
@@ -306,8 +326,27 @@ class TestVerifyCommand:
         assert phase["closed_form"] == [2, 0, 0]
         assert len(phase["entries"]) == 81
 
+    @pytest.mark.parametrize("d, label", [(d, label) for d in range(2, 7) for label in SIGNS])
+    def test_report_bytes_pinned(self, grid_runs, d, label):
+        argv = ["verify", "-d", str(d)] + ([f"--convention={label}"] if label else [])
+        check_pinned_run(grid_runs, argv)
+
 
 class TestSimulateCommand:
+    # Bell (d - 1, d - 1) under the default convention, keyed "d shots seed format".
+    @pytest.mark.parametrize("key", [
+        f"{d} {shots} {seed} {fmt}"
+        for d in range(2, 7)
+        for shots in report_digests.SHOTS
+        for seed in report_digests.SEEDS
+        for fmt in FORMATS
+    ])
+    def test_report_bytes_pinned(self, grid_runs, key):
+        d, shots, seed, fmt = key.split()
+        bell = ["-i", str(int(d) - 1), "-j", str(int(d) - 1)]
+        tail = ["--shots", shots, "--seed", seed, "--format", fmt]
+        check_pinned_run(grid_runs, ["simulate", "-d", d, *bell, *tail])
+
     def test_classification_and_determinism(self, tmp_path):
         args = ["simulate", "-d", "3", "-i", "2", "-j", "1", "--shots", "9000", "--seed", "7"]
         first = tmp_path / "a.json"
@@ -517,6 +556,13 @@ class TestClassifyCommand:
         assert total["name"] == "probabilities_total" and total["passed"]
         assert abs(float(total["detail"].split()[-1]) - 1.0) > 1e-9
         assert report["payload"]["classification"]["argmax"] == {"i": 1, "j": 2}
+
+    # The grid rewrites state.txt as hyperentangled (1, d - 1) for each d in
+    # turn, so this argv recurs once per d, in order.
+    @pytest.mark.parametrize("d, fmt", [(d, fmt) for d in range(2, 7) for fmt in FORMATS])
+    def test_report_bytes_pinned(self, grid_runs, d, fmt):
+        argv = ["classify", "state.txt", "--noise", "0.3", "--format", fmt]
+        check_pinned_run(grid_runs, argv, nth=d - 2)
 
 
 class TestExitCodeContract:
