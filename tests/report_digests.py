@@ -1,9 +1,12 @@
 """The command line's output over a fixed grid, one digest line per run.
 
-The grid covers d = 2..6 with no ``--convention`` flag and with each of its
-seven values: ``verify``, ``decompose`` of Bell (0, 0), (1, d - 1) and
-(d - 1, d - 1), ``simulate`` of Bell (1, d - 1) with 3000 and with 0 shots,
-and ``classify`` at noise 0.3 of a seeded state file, each in json and csv.
+The grid covers d = 2..6: ``verify`` with no ``--convention`` flag and with
+each of its seven values, then with no flag and with each of the four sign
+labels ``decompose`` of Bell (0, 0), (1, d - 1) and (d - 1, d - 1),
+``simulate`` of Bell (1, d - 1) with 3000 and with 0 shots, and ``classify``
+at noise 0.3 of a seeded state file, each in json and csv. (``auto``,
+``literal`` and ``reference`` print what no flag, ``++`` and ``-+`` print
+there; ``verify`` keeps them all because it checks how labels resolve.)
 Under the default convention it adds ``simulate`` of Bell (d - 1, d - 1) at
 shot counts around the sampler's 2^14-word chunk and at 10^6, for the seeds
 0 and 2^64 - 1, and ``classify`` at noise 0.3 of the hyperentangled state
@@ -16,19 +19,21 @@ echoes the path it was given.
 float digest of the recording machine, then one line per run: the grid index,
 the exit code, the first 16 hex digits of the SHA-256 of stdout, the repr of
 stderr and a portable flag. The flag is 1 when the run printed the same under
-the default OpenBLAS kernel, ``OPENBLAS_CORETYPE=Haswell`` and
-``OPENBLAS_CORETYPE=Prescott``, and argparse did not end it (its help and
-error text change between Python versions). ``test_cli.TestReportDigests``
-reruns the grid in process. It checks the portable lines on every machine and
-the other lines only where both header values match.
+the default OpenBLAS kernel, ``OPENBLAS_CORETYPE=Haswell``,
+``OPENBLAS_CORETYPE=Prescott`` and numpy's CPU dispatch capped by
+``NPY_DISABLE_CPU_FEATURES``, and argparse did not end it (its help and error
+text change between Python versions). ``test_cli.TestReportDigests`` reruns
+the grid in process. It checks the portable lines on every machine, the runs
+that argparse ended where the Python version matches, and the other lines
+where the float digest matches.
 
 To re-record, from the root of the checkout:
 
     PYTHONPATH=src python tests/report_digests.py > tests/report_digests.txt
 
-The grid then runs once per kernel, each in a child process. Every re-record
-needs a CHANGES.md line saying why the bytes changed. The file name does not
-match ``test_*.py``, so pytest does not collect it.
+The grid then runs once per recording environment, each in a child process.
+Every re-record needs a CHANGES.md line saying why the bytes changed. The
+file name does not match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -53,10 +58,16 @@ from hdbsm.states import REFERENCE_CONVENTION
 
 DIGEST_FILE = Path(__file__).with_name("report_digests.txt")
 LABELS = (None, "auto", "literal", "reference", "++", "+-", "-+", "--")
+SIGN_LABELS = (None, "++", "+-", "-+", "--")
 FORMATS = ("json", "csv")
 SHOTS = ("1", "16383", "16384", "16385", "32769", "1000000")
 SEEDS = ("0", "18446744073709551615")
-KERNELS = (None, "Haswell", "Prescott")  # OPENBLAS_CORETYPE of each recording run
+RECORDING_ENVS = (  # what each recording run adds to the environment
+    {},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+)
 CHILD = (  # run as python -c CHILD <directory of this file>
     "import sys; sys.path.insert(0, sys.argv[1]); "
     "import report_digests; report_digests.print_runs()"
@@ -97,8 +108,9 @@ def grid() -> Iterator[list[str]]:
         write_state(f"state{d}.txt", State((d,) * 4, amps / np.linalg.norm(amps)))
         bells = dict.fromkeys([(0, 0), (1, d - 1), (d - 1, d - 1)])  # two at d = 2
         for label in LABELS:
+            yield ["verify", "-d", str(d), *([] if label is None else [f"--convention={label}"])]
+        for label in SIGN_LABELS:
             flag = [] if label is None else [f"--convention={label}"]
-            yield ["verify", "-d", str(d), *flag]
             for fmt in FORMATS:
                 tail = [*flag, "--format", fmt]
                 for i, j in bells:
@@ -169,13 +181,12 @@ def print_runs() -> None:
 
 
 def record() -> None:
-    """Print the digest file: the grid under each kernel, in a child process each."""
+    """Print the digest file: the grid in each recording environment, a child process each."""
     outputs = []
-    for coretype in KERNELS:
-        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
-        env["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
-        if coretype is not None:
-            env["OPENBLAS_CORETYPE"] = coretype
+    unset = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    base = {key: value for key, value in os.environ.items() if key not in unset}
+    for extra in RECORDING_ENVS:
+        env = {**base, "COLUMNS": "80", **extra}  # argparse wraps --help to the terminal width
         argv = [sys.executable, "-c", CHILD, str(DIGEST_FILE.parent)]
         child = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True)
         outputs.append(child.stdout.splitlines())

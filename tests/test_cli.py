@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import jsonschema
@@ -20,18 +21,18 @@ from hdbsm.report import schema_text
 from hdbsm.states import REFERENCE_CONVENTION, BellIndex
 
 SCHEMA = json.loads(schema_text())
-FORMATS = report_digests.FORMATS
-SIGNS = (None, "++", "+-", "-+", "--")  # no --convention flag, then each sign label
 
 
 def skip_off_pinned_platform() -> None:
     header, _ = report_digests.read()
-    here = {
-        "python": report_digests.python_version(),
-        "float_platform": report_digests.float_platform_digest(),
-    }
-    if header != here:
-        pytest.skip("this Python or BLAS prints some runs unlike the machine that recorded them")
+    if header["float_platform"] != report_digests.float_platform_digest():
+        pytest.skip("this BLAS rounds differently from the one the pins were recorded with")
+
+
+def skip_off_pinned_python() -> None:
+    header, _ = report_digests.read()
+    if header["python"] != report_digests.python_version():
+        pytest.skip("argparse lays out its help and errors differently on this Python")
 
 
 def run_json(capsys, argv):
@@ -58,21 +59,29 @@ def patch_decoding(monkeypatch, edit):
 
 @pytest.fixture(scope="module")
 def grid_runs(tmp_path_factory):
-    """Each run of the report_digests.py grid: argv, result now, pinned result, portable flag."""
+    """Each run of the report_digests.py grid: argv, result now, pinned result, and its kind.
+
+    The kind says what the run's bytes depend on: "portable" lines print alike
+    on every machine, "argparse" runs (ended by argparse) depend on the Python
+    version, and "kernel" runs on the BLAS kernel.
+    """
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
         monkeypatch.chdir(tmp_path_factory.mktemp("digests"))
         rerun = report_digests.results()
     _, pinned = report_digests.read()
     assert len(pinned) == len(rerun), "the grid and report_digests.txt differ in length"
-    return [(argv, got, *pin) for (argv, got, _), pin in zip(rerun, pinned)]
+    return [
+        (argv, got, want, "portable" if portable else "argparse" if by_argparse else "kernel")
+        for (argv, got, by_argparse), (want, portable) in zip(rerun, pinned)
+    ]
 
 
 def check_pinned_run(grid_runs, argv, nth=0):
     """Assert that the ``nth`` grid run of ``argv`` prints what report_digests.txt pins."""
     runs = [(index, *run[1:]) for index, run in enumerate(grid_runs) if run[0] == argv]
-    index, got, want, portable = runs[nth]
-    if not portable:
+    index, got, want, kind = runs[nth]
+    if kind == "kernel":
         skip_off_pinned_platform()
     assert got == want, f"run {index} ({' '.join(argv)})"
 
@@ -81,19 +90,23 @@ class TestReportDigests:
     """Every run of the report_digests.py grid prints what report_digests.txt pins."""
 
     @staticmethod
-    def changed(grid_runs, portable):
+    def changed(grid_runs, kind):
         return [
             f"run {index} ({' '.join(argv)}): pinned {want}, now {got}"
-            for index, (argv, got, want, flag) in enumerate(grid_runs)
-            if flag == portable and got != want
+            for index, (argv, got, want, run_kind) in enumerate(grid_runs)
+            if run_kind == kind and got != want
         ]
 
     def test_portable_runs(self, grid_runs):
-        assert self.changed(grid_runs, portable=True) == []
+        assert self.changed(grid_runs, "portable") == []
+
+    def test_argparse_runs(self, grid_runs):
+        skip_off_pinned_python()
+        assert self.changed(grid_runs, "argparse") == []
 
     def test_kernel_pinned_runs(self, grid_runs):
         skip_off_pinned_platform()
-        assert self.changed(grid_runs, portable=False) == []
+        assert self.changed(grid_runs, "kernel") == []
 
 
 class TestReportConfig:
@@ -210,7 +223,7 @@ class TestDecomposeCommand:
             assert e["k_prime"] == (1 - e["k"]) % 3
 
     # Bell (1, d - 1) under the default convention.
-    @pytest.mark.parametrize("d, fmt", [(d, fmt) for d in range(2, 7) for fmt in FORMATS])
+    @pytest.mark.parametrize("d, fmt", product(range(2, 7), report_digests.FORMATS))
     def test_report_bytes_pinned(self, grid_runs, d, fmt):
         argv = ["decompose", "-d", str(d), "-i", "1", "-j", str(d - 1), "--format", fmt]
         check_pinned_run(grid_runs, argv)
@@ -326,7 +339,7 @@ class TestVerifyCommand:
         assert phase["closed_form"] == [2, 0, 0]
         assert len(phase["entries"]) == 81
 
-    @pytest.mark.parametrize("d, label", [(d, label) for d in range(2, 7) for label in SIGNS])
+    @pytest.mark.parametrize("d, label", product(range(2, 7), report_digests.SIGN_LABELS))
     def test_report_bytes_pinned(self, grid_runs, d, label):
         argv = ["verify", "-d", str(d)] + ([f"--convention={label}"] if label else [])
         check_pinned_run(grid_runs, argv)
@@ -339,7 +352,7 @@ class TestSimulateCommand:
         for d in range(2, 7)
         for shots in report_digests.SHOTS
         for seed in report_digests.SEEDS
-        for fmt in FORMATS
+        for fmt in report_digests.FORMATS
     ])
     def test_report_bytes_pinned(self, grid_runs, key):
         d, shots, seed, fmt = key.split()
@@ -559,7 +572,7 @@ class TestClassifyCommand:
 
     # The grid rewrites state.txt as hyperentangled (1, d - 1) for each d in
     # turn, so this argv recurs once per d, in order.
-    @pytest.mark.parametrize("d, fmt", [(d, fmt) for d in range(2, 7) for fmt in FORMATS])
+    @pytest.mark.parametrize("d, fmt", product(range(2, 7), report_digests.FORMATS))
     def test_report_bytes_pinned(self, grid_runs, d, fmt):
         argv = ["classify", "state.txt", "--noise", "0.3", "--format", fmt]
         check_pinned_run(grid_runs, argv, nth=d - 2)
