@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import LOGIC_TOL, State
+from .core import LOGIC_TOL, State, as_index
 from .decomposition import IndexLaw, decompose_all, pair_coefficients
 from .states import BellIndex, PhaseConvention
 
@@ -72,8 +72,9 @@ def build_decoding_table(d: int, convention: PhaseConvention) -> DecodingTable:
         CollisionError: two Bell indices share an outcome pair, which would
             falsify distinguishability and must not occur.
     """
+    tables = decompose_all(d, convention)
     classes = np.full(d**4, UNREACHABLE, dtype=np.int64)
-    for bell, table in decompose_all(d, convention).items():
+    for bell, table in tables.items():
         for flat in table.flat_support.tolist():
             if classes[flat] != UNREACHABLE:
                 pair = tuple(int(n) for n in np.unravel_index(flat, (d,) * 4))
@@ -249,6 +250,7 @@ def sample_outcomes(table: CoincidenceTable, shots: int, seed: int) -> ShotRecor
     draw's outcome depends neither on when nor in what order it is searched.
     The sampler holds under 1 MB whatever ``shots`` is.
     """
+    shots = as_index(shots, "shots")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     flat = table.probs.reshape(-1)

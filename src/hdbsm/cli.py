@@ -14,9 +14,10 @@ error cites its line number in the file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -167,23 +168,14 @@ def _classification_dict(result: cl.Classification) -> dict:
 
 
 def _audit_dict(table_audit: audit_mod.TableAudit) -> dict:
-    rows = []
-    for row in table_audit.rows:
-        rows.append(
-            {
-                "bell": row.bell._asdict(),
-                "printed": row.printed,
-                "matches": row.matches,
-                "mismatches": [
-                    {"printed": printed, "computed": computed}
-                    for printed, computed in row.mismatches
-                ],
-                "duplicates": row.duplicates,
-                "missing": row.missing,
-                "repeated_bob": row.repeated_bob,
-                "repeated_alice": row.repeated_alice,
-            }
-        )
+    rows = [
+        {
+            **dataclasses.asdict(row),
+            "bell": row.bell._asdict(),
+            "mismatches": [{"printed": p, "computed": c} for p, c in row.mismatches],
+        }
+        for row in table_audit.rows
+    ]
     return {
         "source": table_audit.source,
         "convention": table_audit.convention.label(),
@@ -507,6 +499,7 @@ def _add_common(sub: argparse.ArgumentParser, with_d: bool = True) -> None:
     )
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdbsm",

@@ -23,10 +23,23 @@ LOGIC_TOL = 1e-9
 MAX_DIMENSION = 6
 
 
-def check_dimension(d: int) -> None:
-    """Raise ValueError unless 2 <= d <= MAX_DIMENSION."""
+def as_index(value, name: str) -> int:
+    """``operator.index(value)``, with a ValueError naming the argument, not a TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_dimension(d: int, **indices: int) -> int:
+    """Plain int d; ValueError unless d is in 2..MAX_DIMENSION and each named index in 0..d-1."""
+    d = as_index(d, "dimension")
     if not 2 <= d <= MAX_DIMENSION:
         raise ValueError(f"dimension {d} outside the supported range (2..{MAX_DIMENSION})")
+    for name, value in indices.items():
+        if not 0 <= as_index(value, name) < d:
+            raise ValueError(f"{name}={value} out of range for dimension {d}")
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,10 +60,7 @@ class State:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            radices = tuple(operator.index(r) for r in self.radices)
-        except TypeError:
-            raise ValueError(f"every radix must be an integer, got {self.radices}") from None
+        radices = tuple(as_index(r, "every radix") for r in self.radices)
         if not radices or any(r < 2 for r in radices):
             raise ValueError(f"every radix must be >= 2, got {radices}")
         amps = np.ascontiguousarray(self.amps, dtype=np.complex128).reshape(-1).copy()

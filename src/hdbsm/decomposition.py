@@ -22,7 +22,6 @@ from .states import (
     BellIndex,
     PhaseConvention,
     REFERENCE_CONVENTION,
-    _check_index,
     aux_state,
     bell_state,
     decomp_basis,
@@ -137,12 +136,11 @@ def decompose(
     from the cached projection of the whole Bell row i (see
     :func:`_decompose_row`), so it is shared with :func:`decompose_all`.
     """
-    row = _decompose_row(d, i, convention.bell_sign, convention.decomp_sign)
-    _check_index(d, "j", j)
-    return row[j]
+    check_dimension(d, i=i, j=j)
+    return _decompose_row(d, i, convention.bell_sign, convention.decomp_sign)[j]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _decompose_row(
     d: int, i: int, bell_sign: int, decomp_sign: int
 ) -> tuple[DecompositionTable, ...]:
@@ -157,7 +155,7 @@ def _decompose_row(
     each state on its own (an exact zero may differ in sign). Each table's
     arrays are read-only slices in ascending flat order.
     """
-    check_dimension(d)
+    d = check_dimension(d, i=i)
     conv = PhaseConvention(bell_sign, decomp_sign)
     scatter, aux = _row_layout(d)
     bell = np.diagonal(bell_state(d, i, 0, conv).amps.reshape(d, d))
@@ -202,6 +200,7 @@ def decompose_all(
     Each Bell row i is projected in one stacked product and cached, so
     repeated calls, and :func:`decompose` calls, share the same tables.
     """
+    d = check_dimension(d)
     return {
         table.bell: table
         for i in range(d)
@@ -371,7 +370,7 @@ def find_convention(d: int) -> ConventionSearch:
         NoMatchingConventionError: no convention fits s = t = d - 1, which
             would falsify the construction, not the reference tables.
     """
-    if d < 3:
+    if check_dimension(d) < 3:
         raise ValueError("convention search needs d >= 3; all conventions coincide at d = 2")
     target = reference_index_law(d)
     laws: dict[PhaseConvention, IndexLaw] = {}

@@ -21,21 +21,20 @@ from functools import lru_cache
 import numpy as np
 
 from .classifier import CoincidenceTable, ShotRecord, sample_outcomes
-from .core import State, apply_local_unitary, check_dimension, fourier_matrix
+from .core import State, apply_local_unitary, as_index, check_dimension, fourier_matrix
 from .decomposition import hyperentangled_state
 from .states import BellIndex, PhaseConvention, decomp_basis, shift_clock_unitary
 
 EQUIVALENCE_TOL = 1e-9  # an analyser is equivalent when its operator gap lies strictly below it
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def prepare_source(d: int, convention: PhaseConvention) -> State:
     """Ideal source output: the (0, 0) Bell state times the auxiliary state.
 
     Shape (d, d, d, d) ordered (B system, B auxiliary, A system, A auxiliary).
     Built once per (d, convention) and shared; a State is immutable.
     """
-    check_dimension(d)
     return hyperentangled_state(d, 0, 0, convention)
 
 
@@ -78,7 +77,7 @@ class BsaLayout:
     equivalence_gap: float
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bsa_layout(d: int, convention: PhaseConvention) -> BsaLayout:
     """Analyser layout for one particle.
 
@@ -88,6 +87,7 @@ def bsa_layout(d: int, convention: PhaseConvention) -> BsaLayout:
     U comes from the wiring and S from the state formula in ``decomp_basis``,
     so the gap checks one against the other. Built once per (d, convention).
     """
+    d = check_dimension(d)
     transform = fourier_matrix(d, -convention.decomp_sign)
     transform.flags.writeable = False
     unitary = bsa_unitary(d, transform)
@@ -162,8 +162,9 @@ def run_experiment(
     max |U - conj(S)| of its layout, not a distance between tables.
 
     Raises:
-        ValueError: ``shots`` is negative, or d, i or j is out of range.
+        ValueError: ``shots``, d, i or j is not an integer or is out of range.
     """
+    shots = as_index(shots, "shots")
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
     state = prepare_bell(d, i, j, convention)

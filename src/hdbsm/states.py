@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import State
+from .core import State, check_dimension
 
 
 class BellIndex(NamedTuple):
@@ -71,11 +71,6 @@ ALL_CONVENTIONS = (
 )
 
 
-def _check_index(d: int, name: str, value: int) -> None:
-    if not 0 <= value < d:
-        raise ValueError(f"{name}={value} out of range for dimension {d}")
-
-
 def bell_state(d: int, i: int, j: int, convention: PhaseConvention) -> State:
     """Two-particle Bell state on the system degree of freedom.
 
@@ -84,8 +79,7 @@ def bell_state(d: int, i: int, j: int, convention: PhaseConvention) -> State:
 
         (1/sqrt(d)) * sum_n exp(bell_sign*2j*pi*i*n/d) |n, (n+j) mod d>
     """
-    _check_index(d, "i", i)
-    _check_index(d, "j", j)
+    d = check_dimension(d, i=i, j=j)
     n = np.arange(d)
     amps = np.zeros((d, d), dtype=np.complex128)
     amps[n, (n + j) % d] = np.exp(convention.bell_sign * 2j * np.pi * i * n / d)
@@ -94,6 +88,7 @@ def bell_state(d: int, i: int, j: int, convention: PhaseConvention) -> State:
 
 def aux_state(d: int) -> State:
     """Maximally entangled auxiliary state (1/sqrt(d)) * sum_p |p, p>."""
+    d = check_dimension(d)
     amps = np.zeros((d, d), dtype=np.complex128)
     amps[np.arange(d), np.arange(d)] = 1.0
     return State((d, d), amps.reshape(-1) / np.sqrt(d))
@@ -111,12 +106,11 @@ def decomp_state(d: int, k: int, m: int, convention: PhaseConvention) -> State:
     shift the auxiliary letter of every term down by one, matching the
     construction rule that builds the m > 0 states from the m = 0 ones.
     """
-    _check_index(d, "k", k)
-    _check_index(d, "m", m)
+    d = check_dimension(d, k=k, m=m)
     return State((d, d), decomp_basis(d, convention.decomp_sign)[k * d + m])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def decomp_basis(d: int, decomp_sign: int) -> np.ndarray:
     """Read-only (d*d, d*d) array whose row k*d + m is decomposition state (k, m).
 
@@ -124,6 +118,7 @@ def decomp_basis(d: int, decomp_sign: int) -> np.ndarray:
     q*d + (q - m) mod d. Built once per (d, sign) and shared by
     :func:`decomp_state` and the pair projections of hdbsm.decomposition.
     """
+    d = check_dimension(d)
     digits = np.arange(d)
     phases = np.exp(decomp_sign * 2j * np.pi * digits[:, None] * digits / d) / np.sqrt(d)
     k, m, q = np.ix_(digits, digits, digits)
@@ -155,6 +150,5 @@ def shift_clock_unitary(d: int, i: int, j: int, convention: PhaseConvention) -> 
     convention. Every monomial X^a Z^b is unique up to a phase, so no other
     shift/clock monomial reaches the target except as a phase multiple.
     """
-    _check_index(d, "i", i)
-    _check_index(d, "j", j)
+    d = check_dimension(d, i=i, j=j)
     return shift_matrix(d, j) @ clock_matrix(d, (convention.bell_sign * i) % d)

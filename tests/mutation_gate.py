@@ -204,8 +204,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        '    _check_index(d, "j", j)\n    return row[j]',
-        "    return row[j]",
+        "    check_dimension(d, i=i, j=j)\n",
+        "    check_dimension(d, i=i)\n",
         "decompose accepts a negative j",
     ),
     Mutant(
@@ -475,7 +475,7 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/core.py",
-        "radices = tuple(operator.index(r) for r in self.radices)",
+        'radices = tuple(as_index(r, "every radix") for r in self.radices)',
         "radices = tuple(int(r) for r in self.radices)",
         "State truncates a radix of 3.5 to 3",
     ),
@@ -484,6 +484,56 @@ MUTANTS = (
         'f"s = t = {d - 1} under convention(s) "',
         'f"s = t = {d - 1} under convention(s): "',
         "one character of the verify report moves; only the digest file pins it",
+    ),
+    # The argument domain, owned by core.check_dimension.
+    Mutant(
+        "src/hdbsm/core.py",
+        "if not 0 <= as_index(value, name) < d:",
+        "if not 0 <= value < d:",
+        "an index of 1.5 passes the domain check",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "    d = check_dimension(d, i=i)\n",
+        "    check_dimension(d, i=i)\n",
+        "the cached row tables of decompose(np.int64(3), ...) hold a numpy d",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "    d = check_dimension(d)\n    return {\n",
+        "    return {\n",
+        "decompose_all(0, c) returns no tables instead of raising",
+    ),
+    Mutant(
+        "src/hdbsm/optics.py",
+        "@lru_cache(maxsize=None, typed=True)\ndef bsa_layout",
+        "@lru_cache(maxsize=None)\ndef bsa_layout",
+        "bsa_layout(3.0, c) returns the layout cached for d = 3",
+    ),
+    # The strict sides of LOGIC_TOL and of is_unitary's tolerance, each flipped.
+    Mutant(
+        "src/hdbsm/classifier.py",
+        "if mass >= best - LOGIC_TOL",
+        "if mass > best - LOGIC_TOL",
+        "a class exactly LOGIC_TOL below the best one does not tie",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "bad = np.flatnonzero(np.abs(residual) > LOGIC_TOL)",
+        "bad = np.flatnonzero(np.abs(residual) >= LOGIC_TOL)",
+        "a phase residual exactly at LOGIC_TOL is not a root of unity",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "js, flat = np.nonzero(np.abs(coeffs) > LOGIC_TOL)",
+        "js, flat = np.nonzero(np.abs(coeffs) >= LOGIC_TOL)",
+        "a pair coefficient exactly at LOGIC_TOL stays in the support",
+    ),
+    Mutant(
+        "src/hdbsm/core.py",
+        "np.eye(u.shape[0]))) < tol)",
+        "np.eye(u.shape[0]))) <= tol)",
+        "a matrix exactly tol away from unitarity counts as unitary",
     ),
 )
 

@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdbsm import classifier, cli, core, optics
-from hdbsm.classifier import CoincidenceTable
+from hdbsm import classifier, cli, core, decomposition, optics
+from hdbsm.classifier import CoincidenceTable, classify_table, decoding_table_from_law
 from hdbsm.core import State
-from hdbsm.states import LITERAL_CONVENTION
+from hdbsm.decomposition import reference_index_law
+from hdbsm.states import BellIndex, LITERAL_CONVENTION
 
 MODULES = {"classifier": classifier, "cli": cli, "core": core, "optics": optics}
 SRC = Path(core.__file__).parent
@@ -110,6 +111,44 @@ def test_rows_are_strictly_above_their_threshold():
     probs[[3, 9]] = cli.ROW_THRESHOLD, np.nextafter(cli.ROW_THRESHOLD, 1.0)
     fields, rows = cli._coincidence_rows(CoincidenceTable(2, probs.reshape((2,) * 4)), None)
     assert rows == [{"k": 1, "m": 0, "k_prime": 0, "m_prime": 1, "probability": probs[9]}]
+
+
+def test_classes_within_logic_tol_of_the_best_tie():
+    decoding = decoding_table_from_law(reference_index_law(2))
+    first, second = decoding.class_order[[0, 4]]  # one pair of class (0, 0), one of (0, 1)
+    at = 0.5 - core.LOGIC_TOL
+    for runner_up, tied in [(at, True), (np.nextafter(at, 0.0), False)]:
+        probs = np.zeros(16)
+        probs[[first, second]] = 0.5, runner_up
+        result = classify_table(CoincidenceTable(2, probs.reshape((2,) * 4)), decoding)
+        assert (result.bell, result.tie) == (BellIndex(0, 0), tied)
+
+
+def test_unitary_deviation_is_strictly_below_its_tolerance():
+    # [[2]] deviates from unitarity by exactly |2*2 - 1| = 3.
+    assert core.is_unitary(np.array([[2.0]]), tol=3.0) is False
+    assert core.is_unitary(np.array([[2.0]]), tol=np.nextafter(3.0, 4.0)) is True
+
+
+# Two LOGIC_TOL sides that no real input reaches are tested with the bound moved
+# to 0 in the module that reads it: a wrapped phase residual is a multiple of
+# 2**-51 near 0 and LOGIC_TOL is not, and a pair coefficient is either about
+# 1/d or rounding noise. Exact zeros reach a bound of 0.
+
+
+def test_phase_residual_at_logic_tol_is_a_root_of_unity(monkeypatch):
+    monkeypatch.setattr(decomposition, "LOGIC_TOL", 0.0)
+    assert decomposition._phase_ints(np.array([1.0 + 0j]), 3).tolist() == [0]
+    with pytest.raises(decomposition.PhaseNotRootOfUnityError):
+        decomposition._phase_ints(np.array([np.exp(1e-3j)]), 3)
+
+
+def test_support_is_strictly_above_logic_tol(monkeypatch):
+    # The pairs with m' != m + j are exact zeros, so at d = 2 each table keeps 8 of 16.
+    monkeypatch.setattr(decomposition, "LOGIC_TOL", 0.0)
+    for table in decomposition._decompose_row.__wrapped__(2, 0, 1, 1):
+        assert table.flat_support.size == 8
+        assert np.all(table.coeffs != 0)
 
 
 @pytest.mark.parametrize("module, name", [("cli", "REPORT_TOL"), ("classifier", "NORM_TOL")])

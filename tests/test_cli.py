@@ -983,6 +983,16 @@ class TestConventionResolution:
         assert conv["selection"] == "explicit"
 
 
+class TestParser:
+    def test_built_once_and_carries_nothing_between_calls(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        argv = ["simulate", "-d", "3", "-i", "0", "-j", "0"]
+        assert parser.parse_args(argv + ["--shots", "5", "--convention=-+"]).shots == 5
+        again = parser.parse_args(argv)
+        assert (again.shots, again.seed, again.convention) == (0, 0, None)
+
+
 class TestOutputHandling:
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HDBSM_OUTPUT_DIR", str(tmp_path))

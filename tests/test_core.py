@@ -1,17 +1,40 @@
 import itertools
+import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdbsm import core
+from hdbsm.audit import audit_reference_table
+from hdbsm.classifier import CoincidenceTable, build_decoding_table, sample_outcomes
 from hdbsm.core import (
     State,
     apply_local_unitary,
     basis_state,
+    check_dimension,
     fourier_matrix,
     inner_product,
     permute_factors,
     tensor_product,
+)
+from hdbsm.decomposition import (
+    _decompose_row,
+    decompose,
+    decompose_all,
+    find_convention,
+    hyperentangled_state,
+)
+from hdbsm.optics import bsa_layout, prepare_bell, prepare_source, run_experiment
+from hdbsm.states import (
+    ALL_CONVENTIONS,
+    REFERENCE_CONVENTION,
+    aux_state,
+    bell_state,
+    decomp_basis,
+    decomp_state,
+    shift_clock_unitary,
 )
 
 W3 = np.exp(2j * np.pi / 3)
@@ -66,10 +89,34 @@ class TestStateBasics:
 
 
 class TestCheckDimension:
+    """The argument domain: d is an integer in 2..6 and each index an integer in 0..d-1."""
+
     @pytest.mark.parametrize("d", [0, 1, core.MAX_DIMENSION + 1])
     def test_outside_range(self, d):
         with pytest.raises(ValueError, match=r"supported range \(2\.\.6\)"):
             core.check_dimension(d)
+
+    def test_returns_a_plain_int(self):
+        for d in (3, np.int64(3), np.uint8(3)):
+            assert type(check_dimension(d, i=np.int64(2))) is int
+            assert check_dimension(d) == 3
+
+    @pytest.mark.parametrize(
+        "d, indices, message",
+        [
+            (3.0, {}, "dimension must be an integer, got 3.0"),
+            ("3", {}, "dimension must be an integer, got '3'"),
+            (3, {"i": 1.5}, "i must be an integer, got 1.5"),
+            (3, {"i": 0, "j": "0"}, "j must be an integer, got '0'"),
+            (7, {"i": 1.5}, "dimension 7 outside the supported range (2..6)"),
+            (3, {"k": 3, "m": 1.5}, "k=3 out of range for dimension 3"),
+            (np.int64(4), {"m": np.int64(-1)}, "m=-1 out of range for dimension 4"),
+        ],
+    )
+    def test_first_bad_argument_is_named(self, d, indices, message):
+        with pytest.raises(ValueError) as info:
+            check_dimension(d, **indices)
+        assert str(info.value) == message
 
 
 class TestTensorProduct:
@@ -247,3 +294,153 @@ class TestPermuteFactors:
     def test_invalid_permutation(self):
         with pytest.raises(ValueError):
             permute_factors(basis_state((2, 2), (0, 0)), (0, 0))
+
+
+C = REFERENCE_CONVENTION
+
+
+class TestArgumentDomain:
+    """Calls that once returned, or raised TypeError or IndexError, outside the domain."""
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_decompose_all_rejects_a_dimension_with_no_rows(self, d):
+        with pytest.raises(ValueError, match="outside the supported range"):
+            decompose_all(d, C)
+
+    def test_decoding_table_rejects_dimension_zero(self):
+        with pytest.raises(ValueError, match="outside the supported range"):
+            build_decoding_table(0, C)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: bell_state(3, 1.5, 0, C),
+            lambda: bell_state(3.0, 0, 0, C),
+            lambda: decomp_state(3, 1.5, 0, C),
+            lambda: run_experiment(3, 0, 1.5, 0, 0, C),
+            lambda: decompose(3, 0, np.float64(1.0), C),
+        ],
+        ids=["bell-i", "bell-d", "decomp-k", "run-j", "decompose-j"],
+    )
+    def test_non_integers_raise_value_error(self, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: bell_state(7, 0, 0, C),
+            lambda: aux_state(7),
+            lambda: decomp_state(8, 0, 0, C),
+            lambda: bsa_layout(7, C),
+            lambda: shift_clock_unitary(1, 0, 0, C),
+            lambda: decomp_basis(0, 1),
+        ],
+        ids=["bell", "aux", "decomp", "layout", "unitary", "basis"],
+    )
+    def test_dimensions_outside_the_range_raise(self, call):
+        with pytest.raises(ValueError, match="outside the supported range"):
+            call()
+
+    def test_cached_tables_hold_a_plain_int(self):
+        _decompose_row.cache_clear()
+        tables = decompose_all(np.int64(3), C)
+        assert {type(table.d) for table in tables.values()} == {int}
+        _decompose_row.cache_clear()
+        assert type(decompose(np.int64(3), 1, 2, C).d) is int
+        assert type(bsa_layout(np.int64(3), C).d) is int
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda d: decomp_basis(d, 1),
+            lambda d: bsa_layout(d, C),
+            lambda d: prepare_source(d, C),
+            lambda d: _decompose_row(d, 0, -1, 1),
+        ],
+        ids=["basis", "layout", "source", "row"],
+    )
+    def test_cached_builders_check_a_float_equal_to_a_cached_int(self, build):
+        build(3)  # a cache keyed by value alone would hand this entry to 3.0
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            build(3.0)
+
+    def test_shots_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="shots must be an integer, got 1.5"):
+            run_experiment(3, 0, 0, 1.5, 0, C)
+        table = CoincidenceTable(2, np.full((2,) * 4, 1 / 16))
+        with pytest.raises(ValueError, match="shots must be an integer, got '5'"):
+            sample_outcomes(table, "5", 0)
+        assert run_experiment(3, 0, 0, np.int64(5), 0, C).record.shots == 5
+
+
+# Every exported entry that takes d or an index, with the arguments it takes from
+# (d, a, b, n, convention): a and b are indices and n is a shot count.
+CALLS = {
+    "bell_state": lambda d, a, b, n, c: bell_state(d, a, b, c),
+    "aux_state": lambda d, a, b, n, c: aux_state(d),
+    "decomp_state": lambda d, a, b, n, c: decomp_state(d, a, b, c),
+    "shift_clock_unitary": lambda d, a, b, n, c: shift_clock_unitary(d, a, b, c),
+    "decomp_basis": lambda d, a, b, n, c: decomp_basis(d, c.decomp_sign),
+    "decompose": lambda d, a, b, n, c: decompose(d, a, b, c),
+    "_decompose_row": lambda d, a, b, n, c: _decompose_row(d, a, c.bell_sign, c.decomp_sign),
+    "decompose_all": lambda d, a, b, n, c: decompose_all(d, c),
+    "find_convention": lambda d, a, b, n, c: find_convention(d),
+    "hyperentangled_state": lambda d, a, b, n, c: hyperentangled_state(d, a, b, c),
+    "bsa_layout": lambda d, a, b, n, c: bsa_layout(d, c),
+    "prepare_source": lambda d, a, b, n, c: prepare_source(d, c),
+    "prepare_bell": lambda d, a, b, n, c: prepare_bell(d, a, b, c),
+    "run_experiment": lambda d, a, b, n, c: run_experiment(d, a, b, n, 0, c),
+    "build_decoding_table": lambda d, a, b, n, c: build_decoding_table(d, c),
+    "audit_reference_table": lambda d, a, b, n, c: audit_reference_table(d, c),
+}
+USES = {  # the drawn arguments each entry reads, besides d
+    "bell_state": "ab", "decomp_state": "ab", "shift_clock_unitary": "ab",
+    "decompose": "ab", "_decompose_row": "a", "hyperentangled_state": "ab",
+    "prepare_bell": "ab", "run_experiment": "abn",
+}
+
+NEAR_INTEGERS = st.integers(-2, 9)
+ARGUMENTS = st.one_of(
+    NEAR_INTEGERS,
+    NEAR_INTEGERS.map(float),
+    st.floats(),
+    NEAR_INTEGERS.map(np.int64),
+    NEAR_INTEGERS.map(np.float64),
+    st.floats().map(np.float64),
+    st.booleans(),
+    st.text(max_size=2),
+    NEAR_INTEGERS.map(str),
+)
+
+
+def integer(value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def in_domain(d, args: dict, uses: str) -> bool:
+    """d is an integer in 2..6, each used index one in 0..d-1 and a shot count one >= 0."""
+    d = integer(d)
+    if d is None or not 2 <= d <= core.MAX_DIMENSION:
+        return False
+    limits = {"a": d, "b": d, "n": math.inf}
+    values = {name: integer(args[name]) for name in uses}
+    return all(v is not None and 0 <= v < limits[name] for name, v in values.items())
+
+
+@pytest.mark.parametrize("name", list(CALLS))
+@settings(max_examples=60, deadline=None)
+@given(
+    d=ARGUMENTS, a=ARGUMENTS, b=ARGUMENTS, n=ARGUMENTS,
+    convention=st.sampled_from(ALL_CONVENTIONS),
+)
+def test_entry_returns_only_inside_the_domain(name, d, a, b, n, convention):
+    """Each entry returns only for arguments in the domain; otherwise it raises ValueError."""
+    try:
+        CALLS[name](d, a, b, n, convention)
+    except ValueError:
+        return
+    assert in_domain(d, {"a": a, "b": b, "n": n}, USES.get(name, ""))
