@@ -64,7 +64,6 @@ from .optics import (
     ExperimentResult,
     analyse,
     bsa_layout,
-    bsa_unitary,
     oam_sort,
     pipeline_probabilities,
     prepare_bell,

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import LOGIC_TOL, State, as_index
+from .core import LOGIC_TOL, State, as_index, check_dimension
 from .decomposition import IndexLaw, decompose_all, pair_coefficients
 from .states import BellIndex, PhaseConvention
 
@@ -72,6 +72,7 @@ def build_decoding_table(d: int, convention: PhaseConvention) -> DecodingTable:
         CollisionError: two Bell indices share an outcome pair, which would
             falsify distinguishability and must not occur.
     """
+    d = check_dimension(d)
     tables = decompose_all(d, convention)
     classes = np.full(d**4, UNREACHABLE, dtype=np.int64)
     for bell, table in tables.items():
@@ -105,6 +106,9 @@ def decoding_table_from_law(law: IndexLaw) -> DecodingTable:
 class CoincidenceTable:
     """Probabilities of every outcome pair, indexed [k, m, k', m'].
 
+    The array is copied and marked read-only, as ``State`` does with its
+    amplitudes, so the caller's array is left as it was.
+
     Raises:
         ValueError: wrong shape, or an entry that is negative, nan or inf.
     """
@@ -113,7 +117,7 @@ class CoincidenceTable:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
+        probs = np.array(self.probs, dtype=np.float64, order="C")
         if probs.shape != (self.d,) * 4:
             raise ValueError(f"probability array shape {probs.shape} is not (d,)*4")
         if not np.isfinite(probs).all():
@@ -229,7 +233,8 @@ def sample_outcomes(table: CoincidenceTable, shots: int, seed: int) -> ShotRecor
     the outcome ``searchsorted(cdf, u, side="right")`` of the normalised CDF,
     which is restricted to the nonzero outcomes and ends at exactly 1.
     Identical (table, shots, seed) give bit-identical counts on every
-    platform. Outcomes of exactly zero probability can never be drawn.
+    platform. ``shots`` must be an integer >= 1 and ``seed`` one >= 0, else
+    ``ValueError``. Outcomes of exactly zero probability can never be drawn.
 
     The uniforms are never formed in full. PCG64's ``random()`` is
     ``(w >> 11) * 2**-53`` of its next raw 64-bit word w, so the words are
@@ -250,9 +255,8 @@ def sample_outcomes(table: CoincidenceTable, shots: int, seed: int) -> ShotRecor
     draw's outcome depends neither on when nor in what order it is searched.
     The sampler holds under 1 MB whatever ``shots`` is.
     """
-    shots = as_index(shots, "shots")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = as_index(shots, "shots", minimum=1)
+    seed = as_index(seed, "seed", minimum=0)
     flat = table.probs.reshape(-1)
     support = np.flatnonzero(flat)
     if support.size == 0:

@@ -23,12 +23,18 @@ LOGIC_TOL = 1e-9
 MAX_DIMENSION = 6
 
 
-def as_index(value, name: str) -> int:
-    """``operator.index(value)``, with a ValueError naming the argument, not a TypeError."""
+def as_index(value, name: str, minimum: int | None = None) -> int:
+    """``operator.index(value)``, with a ValueError naming the argument, not a TypeError.
+
+    A value below ``minimum``, when one is given, raises ValueError as well.
+    """
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and index < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {index}")
+    return index
 
 
 def check_dimension(d: int, **indices: int) -> int:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LOGIC_TOL, State, check_dimension, permute_factors, tensor_product
+from .core import LOGIC_TOL, State, check_dimension, tensor_product
 from .states import (
     ALL_CONVENTIONS,
     BellIndex,
@@ -49,8 +49,24 @@ def hyperentangled_state(
     Shape (d, d, d, d) with factor order (B system, B auxiliary, A system,
     A auxiliary), so factors (0, 1) are Bob's particle and (2, 3) Alice's.
     """
-    joint = tensor_product(bell_state(d, i, j, convention), aux_state(d))
-    return permute_factors(joint, (0, 2, 1, 3))
+    d = check_dimension(d, i=i, j=j)
+    return State((d,) * 4, _bell_row(d, i, convention)[int(j)])
+
+
+def _bell_row(d: int, i: int, convention: PhaseConvention) -> np.ndarray:
+    """The d hyperentangled states of Bell row i, indexed [j, B sys, B aux, A sys, A aux].
+
+    State j holds bell[n] * aux[p] at [n, p, (n + j) mod d, p], the product
+    that :func:`tensor_product` forms: bell is the diagonal of Bell state
+    (i, 0), whose phases every Bell state (i, j) shares, and aux that of the
+    auxiliary state.
+    """
+    bell = np.diagonal(bell_state(d, i, 0, convention).amps.reshape(d, d))
+    aux = np.diagonal(aux_state(d).amps.reshape(d, d))
+    j, n, p = np.ix_(*[np.arange(d)] * 3)
+    psi = np.zeros((d,) * 5, dtype=np.complex128)
+    psi[j, n, p, (n + j) % d, p] = np.multiply.outer(bell, aux)
+    return psi
 
 
 def pair_coefficients(state: State, convention: PhaseConvention) -> np.ndarray:
@@ -137,7 +153,7 @@ def decompose(
     :func:`_decompose_row`), so it is shared with :func:`decompose_all`.
     """
     check_dimension(d, i=i, j=j)
-    return _decompose_row(d, i, convention.bell_sign, convention.decomp_sign)[j]
+    return _decompose_row(d, int(i), convention.bell_sign, convention.decomp_sign)[j]
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -146,24 +162,17 @@ def _decompose_row(
 ) -> tuple[DecompositionTable, ...]:
     """Decomposition tables of Bell row i (j = 0..d-1) from one stacked projection.
 
-    The d hyperentangled states of the row are stacked as d matrices Psi_j
-    (rows Bob's digits, columns Alice's) and projected as in
+    The d hyperentangled states of :func:`_bell_row` are stacked as d
+    matrices Psi_j (rows Bob's digits, columns Alice's) and projected as in
     :func:`pair_coefficients`, with one ``conj(S) @ Psi @ conj(S)^T`` over the
-    stack. Their nonzero amplitudes are products of the diagonal of Bell
-    state (i, 0) and of the auxiliary state, as :func:`tensor_product` forms
-    them, so every coefficient equals, bit for bit, the one from projecting
-    each state on its own (an exact zero may differ in sign). Each table's
-    arrays are read-only slices in ascending flat order.
+    stack, so every coefficient equals, bit for bit, the one from projecting
+    :func:`hyperentangled_state` on its own (an exact zero may differ in
+    sign). Each table's arrays are read-only slices in ascending flat order.
     """
     d = check_dimension(d, i=i)
     conv = PhaseConvention(bell_sign, decomp_sign)
-    scatter, aux = _row_layout(d)
-    bell = np.diagonal(bell_state(d, i, 0, conv).amps.reshape(d, d))
-    psi = np.zeros(d**5, dtype=np.complex128)  # [j, B sys, B aux, A sys, A aux]
-    psi[scatter] = np.multiply.outer(bell, aux)
     rows = decomp_basis(d, decomp_sign).conj()
-    half = rows @ psi.reshape(d, d * d, d * d)
-    del psi  # keeps the tracemalloc peak of find_convention(6) under 1 MB
+    half = rows @ _bell_row(d, i, conv).reshape(d, d * d, d * d)
     coeffs = (half @ rows.T).reshape(d, d**4)
     del half
     js, flat = np.nonzero(np.abs(coeffs) > LOGIC_TOL)
@@ -175,21 +184,6 @@ def _decompose_row(
         DecompositionTable(d, BellIndex(i, j), conv, flat[start:end], values[start:end])
         for j, (start, end) in enumerate(zip(bounds, bounds[1:]))
     )
-
-
-@lru_cache(maxsize=None)
-def _row_layout(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where a Bell row's amplitudes go, and the auxiliary amplitudes.
-
-    Bell state j has one nonzero amplitude per system digit n and the
-    auxiliary state one per digit p, so only their d*d products enter the
-    (d, d**2, d**2) stack, at flat positions [j, n, p, (n + j) mod d, p].
-    """
-    j, n, p = np.ix_(*[np.arange(d)] * 3)
-    scatter = np.ravel_multi_index((j, n, p, (n + j) % d, p), (d,) * 5)
-    aux = np.diagonal(aux_state(d).amps.reshape(d, d))  # a read-only view
-    scatter.flags.writeable = False
-    return scatter, aux
 
 
 def decompose_all(
@@ -240,6 +234,7 @@ class IndexLaw:
 
 def reference_index_law(d: int) -> IndexLaw:
     """The published general law: s = t = d - 1 with m' = (m + j) mod d."""
+    d = check_dimension(d)
     return IndexLaw(d, d - 1, d - 1, True)
 
 

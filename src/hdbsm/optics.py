@@ -84,13 +84,18 @@ def bsa_layout(d: int, convention: PhaseConvention) -> BsaLayout:
     Every group carries the same transform: the Fourier matrix conjugate to
     the decomposition-state phases, so the projection onto the literal
     decomposition basis comes out exactly regardless of the convention.
-    U comes from the wiring and S from the state formula in ``decomp_basis``,
-    so the gap checks one against the other. Built once per (d, convention).
+    U, row k*d + m (detector) and column path*d + oam (input mode), is the
+    OAM-to-path sort composed with the transform on every group. U comes
+    from this wiring and S from the state formula in ``decomp_basis``, so
+    the gap checks one against the other. Built once per (d, convention).
     """
     d = check_dimension(d)
     transform = fourier_matrix(d, -convention.decomp_sign)
     transform.flags.writeable = False
-    unitary = bsa_unitary(d, transform)
+    port_out, group, port_in = np.ix_(*[np.arange(d)] * 3)
+    unitary = np.zeros((d,) * 4, dtype=np.complex128)  # [port out, group, port in, oam]
+    unitary[port_out, group, port_in, (port_in - group) % d] = transform[port_out, port_in]
+    unitary = unitary.reshape(d * d, d * d)
     unitary.flags.writeable = False
     gap = float(np.max(np.abs(unitary - decomp_basis(d, convention.decomp_sign).conj())))
     return BsaLayout(d, transform, unitary, gap)
@@ -103,18 +108,6 @@ def analyse(state: State, layout: BsaLayout) -> np.ndarray:
     the decomposition state (k, m).
     """
     return layout.transform @ oam_sort(state).reshaped().T
-
-
-def bsa_unitary(d: int, transform: np.ndarray) -> np.ndarray:
-    """Whole analyser as one d*d by d*d unitary.
-
-    Row index k*d + m (detector), column index path*d + oam (input mode):
-    the OAM-to-path sort composed with ``transform`` on every group.
-    """
-    port_out, group, port_in = np.ix_(*[np.arange(d)] * 3)
-    u = np.zeros((d,) * 4, dtype=np.complex128)  # [port out, group, port in, oam]
-    u[port_out, group, port_in, (port_in - group) % d] = transform[port_out, port_in]
-    return u.reshape(d * d, d * d)
 
 
 def pipeline_probabilities(state: State, layout: BsaLayout) -> CoincidenceTable:
@@ -162,13 +155,12 @@ def run_experiment(
     max |U - conj(S)| of its layout, not a distance between tables.
 
     Raises:
-        ValueError: ``shots``, d, i or j is not an integer or is out of range.
+        ValueError: ``shots``, ``seed``, d, i or j is not an integer or is out of range.
     """
-    shots = as_index(shots, "shots")
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
+    shots = as_index(shots, "shots", minimum=0)
+    seed = as_index(seed, "seed", minimum=0)
     state = prepare_bell(d, i, j, convention)
     layout = bsa_layout(d, convention)
     table = pipeline_probabilities(state, layout)
     record = sample_outcomes(table, shots, seed) if shots > 0 else None
-    return ExperimentResult(BellIndex(i, j), table, record, layout.equivalence_gap)
+    return ExperimentResult(BellIndex(int(i), int(j)), table, record, layout.equivalence_gap)

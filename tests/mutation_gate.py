@@ -192,8 +192,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "scatter = np.ravel_multi_index((j, n, p, (n + j) % d, p), (d,) * 5)",
-        "scatter = np.ravel_multi_index((j, n, p, (n - j) % d, p), (d,) * 5)",
+        "psi[j, n, p, (n + j) % d, p] = np.multiply.outer(bell, aux)",
+        "psi[j, n, p, (n - j) % d, p] = np.multiply.outer(bell, aux)",
         "the stacked Bell row shifts Alice's digit by -j",
     ),
     Mutant(
@@ -469,8 +469,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/optics.py",
-        "if shots < 0:",
-        "if shots < -1:",
+        'shots = as_index(shots, "shots", minimum=0)',
+        'shots = as_index(shots, "shots", minimum=-1)',
         "run_experiment returns a theory-only result for shots = -1",
     ),
     Mutant(
@@ -509,6 +509,42 @@ MUTANTS = (
         "@lru_cache(maxsize=None, typed=True)\ndef bsa_layout",
         "@lru_cache(maxsize=None)\ndef bsa_layout",
         "bsa_layout(3.0, c) returns the layout cached for d = 3",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "    d = check_dimension(d)\n    return IndexLaw(",
+        "    return IndexLaw(",
+        "reference_index_law(9) returns a law outside the domain",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "_bell_row(d, i, convention)[int(j)]",
+        "_bell_row(d, i, convention)[j]",
+        "hyperentangled_state(3, 1, True, c) reads True as a mask, not as j = 1",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "_decompose_row(d, int(i),",
+        "_decompose_row(d, i,",
+        "decompose(3, True, 0, c).bell stores i as the bool True",
+    ),
+    Mutant(
+        "src/hdbsm/optics.py",
+        "BellIndex(int(i), int(j))",
+        "BellIndex(i, j)",
+        "run_experiment stores a numpy Bell index as given",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        '    seed = as_index(seed, "seed", minimum=0)\n',
+        "",
+        "sample_outcomes(table, shots, None) draws an unseeded, irreproducible stream",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        'probs = np.array(self.probs, dtype=np.float64, order="C")',
+        'probs = np.asarray(self.probs, dtype=np.float64, order="C")',
+        "CoincidenceTable keeps a float64 caller array and makes it read-only",
     ),
     # The strict sides of LOGIC_TOL and of is_unitary's tolerance, each flipped.
     Mutant(

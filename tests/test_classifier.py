@@ -111,6 +111,15 @@ class TestCoincidenceTable:
         probs[1, 1, 1, 1] = -0.0
         assert CoincidenceTable(2, probs).total() == 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_caller_array_is_copied(self, dtype):
+        probs = np.full((2,) * 4, 1 / 16, dtype=dtype)
+        table = CoincidenceTable(2, probs)
+        assert probs.flags.writeable and not table.probs.flags.writeable
+        assert not np.shares_memory(probs, table.probs)
+        probs[0, 0, 0, 0] = 0.5
+        assert table.probs[0, 0, 0, 0] == 1 / 16
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
     def test_package_tables_construct(self, d, noise):

@@ -25,6 +25,7 @@ from hdbsm.decomposition import (
     decompose_all,
     find_convention,
     hyperentangled_state,
+    reference_index_law,
 )
 from hdbsm.optics import bsa_layout, prepare_bell, prepare_source, run_experiment
 from hdbsm.states import (
@@ -373,31 +374,74 @@ class TestArgumentDomain:
             sample_outcomes(table, "5", 0)
         assert run_experiment(3, 0, 0, np.int64(5), 0, C).record.shots == 5
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            # numpy seeds PCG64(None) from the operating system, so two such runs differ.
+            (None, "seed must be an integer, got None"),
+            (1.5, "seed must be an integer, got 1.5"),
+            ("3", "seed must be an integer, got '3'"),
+            (np.float64(2.0), f"seed must be an integer, got {np.float64(2.0)!r}"),
+            (-1, "seed must be >= 0, got -1"),
+        ],
+        ids=["none", "float", "str", "float64", "negative"],
+    )
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        table = CoincidenceTable(2, np.full((2,) * 4, 1 / 16))
+        for call in (
+            lambda: sample_outcomes(table, 10, seed),
+            lambda: run_experiment(3, 1, 2, 10**5, seed, C),
+            lambda: run_experiment(3, 1, 2, 0, seed, C),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_stored_values_are_plain_ints(self):
+        for bell in (
+            decompose(3, True, 0, C).bell,
+            run_experiment(3, np.int64(1), np.int64(0), 0, 0, C).bell,
+        ):
+            assert bell == (1, 0)
+            assert type(bell.i) is int and type(bell.j) is int
+        assert type(build_decoding_table(np.int64(3), C).d) is int
+        assert type(reference_index_law(np.int64(3)).d) is int
+
+    @pytest.mark.parametrize("d", [3.0, "3", 1, 9])
+    def test_reference_index_law_checks_its_dimension(self, d):
+        with pytest.raises(ValueError):
+            reference_index_law(d)
+
+    def test_hyperentangled_state_reads_a_bool_index_as_an_int(self):
+        expected = hyperentangled_state(3, 1, 1, C).amps
+        assert np.array_equal(hyperentangled_state(3, True, True, C).amps, expected)
+
 
 # Every exported entry that takes d or an index, with the arguments it takes from
-# (d, a, b, n, convention): a and b are indices and n is a shot count.
+# (d, a, b, n, s, convention): a and b are indices, n is a shot count and s a seed.
 CALLS = {
-    "bell_state": lambda d, a, b, n, c: bell_state(d, a, b, c),
-    "aux_state": lambda d, a, b, n, c: aux_state(d),
-    "decomp_state": lambda d, a, b, n, c: decomp_state(d, a, b, c),
-    "shift_clock_unitary": lambda d, a, b, n, c: shift_clock_unitary(d, a, b, c),
-    "decomp_basis": lambda d, a, b, n, c: decomp_basis(d, c.decomp_sign),
-    "decompose": lambda d, a, b, n, c: decompose(d, a, b, c),
-    "_decompose_row": lambda d, a, b, n, c: _decompose_row(d, a, c.bell_sign, c.decomp_sign),
-    "decompose_all": lambda d, a, b, n, c: decompose_all(d, c),
-    "find_convention": lambda d, a, b, n, c: find_convention(d),
-    "hyperentangled_state": lambda d, a, b, n, c: hyperentangled_state(d, a, b, c),
-    "bsa_layout": lambda d, a, b, n, c: bsa_layout(d, c),
-    "prepare_source": lambda d, a, b, n, c: prepare_source(d, c),
-    "prepare_bell": lambda d, a, b, n, c: prepare_bell(d, a, b, c),
-    "run_experiment": lambda d, a, b, n, c: run_experiment(d, a, b, n, 0, c),
-    "build_decoding_table": lambda d, a, b, n, c: build_decoding_table(d, c),
-    "audit_reference_table": lambda d, a, b, n, c: audit_reference_table(d, c),
+    "bell_state": lambda d, a, b, n, s, c: bell_state(d, a, b, c),
+    "aux_state": lambda d, a, b, n, s, c: aux_state(d),
+    "decomp_state": lambda d, a, b, n, s, c: decomp_state(d, a, b, c),
+    "shift_clock_unitary": lambda d, a, b, n, s, c: shift_clock_unitary(d, a, b, c),
+    "decomp_basis": lambda d, a, b, n, s, c: decomp_basis(d, c.decomp_sign),
+    "decompose": lambda d, a, b, n, s, c: decompose(d, a, b, c),
+    "_decompose_row": lambda d, a, b, n, s, c: _decompose_row(d, a, c.bell_sign, c.decomp_sign),
+    "decompose_all": lambda d, a, b, n, s, c: decompose_all(d, c),
+    "find_convention": lambda d, a, b, n, s, c: find_convention(d),
+    "hyperentangled_state": lambda d, a, b, n, s, c: hyperentangled_state(d, a, b, c),
+    "bsa_layout": lambda d, a, b, n, s, c: bsa_layout(d, c),
+    "prepare_source": lambda d, a, b, n, s, c: prepare_source(d, c),
+    "prepare_bell": lambda d, a, b, n, s, c: prepare_bell(d, a, b, c),
+    "run_experiment": lambda d, a, b, n, s, c: run_experiment(d, a, b, n, s, c),
+    "build_decoding_table": lambda d, a, b, n, s, c: build_decoding_table(d, c),
+    "audit_reference_table": lambda d, a, b, n, s, c: audit_reference_table(d, c),
+    "reference_index_law": lambda d, a, b, n, s, c: reference_index_law(d),
 }
 USES = {  # the drawn arguments each entry reads, besides d
     "bell_state": "ab", "decomp_state": "ab", "shift_clock_unitary": "ab",
     "decompose": "ab", "_decompose_row": "a", "hyperentangled_state": "ab",
-    "prepare_bell": "ab", "run_experiment": "abn",
+    "prepare_bell": "ab", "run_experiment": "abns",
 }
 
 NEAR_INTEGERS = st.integers(-2, 9)
@@ -422,11 +466,11 @@ def integer(value):
 
 
 def in_domain(d, args: dict, uses: str) -> bool:
-    """d is an integer in 2..6, each used index one in 0..d-1 and a shot count one >= 0."""
+    """d is an integer in 2..6, each used index one in 0..d-1, a shot count and a seed >= 0."""
     d = integer(d)
     if d is None or not 2 <= d <= core.MAX_DIMENSION:
         return False
-    limits = {"a": d, "b": d, "n": math.inf}
+    limits = {"a": d, "b": d, "n": math.inf, "s": math.inf}
     values = {name: integer(args[name]) for name in uses}
     return all(v is not None and 0 <= v < limits[name] for name, v in values.items())
 
@@ -434,13 +478,13 @@ def in_domain(d, args: dict, uses: str) -> bool:
 @pytest.mark.parametrize("name", list(CALLS))
 @settings(max_examples=60, deadline=None)
 @given(
-    d=ARGUMENTS, a=ARGUMENTS, b=ARGUMENTS, n=ARGUMENTS,
+    d=ARGUMENTS, a=ARGUMENTS, b=ARGUMENTS, n=ARGUMENTS, s=ARGUMENTS,
     convention=st.sampled_from(ALL_CONVENTIONS),
 )
-def test_entry_returns_only_inside_the_domain(name, d, a, b, n, convention):
+def test_entry_returns_only_inside_the_domain(name, d, a, b, n, s, convention):
     """Each entry returns only for arguments in the domain; otherwise it raises ValueError."""
     try:
-        CALLS[name](d, a, b, n, convention)
+        CALLS[name](d, a, b, n, s, convention)
     except ValueError:
         return
-    assert in_domain(d, {"a": a, "b": b, "n": n}, USES.get(name, ""))
+    assert in_domain(d, {"a": a, "b": b, "n": n, "s": s}, USES.get(name, ""))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hdbsm import decomposition, states
-from hdbsm.core import State
+from hdbsm.core import State, permute_factors, tensor_product
 from hdbsm.decomposition import (
     DecompositionTable,
     IndexLaw,
@@ -30,6 +31,8 @@ from hdbsm.states import (
     LITERAL_CONVENTION,
     PhaseConvention,
     REFERENCE_CONVENTION,
+    aux_state,
+    bell_state,
 )
 
 import oracles
@@ -45,6 +48,17 @@ class TestHyperentangledState:
         assert set(got) == set(expected)
         for label in expected:
             assert abs(got[label] - expected[label]) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_equals_the_composition(self, d):
+        # The reference construction: Bell state (i, j) times the auxiliary
+        # state, factors regrouped per particle.
+        for conv, i, j in itertools.product(ALL_CONVENTIONS, range(d), range(d)):
+            joint = tensor_product(bell_state(d, i, j, conv), aux_state(d))
+            expected = permute_factors(joint, (0, 2, 1, 3))
+            got = hyperentangled_state(d, i, j, conv)
+            assert got.radices == expected.radices
+            assert np.array_equal(got.amps, expected.amps)
 
     def test_factor_order_groups_particles(self):
         # B system, B auxiliary, A system, A auxiliary: support labels are
@@ -397,7 +411,6 @@ class TestFindConvention:
     def test_cold_d6_search_peaks_under_1_mb(self):
         for cached in (
             decomposition._decompose_row,
-            decomposition._row_layout,
             states.decomp_basis,
         ):
             cached.cache_clear()
