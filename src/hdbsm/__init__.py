@@ -67,7 +67,6 @@ from .optics import (
     oam_sort,
     pipeline_probabilities,
     prepare_bell,
-    prepare_source,
     run_experiment,
 )
 

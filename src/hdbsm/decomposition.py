@@ -41,6 +41,7 @@ class NoMatchingConventionError(RuntimeError):
     """No sign convention reproduces the reference index law."""
 
 
+@lru_cache(maxsize=None, typed=True)
 def hyperentangled_state(
     d: int, i: int, j: int, convention: PhaseConvention
 ) -> State:
@@ -152,7 +153,7 @@ def decompose(
     from the cached projection of the whole Bell row i (see
     :func:`_decompose_row`), so it is shared with :func:`decompose_all`.
     """
-    check_dimension(d, i=i, j=j)
+    d = check_dimension(d, i=i, j=j)
     return _decompose_row(d, int(i), convention.bell_sign, convention.decomp_sign)[j]
 
 

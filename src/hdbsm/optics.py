@@ -28,24 +28,15 @@ from .states import BellIndex, PhaseConvention, decomp_basis, shift_clock_unitar
 EQUIVALENCE_TOL = 1e-9  # an analyser is equivalent when its operator gap lies strictly below it
 
 
-@lru_cache(maxsize=None, typed=True)
-def prepare_source(d: int, convention: PhaseConvention) -> State:
-    """Ideal source output: the (0, 0) Bell state times the auxiliary state.
-
-    Shape (d, d, d, d) ordered (B system, B auxiliary, A system, A auxiliary).
-    Built once per (d, convention) and shared; a State is immutable.
-    """
-    return hyperentangled_state(d, 0, 0, convention)
-
-
 def prepare_bell(d: int, i: int, j: int, convention: PhaseConvention) -> State:
-    """Source state steered to Bell index (i, j) on particle A's path.
+    """Source state, the cached hyperentangled state (0, 0), steered to (i, j) on A's path.
 
     The steering unitary is the monomial X^j Z^(bell_sign * i) of
     :func:`hdbsm.states.shift_clock_unitary`.
     """
+    d = check_dimension(d, i=i, j=j)
     unitary = shift_clock_unitary(d, i, j, convention)
-    return apply_local_unitary(prepare_source(d, convention), unitary, factor=2)
+    return apply_local_unitary(hyperentangled_state(d, 0, 0, convention), unitary, factor=2)
 
 
 def oam_sort(state: State) -> State:
@@ -159,6 +150,7 @@ def run_experiment(
     """
     shots = as_index(shots, "shots", minimum=0)
     seed = as_index(seed, "seed", minimum=0)
+    d = check_dimension(d, i=i, j=j)
     state = prepare_bell(d, i, j, convention)
     layout = bsa_layout(d, convention)
     table = pipeline_probabilities(state, layout)

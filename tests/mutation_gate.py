@@ -4,9 +4,10 @@ Each mutant names a file of the checkout, an exact text that must occur in it
 exactly once, the text that replaces it, and the defect that the change plants.
 For every mutant the gate copies ``src``, ``tests`` and ``pyproject.toml`` into
 a fresh temporary directory, applies the change there and runs
-``python -m pytest -x -q`` on the copy with a fixed ``--hypothesis-seed``. A
-mutant is killed when a test fails (pytest exit code 1). After the unmutated
-copy, the mutants run two at a time.
+``python -m pytest -x -q`` on the copy with a fixed ``--hypothesis-seed``,
+the tests of the mutated module ``src/hdbsm/<m>.py`` (``tests/test_<m>.py``)
+first where they exist. A mutant is killed when a test fails (pytest exit
+code 1). After the unmutated copy, the mutants run two at a time.
 
 The gate fails when a mutant survives, when a run ends any other way (a
 collection error or a timeout), when an old text does not occur exactly once,
@@ -204,8 +205,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "    check_dimension(d, i=i, j=j)\n",
-        "    check_dimension(d, i=i)\n",
+        "    d = check_dimension(d, i=i, j=j)\n    return _decompose_row(",
+        "    d = check_dimension(d, i=i)\n    return _decompose_row(",
         "decompose accepts a negative j",
     ),
     Mutant(
@@ -496,7 +497,25 @@ MUTANTS = (
         "src/hdbsm/decomposition.py",
         "    d = check_dimension(d, i=i)\n",
         "    check_dimension(d, i=i)\n",
-        "the cached row tables of decompose(np.int64(3), ...) hold a numpy d",
+        "_decompose_row(np.int64(3), ...) caches row tables that hold a numpy d",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "    d = check_dimension(d, i=i, j=j)\n    return _decompose_row(",
+        "    check_dimension(d, i=i, j=j)\n    return _decompose_row(",
+        "decompose(np.int64(3), ...) caches a second copy of the d = 3 row",
+    ),
+    Mutant(
+        "src/hdbsm/optics.py",
+        "    d = check_dimension(d, i=i, j=j)\n    state = prepare_bell(",
+        "    state = prepare_bell(",
+        "run_experiment(np.int64(3), ...) caches a second analyser layout",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "@lru_cache(maxsize=None, typed=True)\ndef hyperentangled_state",
+        "@lru_cache(maxsize=None)\ndef hyperentangled_state",
+        "hyperentangled_state(3.0, 0, 0, c) returns the source cached for d = 3",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
@@ -584,6 +603,18 @@ def stale() -> list[str]:
     return out
 
 
+def ordered_paths(mutant: Mutant | None, copy: Path) -> list[str]:
+    """Every test file, those of the mutated module ``src/hdbsm/<m>.py`` first.
+
+    A mutant that its module's tests kill then stops the run seconds earlier.
+    Each file is named, since pytest collects a file named together with its
+    directory in the directory's order.
+    """
+    own = f"test_{Path(mutant.path).stem}.py" if mutant else ""
+    files = sorted((copy / "tests").glob("test_*.py"), key=lambda f: (f.name != own, f.name))
+    return [str(f.relative_to(copy)) for f in files]
+
+
 def run_tests(mutant: Mutant | None) -> tuple[int | None, str]:
     """Exit code of tier-1 on a fresh copy with ``mutant`` applied, and pytest's output.
 
@@ -603,7 +634,7 @@ def run_tests(mutant: Mutant | None) -> tuple[int | None, str]:
             text = target.read_text(encoding="utf-8")
             target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
-        argv = [sys.executable, "-m", "pytest", *PYTEST_ARGS]
+        argv = [sys.executable, "-m", "pytest", *PYTEST_ARGS, *ordered_paths(mutant, copy)]
         try:
             done = subprocess.run(
                 argv, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S

@@ -4,7 +4,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hdbsm import core
 from hdbsm.audit import audit_reference_table
@@ -27,7 +27,7 @@ from hdbsm.decomposition import (
     hyperentangled_state,
     reference_index_law,
 )
-from hdbsm.optics import bsa_layout, prepare_bell, prepare_source, run_experiment
+from hdbsm.optics import bsa_layout, prepare_bell, run_experiment
 from hdbsm.states import (
     ALL_CONVENTIONS,
     REFERENCE_CONVENTION,
@@ -349,14 +349,28 @@ class TestArgumentDomain:
         assert {type(table.d) for table in tables.values()} == {int}
         _decompose_row.cache_clear()
         assert type(decompose(np.int64(3), 1, 2, C).d) is int
+        assert type(_decompose_row(np.int64(3), 1, C.bell_sign, C.decomp_sign)[0].d) is int
         assert type(bsa_layout(np.int64(3), C).d) is int
+
+    def test_a_numpy_dimension_finds_the_row_cached_for_an_int(self):
+        _decompose_row.cache_clear()
+        assert decompose(3, 1, 0, C) is decompose(np.int64(3), 1, 0, C)
+        assert _decompose_row.cache_info().currsize == 1
+
+    def test_a_numpy_run_finds_the_source_and_layout_cached_for_an_int(self):
+        for cached in (bsa_layout, hyperentangled_state):
+            cached.cache_clear()
+        run_experiment(3, 1, 2, 10, 0, C)
+        run_experiment(np.int64(3), np.int64(1), np.int64(2), np.int64(10), np.int64(0), C)
+        assert bsa_layout.cache_info().currsize == 1
+        assert hyperentangled_state.cache_info().currsize == 1
 
     @pytest.mark.parametrize(
         "build",
         [
             lambda d: decomp_basis(d, 1),
             lambda d: bsa_layout(d, C),
-            lambda d: prepare_source(d, C),
+            lambda d: hyperentangled_state(d, 0, 0, C),
             lambda d: _decompose_row(d, 0, -1, 1),
         ],
         ids=["basis", "layout", "source", "row"],
@@ -431,7 +445,6 @@ CALLS = {
     "find_convention": lambda d, a, b, n, s, c: find_convention(d),
     "hyperentangled_state": lambda d, a, b, n, s, c: hyperentangled_state(d, a, b, c),
     "bsa_layout": lambda d, a, b, n, s, c: bsa_layout(d, c),
-    "prepare_source": lambda d, a, b, n, s, c: prepare_source(d, c),
     "prepare_bell": lambda d, a, b, n, s, c: prepare_bell(d, a, b, c),
     "run_experiment": lambda d, a, b, n, s, c: run_experiment(d, a, b, n, s, c),
     "build_decoding_table": lambda d, a, b, n, s, c: build_decoding_table(d, c),
@@ -475,16 +488,35 @@ def in_domain(d, args: dict, uses: str) -> bool:
     return all(v is not None and 0 <= v < limits[name] for name, v in values.items())
 
 
+INSIDE = st.integers(2, core.MAX_DIMENSION).flatmap(
+    lambda d: st.fixed_dictionaries(
+        {
+            "d": st.just(d),
+            "a": st.integers(0, d - 1),
+            "b": st.integers(0, d - 1),
+            "n": st.integers(0, 9),
+            "s": st.integers(0, 9),
+        }
+    )
+)
+
+
 @pytest.mark.parametrize("name", list(CALLS))
 @settings(max_examples=60, deadline=None)
-@given(
-    d=ARGUMENTS, a=ARGUMENTS, b=ARGUMENTS, n=ARGUMENTS, s=ARGUMENTS,
-    convention=st.sampled_from(ALL_CONVENTIONS),
-)
-def test_entry_returns_only_inside_the_domain(name, d, a, b, n, s, convention):
-    """Each entry returns only for arguments in the domain; otherwise it raises ValueError."""
-    try:
-        CALLS[name](d, a, b, n, s, convention)
-    except ValueError:
-        return
-    assert in_domain(d, {"a": a, "b": b, "n": n, "s": s}, USES.get(name, ""))
+@given(inside=INSIDE, value=ARGUMENTS, convention=st.sampled_from(ALL_CONVENTIONS))
+# None in every argument, the seed included: numpy would seed PCG64(None) from the OS.
+@example(inside={"d": 3, "a": 1, "b": 2, "n": 1, "s": 0}, value=None, convention=C)
+def test_entry_returns_only_inside_the_domain(name, inside, value, convention):
+    """Each entry returns only for arguments in the domain; otherwise it raises ValueError.
+
+    The drawn value replaces each argument the entry reads in turn, with the others
+    drawn inside the domain, so a check missing on any single argument shows.
+    """
+    uses = USES.get(name, "")
+    for wrong in "d" + uses:
+        args = {**inside, wrong: value}
+        try:
+            CALLS[name](**args, c=convention)
+        except ValueError:
+            continue
+        assert in_domain(args.pop("d"), args, uses), f"returned for {wrong}={value!r}"

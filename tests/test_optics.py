@@ -11,7 +11,6 @@ from hdbsm.optics import (
     oam_sort,
     pipeline_probabilities,
     prepare_bell,
-    prepare_source,
     run_experiment,
 )
 from hdbsm.states import (
@@ -35,8 +34,10 @@ def rand_single(rng, d):
 
 
 class TestPrepareSource:
+    """The source is the hyperentangled state (0, 0)."""
+
     def test_d3_amplitudes(self):
-        state = prepare_source(3, REFERENCE_CONVENTION)
+        state = hyperentangled_state(3, 0, 0, REFERENCE_CONVENTION)
         nonzero = state.nonzero(tol=1e-12)
         assert len(nonzero) == 9
         for (bs, ba, asys, aa), amp in nonzero.items():
@@ -44,7 +45,7 @@ class TestPrepareSource:
             assert abs(amp - 1 / 3) < 1e-12
 
     def test_d2_amplitudes(self):
-        state = prepare_source(2, LITERAL_CONVENTION)
+        state = hyperentangled_state(2, 0, 0, LITERAL_CONVENTION)
         nonzero = state.nonzero(tol=1e-12)
         assert len(nonzero) == 4
         assert all(abs(a - 1 / 2) < 1e-12 for a in nonzero.values())
@@ -52,11 +53,12 @@ class TestPrepareSource:
     @pytest.mark.parametrize("d", [1, 7])
     def test_rejects_unsupported_dimension(self, d):
         with pytest.raises(ValueError, match=r"supported range \(2\.\.6\)"):
-            prepare_source(d, REFERENCE_CONVENTION)
+            hyperentangled_state(d, 0, 0, REFERENCE_CONVENTION)
 
     def test_classifies_as_origin(self):
         for d in (2, 3, 4):
-            result = classify(prepare_source(d, REFERENCE_CONVENTION), REFERENCE_CONVENTION)
+            source = hyperentangled_state(d, 0, 0, REFERENCE_CONVENTION)
+            result = classify(source, REFERENCE_CONVENTION)
             assert result.bell == BellIndex(0, 0)
             assert result.confidence >= 1 - 1e-9
 
@@ -64,9 +66,8 @@ class TestPrepareSource:
 class TestPrepareBell:
     def test_origin_is_source(self):
         conv = REFERENCE_CONVENTION
-        np.testing.assert_allclose(
-            prepare_bell(3, 0, 0, conv).amps, prepare_source(3, conv).amps, atol=1e-12
-        )
+        source = hyperentangled_state(3, 0, 0, conv)
+        np.testing.assert_allclose(prepare_bell(3, 0, 0, conv).amps, source.amps, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("conv", BOTH_MAIN, ids=lambda c: c.label())
