@@ -10,10 +10,7 @@ from .core import (
     LOGIC_TOL,
     State,
     apply_local_unitary,
-    basis_state,
-    fidelity,
     fourier_matrix,
-    inner_product,
     permute_factors,
     tensor_product,
 )

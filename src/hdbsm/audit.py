@@ -20,6 +20,7 @@ from importlib import resources
 
 import numpy as np
 
+from .core import as_index
 from .states import BellIndex, PhaseConvention
 from .decomposition import decompose_all
 
@@ -36,8 +37,9 @@ def load_reference_table(d: int) -> dict[BellIndex, list[Tuple4]]:
     """Printed pairs per Bell index, in printed order, duplicates preserved.
 
     Raises:
-        ValueError: no transcription is shipped for this dimension.
+        ValueError: d is not an integer, or no transcription is shipped for it.
     """
+    d = as_index(d, "dimension")
     if d not in _TRANSCRIPTIONS:
         raise ValueError(
             f"no reference transcription for d={d}; available: {sorted(_TRANSCRIPTIONS)}"
@@ -84,12 +86,6 @@ class TableAudit:
     convention: PhaseConvention
     rows: tuple[RowAudit, ...]
 
-    def row(self, i: int, j: int) -> RowAudit:
-        for r in self.rows:
-            if r.bell == BellIndex(i, j):
-                return r
-        raise KeyError(f"no audited row for bell ({i}, {j})")
-
     @property
     def total_matches(self) -> int:
         return sum(len(r.matches) for r in self.rows)
@@ -97,10 +93,6 @@ class TableAudit:
     @property
     def total_mismatches(self) -> int:
         return sum(len(r.mismatches) for r in self.rows)
-
-    @property
-    def duplicates(self) -> tuple[tuple[BellIndex, Tuple4], ...]:
-        return tuple((r.bell, t) for r in self.rows for t in r.duplicates)
 
     @property
     def clean(self) -> bool:

@@ -41,10 +41,14 @@ class DecodingTable:
     class index i*d + j of each pair's Bell index (i, j); UNREACHABLE (-1)
     marks pairs no Bell input can produce. For the protocol's states no pair
     is unreachable: the classes partition all d**4 pairs into d*d groups of d*d.
+    A d that is not an integer in 2..6 raises ``ValueError``.
     """
 
     d: int
     classes: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d", check_dimension(self.d))
 
     @cached_property
     def class_order(self) -> np.ndarray:
@@ -110,13 +114,15 @@ class CoincidenceTable:
     amplitudes, so the caller's array is left as it was.
 
     Raises:
-        ValueError: wrong shape, or an entry that is negative, nan or inf.
+        ValueError: d not an integer in 2..6, wrong shape, or an entry that
+            is negative, nan or inf.
     """
 
     d: int
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", check_dimension(self.d))
         probs = np.array(self.probs, dtype=np.float64, order="C")
         if probs.shape != (self.d,) * 4:
             raise ValueError(f"probability array shape {probs.shape} is not (d,)*4")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -81,10 +81,6 @@ class State:
         object.__setattr__(self, "radices", radices)
         object.__setattr__(self, "amps", amps)
 
-    @property
-    def num_factors(self) -> int:
-        return len(self.radices)
-
     def norm(self) -> float:
         """Euclidean norm; inf when a finite amplitude above ~1e154 overflows its square."""
         with np.errstate(over="ignore"):
@@ -94,10 +90,6 @@ class State:
         """Read-only view with one axis per tensor factor."""
         return self.amps.reshape(self.radices)
 
-    def amplitude(self, digits: Sequence[int]) -> complex:
-        """Amplitude at a basis label given as a digit tuple."""
-        return complex(self.reshaped()[tuple(digits)])
-
     def nonzero(self, tol: float = LOGIC_TOL) -> dict[tuple[int, ...], complex]:
         """Map from digit tuple to amplitude, restricted to |amp| > tol."""
         flat = np.flatnonzero(np.abs(self.amps) > tol)
@@ -105,49 +97,19 @@ class State:
         return dict(zip(digits, self.amps[flat].tolist()))
 
 
-def basis_state(radices: Sequence[int], digits: Sequence[int]) -> State:
-    """The computational basis state |digits> on the given composite basis.
-
-    Raises:
-        ValueError: the digit count differs from the factor count, or a
-            digit is outside 0..radix-1.
-    """
-    radices = tuple(int(r) for r in radices)
-    amps = np.zeros(math.prod(radices), dtype=np.complex128)
-    amps[np.ravel_multi_index(tuple(digits), radices)] = 1.0
-    return State(radices, amps)
-
-
 def tensor_product(u: State, v: State) -> State:
     """Joint state u (x) v; factor radices are concatenated in order."""
     return State(u.radices + v.radices, np.multiply.outer(u.amps, v.amps).reshape(-1))
-
-
-def inner_product(u: State, v: State) -> complex:
-    """<u|v>, conjugate-linear in the first argument.
-
-    Raises:
-        ValueError: if the two states have different basis shapes.
-    """
-    if u.radices != v.radices:
-        raise ValueError(f"shape mismatch: {u.radices} vs {v.radices}")
-    return complex(np.vdot(u.amps, v.amps))
-
-
-def fidelity(u: State, v: State) -> float:
-    """|<u|v>|, insensitive to global phase."""
-    return abs(inner_product(u, v))
 
 
 def fourier_matrix(d: int, sign: int) -> np.ndarray:
     """Discrete Fourier matrix with entry (r, c) = exp(sign*2j*pi*r*c/d)/sqrt(d).
 
     Args:
-        d: dimension, at least 2.
+        d: dimension, an integer of at least 2.
         sign: +1 or -1, the sign of the exponent.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = as_index(d, "dimension", minimum=2)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     grid = np.outer(np.arange(d), np.arange(d))
@@ -173,8 +135,8 @@ def apply_local_unitary(state: State, u: np.ndarray, factor: int) -> State:
         ValueError: if the factor index is out of range or the matrix
             dimension does not match the factor radix.
     """
-    if not 0 <= factor < state.num_factors:
-        raise ValueError(f"factor {factor} out of range for {state.num_factors} factors")
+    if not 0 <= factor < len(state.radices):
+        raise ValueError(f"factor {factor} out of range for {len(state.radices)} factors")
     u = np.ascontiguousarray(u, dtype=np.complex128)
     radix = state.radices[factor]
     if u.shape != (radix, radix):
@@ -188,8 +150,8 @@ def apply_local_unitary(state: State, u: np.ndarray, factor: int) -> State:
 def permute_factors(state: State, order: Iterable[int]) -> State:
     """Reorder tensor factors; new factor i is old factor order[i]."""
     order = tuple(order)
-    if sorted(order) != list(range(state.num_factors)):
-        raise ValueError(f"{order} is not a permutation of {state.num_factors} factors")
+    if sorted(order) != list(range(len(state.radices))):
+        raise ValueError(f"{order} is not a permutation of {len(state.radices)} factors")
     new_radices = tuple(state.radices[f] for f in order)
     amps = np.ascontiguousarray(state.reshaped().transpose(order)).reshape(-1)
     return State(new_radices, amps)

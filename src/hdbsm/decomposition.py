@@ -98,9 +98,9 @@ class DecompositionTable:
     ``coeffs`` the coefficients in the same order. The first index pair
     (k, m) is Bob's particle, the second Alice's. :func:`decompose` and
     :func:`decompose_all` hand every caller the same cached tables, so theirs
-    hold read-only arrays in ascending flat order. An index outside
-    [0, d**4), a repeated index, or a coefficient count other than the index
-    count raises ``ValueError``.
+    hold read-only arrays in ascending flat order. A d that is not an integer
+    in 2..6, an index outside [0, d**4), a repeated index, or a coefficient
+    count other than the index count raises ``ValueError``.
     """
 
     d: int
@@ -110,6 +110,7 @@ class DecompositionTable:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", check_dimension(self.d))
         flat = self.flat_support
         if self.coeffs.size != flat.size:
             raise ValueError(f"{self.coeffs.size} coefficients for {flat.size} pair indices")

@@ -19,6 +19,8 @@ Usage, from any directory:
 
     python tests/mutation_gate.py
 
+The last line printed is the gate's wall time next to the CI step's budget.
+
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
 
@@ -38,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml")
 HYPOTHESIS_SEED = 0
 TIMEOUT_S = 300
+CI_BUDGET_S = 300  # timeout-minutes: 5 of the mutation-gate step in .github/workflows/tests.yml
 WORKERS = 2  # mutants tested at once, each in its own pytest process
 PYTEST_ARGS = ("-x", "-q", f"--hypothesis-seed={HYPOTHESIS_SEED}")
 
@@ -497,7 +500,7 @@ MUTANTS = (
         "src/hdbsm/decomposition.py",
         "    d = check_dimension(d, i=i)\n",
         "    check_dimension(d, i=i)\n",
-        "_decompose_row(np.int64(3), ...) caches row tables that hold a numpy d",
+        "_decompose_row(np.int64(3), ...) caches a second d = 3 decomposition basis",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
@@ -590,6 +593,38 @@ MUTANTS = (
         "np.eye(u.shape[0]))) <= tol)",
         "a matrix exactly tol away from unitarity counts as unitary",
     ),
+    # The value types store the checked d; two entries with their own range read d as an integer.
+    Mutant(
+        "src/hdbsm/classifier.py",
+        "    def __post_init__(self) -> None:\n"
+        '        object.__setattr__(self, "d", check_dimension(self.d))\n\n',
+        "",
+        "DecodingTable stores its d unchecked",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        '        object.__setattr__(self, "d", check_dimension(self.d))\n        probs =',
+        "        probs =",
+        "CoincidenceTable stores its d unchecked",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        '        object.__setattr__(self, "d", check_dimension(self.d))\n',
+        "",
+        "DecompositionTable stores its d unchecked",
+    ),
+    Mutant(
+        "src/hdbsm/core.py",
+        '    d = as_index(d, "dimension", minimum=2)\n    if sign',
+        '    if d < 2:\n        raise ValueError(f"dimension must be >= 2, got {d}")\n    if sign',
+        "fourier_matrix compares d without reading it as an integer",
+    ),
+    Mutant(
+        "src/hdbsm/audit.py",
+        '    d = as_index(d, "dimension")\n',
+        "",
+        "load_reference_table finds the d = 3 listing for 3.0",
+    ),
 )
 
 
@@ -679,4 +714,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    began = time.perf_counter()
+    code = main()
+    print(f"gate wall time {time.perf_counter() - began:.1f} s (CI budget {CI_BUDGET_S} s)")
+    sys.exit(code)

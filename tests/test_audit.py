@@ -1,5 +1,6 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from hdbsm import audit as audit_mod
@@ -22,6 +23,11 @@ class TestTranscriptions:
         with pytest.raises(ValueError):
             load_reference_table(5)
 
+    @pytest.mark.parametrize("d", [3.0, np.float64(4.0), "3"])
+    def test_non_integer_dimension_rejected(self, d):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            load_reference_table(d)
+
     def test_bad_line_names_its_line_number(self, monkeypatch, tmp_path):
         text = "# comment\n\n0 0 : 0 0 0 0\n0 0 : 1 0 2\n"
         (tmp_path / "reference_decomposition_d3.txt").write_text(text)
@@ -36,6 +42,10 @@ class TestTranscriptions:
         assert row_01.count((2, 1, 0, 0)) == 2
         row_22 = rows[BellIndex(2, 2)]
         assert (1, 2, 2, 1) in row_22 and (2, 2, 2, 1) in row_22
+
+
+def audited_row(audit, i, j):
+    return {row.bell: row for row in audit.rows}[BellIndex(i, j)]
 
 
 @pytest.fixture(scope="module")
@@ -59,12 +69,12 @@ class TestAuditUnderReferenceConvention:
         assert not audit.clean
 
     def test_origin_row_clean(self, audit):
-        row = audit.row(0, 0)
+        row = audited_row(audit, 0, 0)
         assert len(row.matches) == 9
         assert row.clean
 
     def test_duplicated_print_in_row_01(self, audit):
-        row = audit.row(0, 1)
+        row = audited_row(audit, 0, 1)
         assert row.duplicates == ((2, 1, 0, 0),)
         assert len(row.matches) == 7
         # both printed occurrences of the duplicate disagree with the
@@ -77,7 +87,7 @@ class TestAuditUnderReferenceConvention:
         assert (2, 1) in row.repeated_bob
 
     def test_repeated_alice_factor_in_row_22(self, audit):
-        row = audit.row(2, 2)
+        row = audited_row(audit, 2, 2)
         assert len(row.matches) == 8
         assert row.mismatches == (((1, 2, 2, 1), (1, 2, 0, 1)),)
         assert row.missing == ((1, 2, 0, 1),)
@@ -89,7 +99,8 @@ class TestAuditUnderReferenceConvention:
             assert len(row.matches) + len(row.mismatches) == len(row.printed)
 
     def test_global_duplicates_listing(self, audit):
-        assert audit.duplicates == ((BellIndex(0, 1), (2, 1, 0, 0)),)
+        duplicates = tuple((r.bell, t) for r in audit.rows for t in r.duplicates)
+        assert duplicates == ((BellIndex(0, 1), (2, 1, 0, 0)),)
 
 
 class TestAuditUnderLiteralConvention:
@@ -105,15 +116,15 @@ class TestAuditUnderLiteralConvention:
         assert audit.total_mismatches == 56
 
     def test_origin_row_agrees_with_both_conventions(self, audit):
-        assert audit.row(0, 0).clean
+        assert audited_row(audit, 0, 0).clean
 
     def test_duplicate_still_reported(self, audit):
-        assert audit.row(0, 1).duplicates == ((2, 1, 0, 0),)
+        assert audited_row(audit, 0, 1).duplicates == ((2, 1, 0, 0),)
 
     def test_nonzero_phase_rows_all_mismatch(self, audit):
         for i in (1, 2):
             for j in range(3):
-                assert len(audit.row(i, j).mismatches) == 9
+                assert len(audited_row(audit, i, j).mismatches) == 9
 
 
 # The computed support of Bell (0, 0) at d = 3, printed without a misprint.
@@ -142,7 +153,7 @@ class TestSingleDefectRows:
     ):
         monkeypatch.setattr(audit_mod, "load_reference_table", lambda d: {BellIndex(0, 0): printed})
         table_audit = audit_reference_table(3, REFERENCE_CONVENTION)
-        row = table_audit.row(0, 0)
+        row = audited_row(table_audit, 0, 0)
         assert row.mismatches == mismatches
         assert row.duplicates == duplicates
         assert row.missing == missing

@@ -7,19 +7,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hdbsm import core
-from hdbsm.audit import audit_reference_table
-from hdbsm.classifier import CoincidenceTable, build_decoding_table, sample_outcomes
+from hdbsm.audit import audit_reference_table, load_reference_table
+from hdbsm.classifier import (
+    CoincidenceTable,
+    DecodingTable,
+    build_decoding_table,
+    sample_outcomes,
+)
 from hdbsm.core import (
     State,
     apply_local_unitary,
-    basis_state,
     check_dimension,
     fourier_matrix,
-    inner_product,
     permute_factors,
     tensor_product,
 )
 from hdbsm.decomposition import (
+    DecompositionTable,
     _decompose_row,
     decompose,
     decompose_all,
@@ -31,6 +35,7 @@ from hdbsm.optics import bsa_layout, prepare_bell, run_experiment
 from hdbsm.states import (
     ALL_CONVENTIONS,
     REFERENCE_CONVENTION,
+    BellIndex,
     aux_state,
     bell_state,
     decomp_basis,
@@ -50,16 +55,12 @@ def rand_state(rng, radices):
 class TestStateBasics:
     def test_factor_zero_is_most_significant(self):
         # |1, 0> on (2, 3) sits at offset 1*3 + 0
-        assert np.flatnonzero(basis_state((2, 3), (1, 0)).amps).tolist() == [3]
+        ket = State((2, 3), np.outer(np.eye(2)[1], np.eye(3)[0]))
+        assert np.flatnonzero(ket.amps).tolist() == [3]
         for offset, digits in enumerate(itertools.product(range(3), range(2), range(4))):
-            state = basis_state((3, 2, 4), digits)
+            state = State((3, 2, 4), np.eye(24)[offset])
             assert np.flatnonzero(state.amps).tolist() == [offset]
             assert state.nonzero() == {digits: 1.0}
-
-    @pytest.mark.parametrize("digits", [(0,), (0, 2), (-1, 0), (2, 0)])
-    def test_basis_state_rejects_bad_digits(self, digits):
-        with pytest.raises(ValueError):
-            basis_state((2, 2), digits)
 
     def test_invalid_radix(self):
         with pytest.raises(ValueError):
@@ -84,7 +85,7 @@ class TestStateBasics:
             State((2,), np.array([np.nan, 1.0]))
 
     def test_amplitudes_read_only(self):
-        s = basis_state((2, 2), (0, 1))
+        s = State((2, 2), np.eye(4)[1])
         with pytest.raises(ValueError):
             s.amps[0] = 5.0
 
@@ -128,9 +129,9 @@ class TestTensorProduct:
 
     def test_basis_case(self):
         # |0> (x) |1> is the basis state |01> with amplitude 1
-        out = tensor_product(basis_state((2,), (0,)), basis_state((2,), (1,)))
+        out = tensor_product(State((2,), np.eye(2)[0]), State((2,), np.eye(2)[1]))
         assert out.radices == (2, 2)
-        assert out.amplitude((0, 1)) == 1.0
+        assert out.reshaped()[0, 1] == 1.0
         assert np.count_nonzero(out.amps) == 1
 
     def test_norm_multiplicative(self):
@@ -160,29 +161,6 @@ class TestTensorProduct:
         right = tensor_product(u, tensor_product(v, w))
         assert left.radices == right.radices
         np.testing.assert_allclose(left.amps, right.amps, atol=1e-15)
-
-
-class TestInnerProduct:
-    def test_orthogonal_basis_states(self):
-        assert inner_product(basis_state((2,), (0,)), basis_state((2,), (1,))) == 0.0
-
-    def test_self_overlap_is_one(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            u = rand_state(rng, (3, 3))
-            assert abs(inner_product(u, u) - 1.0) < 1e-12
-
-    def test_conjugate_linear_in_first_argument(self):
-        rng = np.random.default_rng(10)
-        u, v = rand_state(rng, (4,)), rand_state(rng, (4,))
-        scaled = State((4,), (0.3 + 0.4j) * u.amps)
-        assert abs(
-            inner_product(scaled, v) - np.conj(0.3 + 0.4j) * inner_product(u, v)
-        ) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            inner_product(basis_state((2, 2), (0, 0)), basis_state((4,), (0,)))
 
 
 class TestFourierMatrix:
@@ -221,6 +199,11 @@ class TestFourierMatrix:
         with pytest.raises(ValueError):
             fourier_matrix(1, 1)
 
+    @pytest.mark.parametrize("d", [3.5, 3.0, "3"])
+    def test_non_integer_dimension_rejected(self, d):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            fourier_matrix(d, 1)
+
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
             fourier_matrix(3, 2)
@@ -250,18 +233,18 @@ class TestApplyLocalUnitary:
         np.testing.assert_allclose(back.amps, s.amps, atol=1e-12)
 
     def test_fourier_creates_uniform_superposition(self):
-        s = basis_state((3, 3), (0, 2))
+        s = State((3, 3), np.eye(9)[2])  # |0, 2>
         out = apply_local_unitary(s, fourier_matrix(3, 1), 0)
         for n in range(3):
-            assert abs(abs(out.amplitude((n, 2))) - 1 / np.sqrt(3)) < 1e-12
+            assert abs(abs(out.reshaped()[n, 2]) - 1 / np.sqrt(3)) < 1e-12
 
     def test_factor_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_local_unitary(basis_state((2, 2), (0, 0)), np.eye(2), 2)
+            apply_local_unitary(State((2, 2), np.eye(4)[0]), np.eye(2), 2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_local_unitary(basis_state((2, 3), (0, 0)), np.eye(2), 1)
+            apply_local_unitary(State((2, 3), np.eye(6)[0]), np.eye(2), 1)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_norm_preserved_on_random_states(self, d):
@@ -288,13 +271,13 @@ class TestPermuteFactors:
         np.testing.assert_allclose(back.amps, s.amps, atol=1e-15)
 
     def test_moves_amplitudes(self):
-        s = basis_state((2, 3), (1, 2))
+        s = State((2, 3), np.eye(6)[5])  # |1, 2>
         out = permute_factors(s, (1, 0))
-        assert out.amplitude((2, 1)) == 1.0
+        assert out.reshaped()[2, 1] == 1.0
 
     def test_invalid_permutation(self):
         with pytest.raises(ValueError):
-            permute_factors(basis_state((2, 2), (0, 0)), (0, 0))
+            permute_factors(State((2, 2), np.eye(4)[0]), (0, 0))
 
 
 C = REFERENCE_CONVENTION
@@ -356,6 +339,14 @@ class TestArgumentDomain:
         _decompose_row.cache_clear()
         assert decompose(3, 1, 0, C) is decompose(np.int64(3), 1, 0, C)
         assert _decompose_row.cache_info().currsize == 1
+
+    def test_a_numpy_row_finds_the_basis_cached_for_an_int(self):
+        # The row's tables store the checked d either way; its basis lookup shows the d it used.
+        _decompose_row.cache_clear()
+        decomp_basis.cache_clear()
+        _decompose_row(3, 1, C.bell_sign, C.decomp_sign)
+        _decompose_row(np.int64(3), 1, C.bell_sign, C.decomp_sign)
+        assert decomp_basis.cache_info().currsize == 1
 
     def test_a_numpy_run_finds_the_source_and_layout_cached_for_an_int(self):
         for cached in (bsa_layout, hyperentangled_state):
@@ -421,6 +412,20 @@ class TestArgumentDomain:
         assert type(build_decoding_table(np.int64(3), C).d) is int
         assert type(reference_index_law(np.int64(3)).d) is int
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda d: DecompositionTable(d, BellIndex(0, 0), C, np.zeros(1, int), np.ones(1)),
+            lambda d: DecodingTable(d, build_decoding_table(2, C).classes),
+            lambda d: CoincidenceTable(d, np.full((2,) * 4, 1 / 16)),
+        ],
+        ids=["decomposition", "decoding", "coincidence"],
+    )
+    def test_value_types_store_the_checked_dimension(self, build):
+        assert type(build(np.int64(2)).d) is int
+        with pytest.raises(ValueError, match="dimension must be an integer, got 2.0"):
+            build(2.0)
+
     @pytest.mark.parametrize("d", [3.0, "3", 1, 9])
     def test_reference_index_law_checks_its_dimension(self, d):
         with pytest.raises(ValueError):
@@ -449,6 +454,7 @@ CALLS = {
     "run_experiment": lambda d, a, b, n, s, c: run_experiment(d, a, b, n, s, c),
     "build_decoding_table": lambda d, a, b, n, s, c: build_decoding_table(d, c),
     "audit_reference_table": lambda d, a, b, n, s, c: audit_reference_table(d, c),
+    "load_reference_table": lambda d, a, b, n, s, c: load_reference_table(d),
     "reference_index_law": lambda d, a, b, n, s, c: reference_index_law(d),
 }
 USES = {  # the drawn arguments each entry reads, besides d

@@ -111,7 +111,7 @@ class TestDecompose:
         got = pair_coefficients(state, conv)
         labels = np.ndindex(*state.radices)
         expected = oracles.naive_pair_coefficients(
-            d, {label: state.amplitude(label) for label in labels}, conv.decomp_sign
+            d, {label: state.reshaped()[label] for label in labels}, conv.decomp_sign
         )
         for key, coeff in expected.items():
             assert abs(got[key] - coeff) < 1e-12
