@@ -59,9 +59,7 @@ from .classifier import (
 from .optics import (
     BsaLayout,
     ExperimentResult,
-    analyse,
     bsa_layout,
-    oam_sort,
     pipeline_probabilities,
     prepare_bell,
     run_experiment,

@@ -227,6 +227,9 @@ class IndexLaw:
     t: int
     m_law_holds: bool
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d", check_dimension(self.d))
+
     def alice_k(self, k: int, i: int) -> int:
         return (self.s * k + self.t * i) % self.d
 

@@ -39,31 +39,11 @@ def prepare_bell(d: int, i: int, j: int, convention: PhaseConvention) -> State:
     return apply_local_unitary(hyperentangled_state(d, 0, 0, convention), unitary, factor=2)
 
 
-def oam_sort(state: State) -> State:
-    """Convert the OAM digit of a single-particle state into an expanded path label.
-
-    Pure relabeling (path, oam) -> (group, port) with group = (path - oam)
-    mod d and port = path. Group g then carries exactly the support of the
-    decomposition states with m = g. Norm is preserved exactly and the map
-    is invertible.
-    """
-    if len(state.radices) != 2 or state.radices[0] != state.radices[1]:
-        raise ValueError(f"expected a single-particle (d, d) state, got {state.radices}")
-    d = state.radices[0]
-    group, port = np.ix_(np.arange(d), np.arange(d))
-    return State((d, d), state.reshaped()[port, (port - group) % d])
-
-
 @dataclass(frozen=True, eq=False)
 class BsaLayout:
-    """Analyser wiring: the one d-point transform that every expanded-path group applies.
-
-    Also the whole read-only analyser ``unitary`` U and ``equivalence_gap``, the
-    operator distance max |U - conj(S)| from the conjugate decomposition basis S.
-    """
+    """A particle's read-only analyser ``unitary`` U and ``equivalence_gap`` max |U - conj(S)|."""
 
     d: int
-    transform: np.ndarray
     unitary: np.ndarray
     equivalence_gap: float
 
@@ -72,33 +52,24 @@ class BsaLayout:
 def bsa_layout(d: int, convention: PhaseConvention) -> BsaLayout:
     """Analyser layout for one particle.
 
-    Every group carries the same transform: the Fourier matrix conjugate to
-    the decomposition-state phases, so the projection onto the literal
-    decomposition basis comes out exactly regardless of the convention.
+    Every group carries the same transform, kept only to write U: the Fourier
+    matrix conjugate to the decomposition-state phases, so the projection onto
+    the literal decomposition basis comes out exactly under any convention.
     U, row k*d + m (detector) and column path*d + oam (input mode), is the
-    OAM-to-path sort composed with the transform on every group. U comes
-    from this wiring and S from the state formula in ``decomp_basis``, so
-    the gap checks one against the other. Built once per (d, convention).
+    OAM-to-path sort, group = (path - oam) mod d, then the transform on every
+    group. U comes from this wiring and S from the state formula in
+    ``decomp_basis``, so the gap checks one against the other. Built once per
+    (d, convention).
     """
     d = check_dimension(d)
     transform = fourier_matrix(d, -convention.decomp_sign)
-    transform.flags.writeable = False
     port_out, group, port_in = np.ix_(*[np.arange(d)] * 3)
     unitary = np.zeros((d,) * 4, dtype=np.complex128)  # [port out, group, port in, oam]
     unitary[port_out, group, port_in, (port_in - group) % d] = transform[port_out, port_in]
     unitary = unitary.reshape(d * d, d * d)
     unitary.flags.writeable = False
     gap = float(np.max(np.abs(unitary - decomp_basis(d, convention.decomp_sign).conj())))
-    return BsaLayout(d, transform, unitary, gap)
-
-
-def analyse(state: State, layout: BsaLayout) -> np.ndarray:
-    """Detector amplitudes of a single-particle state, indexed [k, m].
-
-    The amplitude at detector (k, m) equals the overlap of the input with
-    the decomposition state (k, m).
-    """
-    return layout.transform @ oam_sort(state).reshaped().T
+    return BsaLayout(d, unitary, gap)
 
 
 def pipeline_probabilities(state: State, layout: BsaLayout) -> CoincidenceTable:

@@ -4,10 +4,14 @@ Each mutant names a file of the checkout, an exact text that must occur in it
 exactly once, the text that replaces it, and the defect that the change plants.
 For every mutant the gate copies ``src``, ``tests`` and ``pyproject.toml`` into
 a fresh temporary directory, applies the change there and runs
-``python -m pytest -x -q`` on the copy with a fixed ``--hypothesis-seed``,
-the tests of the mutated module ``src/hdbsm/<m>.py`` (``tests/test_<m>.py``)
-first where they exist. A mutant is killed when a test fails (pytest exit
-code 1). After the unmutated copy, the mutants run two at a time.
+``python -m pytest -x -q`` on the copy with a fixed ``--hypothesis-seed``, in
+two stages. The first runs the tests of the mutated module
+``src/hdbsm/<m>.py``, ``tests/test_<m>.py``, alone. Only a mutant that
+survives it, or whose module has no such file, runs the second stage, every
+other test file, those that check every module (``CROSS_MODULE``) first, so
+the two stages together run all of tier-1 once. A mutant is killed when a
+test fails in either stage (pytest exit code 1). The unmutated copy must
+pass every first stage alone and tier-1 as a whole. Runs go two at a time.
 
 The gate fails when a mutant survives, when a run ends any other way (a
 collection error or a timeout), when an old text does not occur exactly once,
@@ -43,6 +47,9 @@ TIMEOUT_S = 300
 CI_BUDGET_S = 300  # timeout-minutes: 5 of the mutation-gate step in .github/workflows/tests.yml
 WORKERS = 2  # mutants tested at once, each in its own pytest process
 PYTEST_ARGS = ("-x", "-q", f"--hypothesis-seed={HYPOTHESIS_SEED}")
+# The files that check every module, the named bounds and the argument domain, and
+# so kill the mutants that their own module's file misses.
+CROSS_MODULE = ("tests/test_bounds.py", "tests/test_core.py")
 
 
 class Mutant(NamedTuple):
@@ -425,12 +432,6 @@ MUTANTS = (
         "pair_coefficients accepts a state that fails one of its two shape checks",
     ),
     Mutant(
-        "src/hdbsm/optics.py",
-        "if len(state.radices) != 2 or state.radices[0] != state.radices[1]:",
-        "if len(state.radices) != 2 and state.radices[0] != state.radices[1]:",
-        "oam_sort accepts a state that fails one of its two shape checks",
-    ),
-    Mutant(
         "src/hdbsm/core.py",
         "if u.ndim != 2 or u.shape[0] != u.shape[1]:",
         "if u.ndim != 2 and u.shape[0] != u.shape[1]:",
@@ -536,7 +537,7 @@ MUTANTS = (
         "src/hdbsm/decomposition.py",
         "    d = check_dimension(d)\n    return IndexLaw(",
         "    return IndexLaw(",
-        "reference_index_law(9) returns a law outside the domain",
+        "reference_index_law('3') raises TypeError from d - 1 before IndexLaw checks d",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
@@ -609,9 +610,17 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        '        object.__setattr__(self, "d", check_dimension(self.d))\n',
-        "",
+        '        object.__setattr__(self, "d", check_dimension(self.d))\n        flat =',
+        "        flat =",
         "DecompositionTable stores its d unchecked",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "    def __post_init__(self) -> None:\n"
+        '        object.__setattr__(self, "d", check_dimension(self.d))\n\n'
+        "    def alice_k",
+        "    def alice_k",
+        "IndexLaw stores its d unchecked",
     ),
     Mutant(
         "src/hdbsm/core.py",
@@ -624,6 +633,32 @@ MUTANTS = (
         '    d = as_index(d, "dimension")\n',
         "",
         "load_reference_table finds the d = 3 listing for 3.0",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        "    if state.radices != (d,) * 4:\n"
+        '        raise ValueError(f"expected shape {(d,) * 4}, got {state.radices}")\n',
+        "",
+        "format_state_file writes a d=2 header over the 6 amplitudes of a (2, 3) state",
+    ),
+    # Error messages that only an exact-message test reads.
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        'f"no sign convention yields s = t = {d - 1} at d={d}"',
+        'f"no sign convention yields s = t = {d + 1} at d={d}"',
+        "NoMatchingConventionError names s = t = d + 1",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        'f"no sign convention yields s = t = {d - 1} at d={d}"',
+        'f"no sign convention yields s = t = {d - 2} at d={d}"',
+        "NoMatchingConventionError names s = t = d - 2",
+    ),
+    Mutant(
+        "src/hdbsm/optics.py",
+        'raise ValueError(f"expected shape {(d,) * 4}, got {state.radices}")',
+        'raise ValueError(f"expected shape {(d,) * 5}, got {state.radices}")',
+        "pipeline_probabilities' shape error names a five-factor shape",
     ),
 )
 
@@ -638,22 +673,28 @@ def stale() -> list[str]:
     return out
 
 
-def ordered_paths(mutant: Mutant | None, copy: Path) -> list[str]:
-    """Every test file, those of the mutated module ``src/hdbsm/<m>.py`` first.
+def own_tests(mutant: Mutant) -> str | None:
+    """The mutated module's test file ``tests/test_<m>.py``, or None where there is none."""
+    name = f"tests/test_{Path(mutant.path).stem}.py"
+    return name if (ROOT / name).is_file() else None
 
-    A mutant that its module's tests kill then stops the run seconds earlier.
+
+def tier1_files(without: str | None = None) -> tuple[str, ...]:
+    """Every test file but ``without``, the CROSS_MODULE files first.
+
     Each file is named, since pytest collects a file named together with its
     directory in the directory's order.
     """
-    own = f"test_{Path(mutant.path).stem}.py" if mutant else ""
-    files = sorted((copy / "tests").glob("test_*.py"), key=lambda f: (f.name != own, f.name))
-    return [str(f.relative_to(copy)) for f in files]
+    files = (str(f.relative_to(ROOT)) for f in (ROOT / "tests").glob("test_*.py"))
+    kept = (f for f in files if f != without)
+    return tuple(sorted(kept, key=lambda f: (f not in CROSS_MODULE, f)))
 
 
-def run_tests(mutant: Mutant | None) -> tuple[int | None, str]:
-    """Exit code of tier-1 on a fresh copy with ``mutant`` applied, and pytest's output.
+def run_tests(mutant: Mutant | None, paths: tuple[str, ...]) -> tuple[int | None, str]:
+    """Exit code of pytest on the test files ``paths`` in a fresh copy, and its output.
 
-    The exit code is None when the run times out.
+    ``mutant``, when given, is applied to the copy first. The exit code is
+    None when the run times out.
     """
     with tempfile.TemporaryDirectory(prefix="hdbsm-mutant-") as tmp:
         copy = Path(tmp)
@@ -669,7 +710,7 @@ def run_tests(mutant: Mutant | None) -> tuple[int | None, str]:
             text = target.read_text(encoding="utf-8")
             target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
-        argv = [sys.executable, "-m", "pytest", *PYTEST_ARGS, *ordered_paths(mutant, copy)]
+        argv = [sys.executable, "-m", "pytest", *PYTEST_ARGS, *paths]
         try:
             done = subprocess.run(
                 argv, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
@@ -677,6 +718,20 @@ def run_tests(mutant: Mutant | None) -> tuple[int | None, str]:
         except subprocess.TimeoutExpired:
             return None, f"timed out after {TIMEOUT_S} s"
         return done.returncode, done.stdout + done.stderr
+
+
+def run_stages(mutant: Mutant) -> tuple[int | None, str]:
+    """Exit code and output of the mutant's first stage that does not pass.
+
+    The module's own test file runs alone first; only a mutant that it does
+    not kill, or one whose module has no such file, runs the rest of tier-1.
+    """
+    own = own_tests(mutant)
+    if own is not None:
+        code, output = run_tests(mutant, (own,))
+        if code != 0:
+            return code, output
+    return run_tests(mutant, tier1_files(without=own))
 
 
 def first_failure(output: str) -> str:
@@ -691,20 +746,30 @@ def main() -> int:
         print(f"stale: {line}")
     if problems:
         return 1
-    began = time.perf_counter()
-    code, output = run_tests(None)
-    print(f"unmutated copy: pytest exit {code} ({time.perf_counter() - began:.1f} s)")
-    if code != 0:
-        print(output)
-        return 1
 
-    def timed(mutant: Mutant) -> tuple[int | None, str, float]:
+    def timed(run, *args) -> tuple[int | None, str, float]:
         began = time.perf_counter()
-        return (*run_tests(mutant), time.perf_counter() - began)
+        return (*run(*args), time.perf_counter() - began)
 
     failures = 0
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        for mutant, (code, output, seconds) in zip(MUTANTS, pool.map(timed, MUTANTS)):
+        # The unmutated copy passes every first stage alone and tier-1 as a whole,
+        # so a failure in either stage is the mutant's.
+        owns = sorted({own_tests(m) for m in MUTANTS} - {None})
+        stages = [tier1_files(), *((own,) for own in owns)]
+        for paths, (code, output, seconds) in zip(
+            stages, pool.map(lambda paths: timed(run_tests, None, paths), stages)
+        ):
+            name = paths[0] if len(paths) == 1 else "tier-1"
+            print(f"unmutated copy, {name}: pytest exit {code} ({seconds:.1f} s)")
+            if code != 0:
+                print(output)
+                failures += 1
+        if failures:
+            return 1
+        for mutant, (code, output, seconds) in zip(
+            MUTANTS, pool.map(lambda m: timed(run_stages, m), MUTANTS)
+        ):
             verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"NO VERDICT (exit {code})")
             print(f"{verdict:<8} {seconds:5.1f} s  {mutant.path}: {mutant.reason}")
             print(f"{'':16}{first_failure(output)}")

@@ -10,9 +10,9 @@ with every uniform of a single draw, as the sampler did before its search was
 indexed, and ``sequential_search_monomial`` tests one shift/clock monomial at
 a time, as the package did before it wrote the steering unitary in closed
 form; ``shift_clock_unitary`` must equal its result byte for byte. The
-``loop_*`` builders construct the state families, the OAM sort and the
-analyser unitary one digit at a time, with the arithmetic of the package's
-array formulas, so their results are compared byte for byte.
+``loop_*`` builders construct the state families and the analyser unitary
+one digit at a time, with the arithmetic of the package's array formulas, so
+their results are compared byte for byte.
 ``hand_built_table`` is how tests make a decomposition table from a dict of
 their own, and ``table_entries`` reads a table back as such a dict.
 ``bell_arrays`` splits a decoding table's class indices into its i and j arrays.
@@ -158,16 +158,6 @@ def loop_decomp_amps(d: int, k: int, m: int, decomp_sign: int = 1) -> np.ndarray
     for q in range(d):
         amps[q, (q - m) % d] = phases[q]
     return amps.reshape(-1) / np.sqrt(d)
-
-
-def loop_oam_sort(grid: np.ndarray) -> np.ndarray:
-    """(group, port) grid of a (path, oam) grid: group = (path - oam) mod d, port = path."""
-    d = grid.shape[0]
-    out = np.empty((d, d), dtype=np.complex128)
-    for group in range(d):
-        for port in range(d):
-            out[group, port] = grid[port, (port - group) % d]
-    return out
 
 
 def loop_bsa_unitary(d: int, transform: np.ndarray) -> np.ndarray:

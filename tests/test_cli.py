@@ -831,6 +831,14 @@ class TestStateFileFormat:
         assert parsed.radices == state.radices
         np.testing.assert_allclose(parsed.amps, state.amps, atol=0)
 
+    @pytest.mark.parametrize("radices", [(2, 3), (2, 2)])
+    def test_format_rejects_a_state_of_another_shape(self, radices):
+        # A d=2 header over 6 or 4 amplitude lines would be a file parse_state_file rejects.
+        state = State(radices, np.eye(radices[0] * radices[1])[0])
+        with pytest.raises(ValueError) as info:
+            format_state_file(state)
+        assert str(info.value) == f"expected shape (2, 2, 2, 2), got {radices}"
+
     def test_comments_and_blank_lines_ignored(self):
         state = hyperentangled_state(2, 0, 0, REFERENCE_CONVENTION)
         text = format_state_file(state)

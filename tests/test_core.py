@@ -24,6 +24,7 @@ from hdbsm.core import (
 )
 from hdbsm.decomposition import (
     DecompositionTable,
+    IndexLaw,
     _decompose_row,
     decompose,
     decompose_all,
@@ -418,8 +419,9 @@ class TestArgumentDomain:
             lambda d: DecompositionTable(d, BellIndex(0, 0), C, np.zeros(1, int), np.ones(1)),
             lambda d: DecodingTable(d, build_decoding_table(2, C).classes),
             lambda d: CoincidenceTable(d, np.full((2,) * 4, 1 / 16)),
+            lambda d: IndexLaw(d, 1, 1, True),
         ],
-        ids=["decomposition", "decoding", "coincidence"],
+        ids=["decomposition", "decoding", "coincidence", "law"],
     )
     def test_value_types_store_the_checked_dimension(self, build):
         assert type(build(np.int64(2)).d) is int

@@ -408,6 +408,15 @@ class TestFindConvention:
         with pytest.raises(ValueError):
             find_convention(2)
 
+    def test_no_matching_convention_names_the_law_and_d(self, monkeypatch):
+        def unfit(d):  # a target law that no convention fits
+            return IndexLaw(d, 0, 0, True)
+
+        monkeypatch.setattr(decomposition, "reference_index_law", unfit)
+        with pytest.raises(NoMatchingConventionError) as info:
+            find_convention(3)
+        assert str(info.value) == "no sign convention yields s = t = 2 at d=3"
+
     def test_cold_d6_search_peaks_under_1_mb(self):
         for cached in (
             decomposition._decompose_row,
@@ -435,6 +444,11 @@ class TestIndexLawDecodeErrors:
         law = IndexLaw(d=4, s=3, t=2, m_law_holds=True)
         with pytest.raises(ValueError):
             decoding_table_from_law(law)
+
+    def test_float_dimension_rejected(self):
+        # decoding_table_from_law inverts t with pow(law.t, -1, d), which needs an int d.
+        with pytest.raises(ValueError, match="dimension must be an integer, got 3.0"):
+            decoding_table_from_law(IndexLaw(3.0, 2, 2, True))
 
 
 class TestExactOracle:

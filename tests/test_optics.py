@@ -5,14 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hdbsm.classifier import build_decoding_table, classify, coincidence_probabilities
 from hdbsm.core import State, fourier_matrix, is_unitary
 from hdbsm.decomposition import decompose, hyperentangled_state
-from hdbsm.optics import (
-    analyse,
-    bsa_layout,
-    oam_sort,
-    pipeline_probabilities,
-    prepare_bell,
-    run_experiment,
-)
+from hdbsm.optics import bsa_layout, pipeline_probabilities, prepare_bell, run_experiment
 from hdbsm.states import (
     ALL_CONVENTIONS,
     BellIndex,
@@ -20,17 +13,11 @@ from hdbsm.states import (
     PhaseConvention,
     REFERENCE_CONVENTION,
     decomp_basis,
-    decomp_state,
 )
 
 import oracles
 
 BOTH_MAIN = [LITERAL_CONVENTION, REFERENCE_CONVENTION]
-
-
-def rand_single(rng, d):
-    v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-    return State((d, d), v / np.linalg.norm(v))
 
 
 class TestPrepareSource:
@@ -93,93 +80,6 @@ class TestPrepareBell:
         assert support == set(printed)
 
 
-class TestOamSort:
-    def test_basis_relabel(self):
-        # path 0 with the lowest OAM letter lands in group 0, port 0
-        state = State((3, 3), np.eye(9)[0])  # |path 0, oam 0>
-        out = oam_sort(state)
-        assert out.reshaped()[0, 0] == 1.0
-
-    def test_group_is_path_minus_oam(self):
-        d = 3
-        for path in range(d):
-            for oam in range(d):
-                state = State((d, d), np.eye(d * d)[path * d + oam])
-                out = oam_sort(state)
-                assert abs(out.reshaped()[(path - oam) % d, path] - 1.0) < 1e-15
-
-    def test_decomposition_state_fills_one_group(self):
-        # the (k=0, m=1) state occupies group 1, uniform over its 3 ports
-        out = oam_sort(decomp_state(3, 0, 1, REFERENCE_CONVENTION)).reshaped()
-        assert np.max(np.abs(out[[0, 2], :])) < 1e-12
-        np.testing.assert_allclose(np.abs(out[1]), np.full(3, 1 / np.sqrt(3)), atol=1e-12)
-
-    def test_norm_preserved_and_invertible(self):
-        rng = np.random.default_rng(55)
-        for d in (2, 3, 4, 5):
-            state = rand_single(rng, d)
-            out = oam_sort(state)
-            assert abs(out.norm() - state.norm()) < 1e-15
-            # invert the relabeling by hand
-            back = np.empty((d, d), dtype=np.complex128)
-            grid = out.reshaped()
-            for group in range(d):
-                for port in range(d):
-                    back[port, (port - group) % d] = grid[group, port]
-            np.testing.assert_allclose(back.reshape(-1), state.amps, atol=1e-15)
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_equals_loop(self, d):
-        state = rand_single(np.random.default_rng(60 + d), d)
-        assert oam_sort(state).amps.tobytes() == oracles.loop_oam_sort(state.reshaped()).tobytes()
-
-    # Each input fails exactly one check: the factor count or the equal radices.
-    def test_rejects_joint_states(self):
-        with pytest.raises(ValueError) as info:
-            oam_sort(State((2, 2, 2, 2), np.eye(16)[0]))
-        assert str(info.value) == "expected a single-particle (d, d) state, got (2, 2, 2, 2)"
-
-    def test_rejects_unequal_radices(self):
-        with pytest.raises(ValueError) as info:
-            oam_sort(State((2, 3), np.eye(6)[0]))
-        assert str(info.value) == "expected a single-particle (d, d) state, got (2, 3)"
-
-
-class TestAnalyse:
-    @pytest.mark.parametrize("conv", BOTH_MAIN, ids=lambda c: c.label())
-    def test_each_decomposition_state_fires_its_detector(self, conv):
-        for d in (2, 3, 4, 5):
-            layout = bsa_layout(d, conv)
-            for k in range(d):
-                for m in range(d):
-                    amps = analyse(decomp_state(d, k, m, conv), layout)
-                    expected = np.zeros((d, d))
-                    expected[k, m] = 1.0
-                    np.testing.assert_allclose(np.abs(amps), expected, atol=1e-9)
-
-    def test_matrix_identities_exact(self):
-        # the three d=3 phase-ramp inputs exit on the three distinct ports
-        conv = REFERENCE_CONVENTION
-        layout = bsa_layout(3, conv)
-        for k in range(3):
-            amps = analyse(decomp_state(3, k, 0, conv), layout)
-            expected = np.zeros((3, 3))
-            expected[k, 0] = 1.0
-            np.testing.assert_allclose(np.abs(amps), expected, atol=1e-12)
-
-    def test_amplitude_equals_overlap(self):
-        rng = np.random.default_rng(56)
-        conv = REFERENCE_CONVENTION
-        d = 3
-        layout = bsa_layout(d, conv)
-        state = rand_single(rng, d)
-        amps = analyse(state, layout)
-        for k in range(d):
-            for m in range(d):
-                overlap = np.vdot(decomp_state(d, k, m, conv).amps, state.amps)
-                assert abs(amps[k, m] - overlap) < 1e-12
-
-
 class TestBsaUnitary:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("conv", BOTH_MAIN, ids=lambda c: c.label())
@@ -195,19 +95,8 @@ class TestBsaUnitary:
 
     def test_layout_arrays_are_read_only(self):
         layout = bsa_layout(3, REFERENCE_CONVENTION)
-        for array in (layout.transform, layout.unitary):
-            with pytest.raises(ValueError):
-                array[0, 0] = 0.0
-
-    def test_matches_analyse(self):
-        rng = np.random.default_rng(57)
-        conv = REFERENCE_CONVENTION
-        layout = bsa_layout(3, conv)
-        u = layout.unitary
-        state = rand_single(rng, 3)
-        np.testing.assert_allclose(
-            (u @ state.amps).reshape(3, 3), analyse(state, layout), atol=1e-12
-        )
+        with pytest.raises(ValueError):
+            layout.unitary[0, 0] = 0.0
 
 
 class TestOperatorEquivalence:
@@ -250,6 +139,12 @@ class TestPipeline:
                 optical = pipeline_probabilities(state, layout)
                 abstract = coincidence_probabilities(state, conv)
                 assert np.max(np.abs(optical.probs - abstract.probs)) < 1e-9
+
+    def test_rejects_a_state_of_another_dimension(self):
+        state = hyperentangled_state(2, 0, 0, REFERENCE_CONVENTION)
+        with pytest.raises(ValueError) as info:
+            pipeline_probabilities(state, bsa_layout(3, REFERENCE_CONVENTION))
+        assert str(info.value) == "expected shape (3, 3, 3, 3), got (2, 2, 2, 2)"
 
     def test_total_detection_probability(self):
         conv = REFERENCE_CONVENTION
