@@ -41,14 +41,20 @@ class DecodingTable:
     class index i*d + j of each pair's Bell index (i, j); UNREACHABLE (-1)
     marks pairs no Bell input can produce. For the protocol's states no pair
     is unreachable: the classes partition all d**4 pairs into d*d groups of d*d.
-    A d that is not an integer in 2..6 raises ``ValueError``.
+    A d that is not an integer in 2..6, or ``classes`` that is not an integer
+    array of shape (d, d, d, d), raises ``ValueError``; ``class_order`` checks
+    the values.
     """
 
     d: int
     classes: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", check_dimension(self.d))
+        d = check_dimension(self.d)
+        object.__setattr__(self, "d", d)
+        is_int = isinstance(self.classes, np.ndarray) and self.classes.dtype.kind in "iu"
+        if not is_int or self.classes.shape != (d,) * 4:
+            raise ValueError(f"classes must be an integer array of shape {(d,) * 4}")
 
     @cached_property
     def class_order(self) -> np.ndarray:

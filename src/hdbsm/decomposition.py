@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LOGIC_TOL, State, check_dimension, tensor_product
+from .core import LOGIC_TOL, State, as_index, check_dimension, tensor_product
 from .states import (
     ALL_CONVENTIONS,
     BellIndex,
@@ -70,23 +70,28 @@ def _bell_row(d: int, i: int, convention: PhaseConvention) -> np.ndarray:
     return psi
 
 
+def pair_product(state: State, basis: np.ndarray) -> np.ndarray:
+    """Amplitudes of a (d, d, d, d) state on each product of two rows of a (d*d, d*d) basis.
+
+    The pair basis is the Kronecker product basis (x) basis, so with the state
+    reshaped to a d^2 x d^2 matrix Psi (rows Bob's digits, columns Alice's) the
+    amplitudes are basis Psi basis^T, indexed [k, m, k', m'] for rows k*d + m
+    and k'*d + m'. A state of any other shape raises ValueError.
+    """
+    d = math.isqrt(len(basis))
+    if state.radices != (d,) * 4:
+        raise ValueError(f"expected shape {(d,) * 4}, got {state.radices}")
+    return (basis @ state.amps.reshape(d * d, d * d) @ basis.T).reshape((d,) * 4)
+
+
 def pair_coefficients(state: State, convention: PhaseConvention) -> np.ndarray:
     """Coefficients <alpha_km (x) alpha_k'm' | state> as an array indexed [k, m, k', m'].
 
-    The state must have shape (d, d, d, d) ordered (B system, B auxiliary,
-    A system, A auxiliary).
-
-    The pair basis is the Kronecker product S (x) S of the single-particle
-    basis S, so with the state reshaped to a d^2 x d^2 matrix Psi (rows
-    Bob's digits, columns Alice's) the coefficients are conj(S) Psi conj(S)^T.
+    The :func:`pair_product` of the state, ordered (B system, B auxiliary, A system,
+    A auxiliary), with conj(S) for S = ``decomp_basis`` of the first radix, which is
+    checked as a dimension (2..6) before the shape.
     """
-    radices = state.radices
-    if len(radices) != 4 or len(set(radices)) != 1:
-        raise ValueError(f"expected shape (d, d, d, d), got {radices}")
-    d = radices[0]
-    rows = decomp_basis(d, convention.decomp_sign).conj()
-    coeffs = rows @ state.amps.reshape(d * d, d * d) @ rows.T
-    return coeffs.reshape(d, d, d, d)
+    return pair_product(state, decomp_basis(state.radices[0], convention.decomp_sign).conj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +171,7 @@ def _decompose_row(
 
     The d hyperentangled states of :func:`_bell_row` are stacked as d
     matrices Psi_j (rows Bob's digits, columns Alice's) and projected as in
-    :func:`pair_coefficients`, with one ``conj(S) @ Psi @ conj(S)^T`` over the
+    :func:`pair_product`, with one ``conj(S) @ Psi @ conj(S)^T`` over the
     stack, so every coefficient equals, bit for bit, the one from projecting
     :func:`hyperentangled_state` on its own (an exact zero may differ in
     sign). Each table's arrays are read-only slices in ascending flat order.
@@ -220,7 +225,10 @@ def reconstruct(table: DecompositionTable) -> State:
 
 @dataclass(frozen=True)
 class IndexLaw:
-    """Affine law k' = (s*k + t*i) mod d on the support, plus the m' = (m+j) mod d flag."""
+    """Affine law k' = (s*k + t*i) mod d on the support, plus the m' = (m+j) mod d flag.
+
+    d, s and t are stored as the plain ints that ``check_dimension`` checks, s and t in 0..d-1.
+    """
 
     d: int
     s: int
@@ -228,7 +236,9 @@ class IndexLaw:
     m_law_holds: bool
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", check_dimension(self.d))
+        object.__setattr__(self, "d", check_dimension(self.d, s=self.s, t=self.t))
+        object.__setattr__(self, "s", as_index(self.s, "s"))
+        object.__setattr__(self, "t", as_index(self.t, "t"))
 
     def alice_k(self, k: int, i: int) -> int:
         return (self.s * k + self.t * i) % self.d

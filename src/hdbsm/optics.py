@@ -22,7 +22,7 @@ import numpy as np
 
 from .classifier import CoincidenceTable, ShotRecord, sample_outcomes
 from .core import State, apply_local_unitary, as_index, check_dimension, fourier_matrix
-from .decomposition import hyperentangled_state
+from .decomposition import hyperentangled_state, pair_product
 from .states import BellIndex, PhaseConvention, decomp_basis, shift_clock_unitary
 
 EQUIVALENCE_TOL = 1e-9  # an analyser is equivalent when its operator gap lies strictly below it
@@ -46,6 +46,9 @@ class BsaLayout:
     d: int
     unitary: np.ndarray
     equivalence_gap: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d", check_dimension(self.d))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -75,16 +78,10 @@ def bsa_layout(d: int, convention: PhaseConvention) -> BsaLayout:
 def pipeline_probabilities(state: State, layout: BsaLayout) -> CoincidenceTable:
     """Joint detector distribution of the two-particle optics, indexed [k, m, k', m'].
 
-    Applies the analyser unitary to each particle's (system, auxiliary)
-    factor pair and squares the resulting joint amplitudes.
+    Applies the analyser U to each particle's (system, auxiliary) factor pair,
+    the :func:`hdbsm.decomposition.pair_product` of the state with U, and squares it.
     """
-    d = layout.d
-    if state.radices != (d,) * 4:
-        raise ValueError(f"expected shape {(d,) * 4}, got {state.radices}")
-    u = layout.unitary
-    joint = state.amps.reshape(d * d, d * d)
-    detector_amps = u @ joint @ u.T
-    return CoincidenceTable(d, np.abs(detector_amps.reshape((d,) * 4)) ** 2)
+    return CoincidenceTable(layout.d, np.abs(pair_product(state, layout.unitary)) ** 2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import State, check_dimension
+from .core import State, as_index, check_dimension
 
 
 class BellIndex(NamedTuple):
@@ -34,14 +34,18 @@ class BellIndex(NamedTuple):
 
 @dataclass(frozen=True)
 class PhaseConvention:
-    """Signs of the phase exponents in the Bell and decomposition families."""
+    """Signs of the phase exponents in the Bell and decomposition families, each a plain int ±1."""
 
     bell_sign: int
     decomp_sign: int
 
     def __post_init__(self) -> None:
-        if self.bell_sign not in (1, -1) or self.decomp_sign not in (1, -1):
+        bell = as_index(self.bell_sign, "bell_sign")
+        decomp = as_index(self.decomp_sign, "decomp_sign")
+        if bell not in (1, -1) or decomp not in (1, -1):
             raise ValueError("phase convention signs must be +1 or -1")
+        object.__setattr__(self, "bell_sign", bell)
+        object.__setattr__(self, "decomp_sign", decomp)
 
     def label(self) -> str:
         plus_minus = {1: "+", -1: "-"}

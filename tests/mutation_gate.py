@@ -62,8 +62,8 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "src/hdbsm/decomposition.py",
-        "rows = decomp_basis(d, convention.decomp_sign).conj()",
-        "rows = decomp_basis(d, convention.decomp_sign)",
+        "decomp_basis(state.radices[0], convention.decomp_sign).conj())",
+        "decomp_basis(state.radices[0], convention.decomp_sign))",
         "pair_coefficients projects on S instead of conj(S)",
     ),
     Mutant(
@@ -191,9 +191,9 @@ MUTANTS = (
     # Mutants recorded in CHANGES.md for earlier changes, retargeted to the current code.
     Mutant(
         "src/hdbsm/decomposition.py",
-        "coeffs = rows @ state.amps.reshape(d * d, d * d) @ rows.T",
-        "coeffs = rows @ state.amps.reshape(d * d, d * d) @ rows",
-        "pair_coefficients projects Alice's side on S^T instead of S",
+        "(basis @ state.amps.reshape(d * d, d * d) @ basis.T)",
+        "(basis @ state.amps.reshape(d * d, d * d) @ basis)",
+        "the pair product projects Alice's side on the transposed basis",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
@@ -427,9 +427,15 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "if len(radices) != 4 or len(set(radices)) != 1:",
-        "if len(radices) != 4 and len(set(radices)) != 1:",
-        "pair_coefficients accepts a state that fails one of its two shape checks",
+        "if state.radices != (d,) * 4:",
+        "if len(state.radices) != 4:",
+        "the pair product accepts four factors of unequal radix",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "d = math.isqrt(len(basis))",
+        "d = state.radices[0]",
+        "the pair product reads d from the state, not from the basis it multiplies by",
     ),
     Mutant(
         "src/hdbsm/core.py",
@@ -597,9 +603,8 @@ MUTANTS = (
     # The value types store the checked d; two entries with their own range read d as an integer.
     Mutant(
         "src/hdbsm/classifier.py",
-        "    def __post_init__(self) -> None:\n"
-        '        object.__setattr__(self, "d", check_dimension(self.d))\n\n',
-        "",
+        '        d = check_dimension(self.d)\n        object.__setattr__(self, "d", d)\n',
+        "        d = self.d\n",
         "DecodingTable stores its d unchecked",
     ),
     Mutant(
@@ -616,11 +621,35 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "    def __post_init__(self) -> None:\n"
-        '        object.__setattr__(self, "d", check_dimension(self.d))\n\n'
-        "    def alice_k",
-        "    def alice_k",
+        '        object.__setattr__(self, "d", check_dimension(self.d, s=self.s, t=self.t))\n',
+        "",
         "IndexLaw stores its d unchecked",
+    ),
+    Mutant(
+        "src/hdbsm/optics.py",
+        "    def __post_init__(self) -> None:\n"
+        '        object.__setattr__(self, "d", check_dimension(self.d))\n',
+        "",
+        "BsaLayout stores its d unchecked",
+    ),
+    # The other fields of the value types: signs, law coefficients and the class array.
+    Mutant(
+        "src/hdbsm/states.py",
+        '        object.__setattr__(self, "bell_sign", bell)\n',
+        "",
+        "PhaseConvention(True, 1) keeps a bool sign, which keys its own cached rows",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "check_dimension(self.d, s=self.s, t=self.t)",
+        "check_dimension(self.d)",
+        "IndexLaw(3, 3, 2, True) stores s = d",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        'self.classes.dtype.kind in "iu"',
+        'self.classes.dtype.kind in "iuf"',
+        "DecodingTable accepts float classes",
     ),
     Mutant(
         "src/hdbsm/core.py",
@@ -655,10 +684,10 @@ MUTANTS = (
         "NoMatchingConventionError names s = t = d - 2",
     ),
     Mutant(
-        "src/hdbsm/optics.py",
+        "src/hdbsm/decomposition.py",
         'raise ValueError(f"expected shape {(d,) * 4}, got {state.radices}")',
         'raise ValueError(f"expected shape {(d,) * 5}, got {state.radices}")',
-        "pipeline_probabilities' shape error names a five-factor shape",
+        "the pair product's shape error names a five-factor shape",
     ),
 )
 
@@ -740,6 +769,32 @@ def first_failure(output: str) -> str:
     return next((ln for ln in lines if ln.startswith(("FAILED ", "ERROR "))), lines[-1])
 
 
+def timed(run, *args) -> tuple[int | None, str, float]:
+    """``run(*args)``'s exit code and output, and its wall time in seconds."""
+    began = time.perf_counter()
+    return (*run(*args), time.perf_counter() - began)
+
+
+def unmutated_passes(pool: ThreadPoolExecutor, mutants) -> bool:
+    """Whether the unmutated copy passes tier-1 and each of the mutants' first stages alone.
+
+    Then a failure in either stage is the mutant's. Prints one line per run,
+    and the output of each run that fails.
+    """
+    owns = sorted({own_tests(m) for m in mutants} - {None})
+    stages = [tier1_files(), *((own,) for own in owns)]
+    passed = True
+    for paths, (code, output, seconds) in zip(
+        stages, pool.map(lambda paths: timed(run_tests, None, paths), stages)
+    ):
+        name = paths[0] if len(paths) == 1 else "tier-1"
+        print(f"unmutated copy, {name}: pytest exit {code} ({seconds:.1f} s)")
+        if code != 0:
+            print(output)
+            passed = False
+    return passed
+
+
 def main() -> int:
     problems = stale()
     for line in problems:
@@ -747,25 +802,9 @@ def main() -> int:
     if problems:
         return 1
 
-    def timed(run, *args) -> tuple[int | None, str, float]:
-        began = time.perf_counter()
-        return (*run(*args), time.perf_counter() - began)
-
     failures = 0
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        # The unmutated copy passes every first stage alone and tier-1 as a whole,
-        # so a failure in either stage is the mutant's.
-        owns = sorted({own_tests(m) for m in MUTANTS} - {None})
-        stages = [tier1_files(), *((own,) for own in owns)]
-        for paths, (code, output, seconds) in zip(
-            stages, pool.map(lambda paths: timed(run_tests, None, paths), stages)
-        ):
-            name = paths[0] if len(paths) == 1 else "tier-1"
-            print(f"unmutated copy, {name}: pytest exit {code} ({seconds:.1f} s)")
-            if code != 0:
-                print(output)
-                failures += 1
-        if failures:
+        if not unmutated_passes(pool, MUTANTS):
             return 1
         for mutant, (code, output, seconds) in zip(
             MUTANTS, pool.map(lambda m: timed(run_stages, m), MUTANTS)
@@ -776,7 +815,6 @@ def main() -> int:
             failures += code != 1
     print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
     return 1 if failures else 0
-
 
 if __name__ == "__main__":
     began = time.perf_counter()

@@ -67,6 +67,21 @@ class TestDecodingTable:
         from_law = decoding_table_from_law(fit_index_law(decompose_all(d, conv)))
         assert np.array_equal(from_supports.classes, from_law.classes)
 
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda classes: classes.astype(float),
+            lambda classes: classes[:2, :2, :2, :2],
+            lambda classes: classes.reshape(9, 9),
+            lambda classes: classes.tolist(),
+        ],
+        ids=["float", "d-2-shape", "flat-pairs", "list"],
+    )
+    def test_classes_must_be_an_integer_array_of_d_to_the_four(self, spoil):
+        classes = build_decoding_table(3, REFERENCE_CONVENTION).classes
+        with pytest.raises(ValueError, match=r"integer array of shape \(3, 3, 3, 3\)$"):
+            DecodingTable(3, spoil(classes))
+
     def test_collision_detected(self, monkeypatch):
         tables = dict(decompose_all(2, LITERAL_CONVENTION))
         stolen = next(iter(oracles.table_entries(tables[BellIndex(0, 0)])))

@@ -32,11 +32,12 @@ from hdbsm.decomposition import (
     hyperentangled_state,
     reference_index_law,
 )
-from hdbsm.optics import bsa_layout, prepare_bell, run_experiment
+from hdbsm.optics import BsaLayout, bsa_layout, prepare_bell, run_experiment
 from hdbsm.states import (
     ALL_CONVENTIONS,
     REFERENCE_CONVENTION,
     BellIndex,
+    PhaseConvention,
     aux_state,
     bell_state,
     decomp_basis,
@@ -341,6 +342,12 @@ class TestArgumentDomain:
         assert decompose(3, 1, 0, C) is decompose(np.int64(3), 1, 0, C)
         assert _decompose_row.cache_info().currsize == 1
 
+    def test_each_spelling_of_a_sign_finds_the_rows_cached_for_the_int(self):
+        _decompose_row.cache_clear()
+        for sign in (1, True, np.int64(1)):
+            decompose_all(3, PhaseConvention(sign, 1))
+        assert _decompose_row.cache_info().currsize == 3
+
     def test_a_numpy_row_finds_the_basis_cached_for_an_int(self):
         # The row's tables store the checked d either way; its basis lookup shows the d it used.
         _decompose_row.cache_clear()
@@ -420,8 +427,9 @@ class TestArgumentDomain:
             lambda d: DecodingTable(d, build_decoding_table(2, C).classes),
             lambda d: CoincidenceTable(d, np.full((2,) * 4, 1 / 16)),
             lambda d: IndexLaw(d, 1, 1, True),
+            lambda d: BsaLayout(d, bsa_layout(2, C).unitary, 0.0),
         ],
-        ids=["decomposition", "decoding", "coincidence", "law"],
+        ids=["decomposition", "decoding", "coincidence", "law", "layout"],
     )
     def test_value_types_store_the_checked_dimension(self, build):
         assert type(build(np.int64(2)).d) is int

@@ -21,10 +21,12 @@ from hdbsm.decomposition import (
     fit_phase_law,
     hyperentangled_state,
     pair_coefficients,
+    pair_product,
     reconstruct,
     reference_index_law,
 )
 from hdbsm.classifier import build_decoding_table, decoding_table_from_law
+from hdbsm.optics import bsa_layout, pipeline_probabilities
 from hdbsm.states import (
     ALL_CONVENTIONS,
     BellIndex,
@@ -98,6 +100,18 @@ class TestDecompose:
                 for key in expected:
                     assert abs(got[key] - expected[key]) < 1e-12
 
+    # Bob's and Alice's rows of the (d, d, d, d) product both come from the
+    # basis untransposed: a product state maps to the product of the two images.
+    def test_pair_product_maps_a_product_state_to_the_product_of_its_images(self):
+        rng = np.random.default_rng(5)
+        basis, bob, alice = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in ((9, 9), 9, 9)
+        )
+        state = State((3,) * 4, np.multiply.outer(bob, alice).reshape(-1))
+        expected = np.multiply.outer(basis @ bob, basis @ alice).reshape((3,) * 4)
+        assert np.allclose(pair_product(state, basis), expected, rtol=0, atol=1e-12)
+
     @settings(max_examples=40, deadline=None)
     @given(
         d=st.integers(2, 6),
@@ -116,13 +130,34 @@ class TestDecompose:
         for key, coeff in expected.items():
             assert abs(got[key] - coeff) < 1e-12
 
-    # Each shape fails exactly one check: the factor count or the equal radices.
-    @pytest.mark.parametrize("radices", [(3, 3, 3), (2, 2, 2, 3)])
+    # A factor short, or unequal radices: both pair products name the shape they
+    # expected from their basis, whose d is the state's first radix.
+    @pytest.mark.parametrize("radices", [(3, 3, 3), (2, 2, 2, 3), (3, 2, 2, 2)])
     def test_pair_coefficients_rejects_bad_shape(self, radices):
+        state = State(radices, np.eye(math.prod(radices))[0])
+        layout = bsa_layout(radices[0], LITERAL_CONVENTION)
+        for call in (
+            lambda: pair_coefficients(state, LITERAL_CONVENTION),
+            lambda: pipeline_probabilities(state, layout),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"expected shape {(radices[0],) * 4}, got {radices}"
+
+    def test_pair_product_reads_d_from_its_basis(self):
+        state = State((2,) * 4, np.eye(16)[0])
+        with pytest.raises(ValueError) as info:
+            pair_product(state, np.eye(9))
+        assert str(info.value) == "expected shape (3, 3, 3, 3), got (2, 2, 2, 2)"
+
+    # pair_coefficients builds its basis from the first radix, so that radix
+    # meets the dimension check before the shape check.
+    @pytest.mark.parametrize("radices", [(8, 2, 2, 2), (7,)])
+    def test_pair_coefficients_checks_the_first_radix_as_a_dimension(self, radices):
         state = State(radices, np.eye(math.prod(radices))[0])
         with pytest.raises(ValueError) as info:
             pair_coefficients(state, LITERAL_CONVENTION)
-        assert str(info.value) == f"expected shape (d, d, d, d), got {radices}"
+        assert str(info.value) == f"dimension {radices[0]} outside the supported range (2..6)"
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("conv", BOTH_MAIN, ids=lambda c: c.label())
@@ -449,6 +484,25 @@ class TestIndexLawDecodeErrors:
         # decoding_table_from_law inverts t with pow(law.t, -1, d), which needs an int d.
         with pytest.raises(ValueError, match="dimension must be an integer, got 3.0"):
             decoding_table_from_law(IndexLaw(3.0, 2, 2, True))
+
+    @pytest.mark.parametrize(
+        "s, t, message",
+        [
+            (2.0, 2, "s must be an integer, got 2.0"),
+            (2, 2.0, "t must be an integer, got 2.0"),
+            (3, 2, "s=3 out of range for dimension 3"),
+            (2, -1, "t=-1 out of range for dimension 3"),
+        ],
+        ids=["float-s", "float-t", "s-is-d", "negative-t"],
+    )
+    def test_coefficients_are_indices_below_d(self, s, t, message):
+        with pytest.raises(ValueError, match=message):
+            decoding_table_from_law(IndexLaw(3, s, t, True))
+
+    def test_coefficients_are_stored_as_plain_ints(self):
+        law = IndexLaw(3, np.int64(2), True, True)
+        assert (law.s, law.t) == (2, 1)
+        assert type(law.s) is int and type(law.t) is int
 
 
 class TestExactOracle:

@@ -160,6 +160,25 @@ class TestPhaseConvention:
         with pytest.raises(ValueError):
             PhaseConvention(0, 1)
 
+    @pytest.mark.parametrize(
+        "signs, message",
+        [
+            ((1.0, 1), "bell_sign must be an integer, got 1.0"),
+            ((1, -1.0), "decomp_sign must be an integer, got -1.0"),
+        ],
+        ids=["float-bell", "float-decomp"],
+    )
+    def test_a_float_sign_is_rejected(self, signs, message):
+        with pytest.raises(ValueError) as info:
+            PhaseConvention(*signs)
+        assert str(info.value) == message
+
+    def test_signs_are_stored_as_plain_ints(self):
+        conv = PhaseConvention(True, np.int64(-1))
+        assert (conv.bell_sign, conv.decomp_sign) == (1, -1)
+        assert type(conv.bell_sign) is int and type(conv.decomp_sign) is int
+        assert conv == PhaseConvention(1, -1) and conv.label() == "+-"
+
 
 class TestShiftClockUnitary:
     def test_identity_at_origin(self):
