@@ -49,7 +49,6 @@ from .classifier import (
     DecodingTable,
     ShotRecord,
     build_decoding_table,
-    classify,
     classify_table,
     coincidence_probabilities,
     decoding_table_from_law,

@@ -222,13 +222,6 @@ def _class_bells(d: int) -> tuple[BellIndex, ...]:
     return tuple(BellIndex(i, j) for i in range(d) for j in range(d))
 
 
-def classify(state: State, convention: PhaseConvention) -> Classification:
-    """Classify a two-particle state by its decomposition-pair coincidences."""
-    table = coincidence_probabilities(state, convention)
-    decoding = build_decoding_table(table.d, convention)
-    return classify_table(table, decoding)
-
-
 @dataclass(frozen=True, eq=False)
 class ShotRecord:
     """Outcome counts of a finite sampling run, indexed like the table."""
@@ -246,7 +239,10 @@ def sample_outcomes(table: CoincidenceTable, shots: int, seed: int) -> ShotRecor
     which is restricted to the nonzero outcomes and ends at exactly 1.
     Identical (table, shots, seed) give bit-identical counts on every
     platform. ``shots`` must be an integer >= 1 and ``seed`` one >= 0, else
-    ``ValueError``. Outcomes of exactly zero probability can never be drawn.
+    ``ValueError``. The table is normalised by its total, summed once; a table
+    of finite entries whose total overflows to inf raises ``ValueError``, since
+    dividing by it would leave a CDF of zeros. Outcomes of exactly zero
+    probability can never be drawn.
 
     The uniforms are never formed in full. PCG64's ``random()`` is
     ``(w >> 11) * 2**-53`` of its next raw 64-bit word w, so the words are
@@ -275,7 +271,11 @@ def sample_outcomes(table: CoincidenceTable, shots: int, seed: int) -> ShotRecor
         raise ValueError("no outcome has nonzero probability")
     # The CDF is searched over the support only: a CDF that rounds short of 1
     # must not leave a sliver of [0, 1) to trailing zero-probability outcomes.
-    cdf = np.cumsum(flat / flat.sum())[support]
+    with np.errstate(over="ignore"):
+        total = flat.sum()
+    if not np.isfinite(total):
+        raise ValueError("the table's total probability overflows to inf")
+    cdf = np.cumsum(flat / total)[support]
     cdf[-1] = 1.0
     edges = np.arange(_CELLS + 1) / _CELLS
     first = np.searchsorted(cdf, edges[:-1], side="right")

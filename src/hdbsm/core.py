@@ -107,9 +107,10 @@ def fourier_matrix(d: int, sign: int) -> np.ndarray:
 
     Args:
         d: dimension, an integer of at least 2.
-        sign: +1 or -1, the sign of the exponent.
+        sign: +1 or -1, the sign of the exponent, read with ``as_index``.
     """
     d = as_index(d, "dimension", minimum=2)
+    sign = as_index(sign, "sign")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     grid = np.outer(np.arange(d), np.arange(d))
@@ -129,12 +130,13 @@ def apply_local_unitary(state: State, u: np.ndarray, factor: int) -> State:
     Args:
         state: input state.
         u: matrix of shape (r, r) where r is the radix of the chosen factor.
-        factor: index of the tensor factor to act on.
+        factor: index of the tensor factor to act on, read with ``as_index``.
 
     Raises:
-        ValueError: if the factor index is out of range or the matrix
-            dimension does not match the factor radix.
+        ValueError: if the factor index is not an integer or out of range,
+            or the matrix dimension does not match the factor radix.
     """
+    factor = as_index(factor, "factor")
     if not 0 <= factor < len(state.radices):
         raise ValueError(f"factor {factor} out of range for {len(state.radices)} factors")
     u = np.ascontiguousarray(u, dtype=np.complex128)
@@ -148,8 +150,12 @@ def apply_local_unitary(state: State, u: np.ndarray, factor: int) -> State:
 
 
 def permute_factors(state: State, order: Iterable[int]) -> State:
-    """Reorder tensor factors; new factor i is old factor order[i]."""
-    order = tuple(order)
+    """Reorder tensor factors; new factor i is old factor order[i].
+
+    Each entry is read with ``as_index``; ValueError unless they are integers
+    that permute the factors.
+    """
+    order = tuple(as_index(f, "every factor of order") for f in order)
     if sorted(order) != list(range(len(state.radices))):
         raise ValueError(f"{order} is not a permutation of {len(state.radices)} factors")
     new_radices = tuple(state.radices[f] for f in order)

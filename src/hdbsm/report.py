@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import json
 import os
-from importlib import resources
 
 from .states import PhaseConvention
 
@@ -65,11 +64,6 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def schema_text() -> str:
-    """The shipped report schema, verbatim."""
-    return resources.files("hdbsm.data").joinpath("report.schema.json").read_text()
 
 
 def write_report(text: str, output: str | None) -> None:

@@ -133,26 +133,20 @@ def decomp_basis(d: int, decomp_sign: int) -> np.ndarray:
     return rows
 
 
-def clock_matrix(d: int, exponent: int = 1) -> np.ndarray:
-    """Diagonal clock matrix Z^exponent with Z|n> = exp(2j*pi*n/d)|n>."""
-    return np.diag(np.exp(2j * np.pi * exponent * np.arange(d) / d))
-
-
-def shift_matrix(d: int, exponent: int = 1) -> np.ndarray:
-    """Cyclic shift matrix X^exponent with X|n> = |(n+1) mod d>."""
-    u = np.zeros((d, d), dtype=np.complex128)
-    u[(np.arange(d) + exponent) % d, np.arange(d)] = 1.0
-    return u
-
-
 def shift_clock_unitary(d: int, i: int, j: int, convention: PhaseConvention) -> np.ndarray:
     """Local unitary on particle A's system factor turning the (0, 0) Bell state into (i, j).
 
-    The closed form X^j Z^b with b = bell_sign * i mod d, the shift applied
-    after the clock. Since X^j Z^b |n> = exp(2j*pi*b*n/d) |(n+j) mod d>, it
-    maps sum_n |n, n> onto the bell_state(d, i, j) sum under either sign
-    convention. Every monomial X^a Z^b is unique up to a phase, so no other
-    shift/clock monomial reaches the target except as a phase multiple.
+    The monomial X^j Z^b with b = bell_sign * i mod d, the shift X|n> =
+    |(n+1) mod d> applied after the clock Z|n> = exp(2j*pi*n/d)|n>, written
+    as one array formula: column n holds exp(2j*pi*b*n/d) at row (n+j) mod d
+    and zeros elsewhere. It maps sum_n |n, n> onto the bell_state(d, i, j)
+    sum under either sign convention. Every monomial X^a Z^b is unique up to
+    a phase, so no other shift/clock monomial reaches the target except as a
+    phase multiple.
     """
     d = check_dimension(d, i=i, j=j)
-    return shift_matrix(d, j) @ clock_matrix(d, (convention.bell_sign * i) % d)
+    b = (convention.bell_sign * i) % d
+    n = np.arange(d)
+    u = np.zeros((d, d), dtype=np.complex128)
+    u[(n + j) % d, n] = np.exp(2j * np.pi * b * n / d)
+    return u

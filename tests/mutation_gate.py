@@ -148,15 +148,21 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/states.py",
-        "shift_matrix(d, j) @ clock_matrix(d, (convention.bell_sign * i) % d)",
-        "shift_matrix(d, j) @ clock_matrix(d, i % d)",
+        "b = (convention.bell_sign * i) % d",
+        "b = i % d",
         "the steering clock exponent ignores the Bell sign",
     ),
     Mutant(
         "src/hdbsm/states.py",
-        "shift_matrix(d, j) @ clock_matrix(d, (convention.bell_sign * i) % d)",
-        "clock_matrix(d, (convention.bell_sign * i) % d) @ shift_matrix(d, j)",
-        "the steering unitary applies the shift before the clock",
+        "u[(n + j) % d, n] = np.exp(2j * np.pi * b * n / d)",
+        "u[(n - j) % d, n] = np.exp(2j * np.pi * b * n / d)",
+        "the steering unitary shifts by -j",
+    ),
+    Mutant(
+        "src/hdbsm/states.py",
+        "u[(n + j) % d, n] = np.exp(2j * np.pi * b * n / d)",
+        "u[(n + j) % d, n] = np.exp(2j * np.pi * b * (n + j) / d)",
+        "the steering unitary applies the shift before the clock, Z^b X^j: only a global phase",
     ),
     Mutant(
         "src/hdbsm/cli.py",
@@ -653,9 +659,34 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/core.py",
-        '    d = as_index(d, "dimension", minimum=2)\n    if sign',
-        '    if d < 2:\n        raise ValueError(f"dimension must be >= 2, got {d}")\n    if sign',
+        '    d = as_index(d, "dimension", minimum=2)\n    sign =',
+        '    if d < 2:\n        raise ValueError(f"dimension must be >= 2, got {d}")\n    sign =',
         "fourier_matrix compares d without reading it as an integer",
+    ),
+    Mutant(
+        "src/hdbsm/core.py",
+        '    factor = as_index(factor, "factor")\n',
+        "",
+        "apply_local_unitary indexes the radices with a factor of 1.0, a TypeError",
+    ),
+    Mutant(
+        "src/hdbsm/core.py",
+        'order = tuple(as_index(f, "every factor of order") for f in order)',
+        "order = tuple(order)",
+        "permute_factors compares an order entry of 3.0 as if it were 3",
+    ),
+    Mutant(
+        "src/hdbsm/core.py",
+        '    sign = as_index(sign, "sign")\n',
+        "",
+        "fourier_matrix accepts a sign of 1.0",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        "    if not np.isfinite(total):\n"
+        '        raise ValueError("the table\'s total probability overflows to inf")\n',
+        "",
+        "a finite table whose total overflows sends every draw to its last outcome",
     ),
     Mutant(
         "src/hdbsm/audit.py",

@@ -9,7 +9,9 @@ it projected whole Bell rows, ``naive_sample_counts`` searches the CDF once
 with every uniform of a single draw, as the sampler did before its search was
 indexed, and ``sequential_search_monomial`` tests one shift/clock monomial at
 a time, as the package did before it wrote the steering unitary in closed
-form; ``shift_clock_unitary`` must equal its result byte for byte. The
+form. It builds each candidate X^a Z^b and Z^b X^a one column at a time with
+the closed form's arithmetic, as the ``loop_*`` builders do, and
+``shift_clock_unitary`` must equal its result byte for byte. The
 ``loop_*`` builders construct the state families and the analyser unitary
 one digit at a time, with the arithmetic of the package's array formulas, so
 their results are compared byte for byte.
@@ -200,17 +202,21 @@ def sequential_search_monomial(source, target, d: int, factor: int) -> np.ndarra
     """First shift/clock monomial mapping source to target, tested one at a time.
 
     Tries X^a Z^b, then Z^b X^a, for a = 0..d-1 and b = 0..d-1 in turn, and
-    returns the first whose fidelity reaches 1 - LOGIC_TOL.
+    returns the first whose fidelity reaches 1 - LOGIC_TOL. Each candidate is
+    written one column n at a time: X^a Z^b puts the clock phase of n, and
+    Z^b X^a that of (n + a) mod d, at row (n + a) mod d.
     """
     from hdbsm.core import LOGIC_TOL, apply_local_unitary
-    from hdbsm.states import clock_matrix, shift_matrix
 
     for a in range(d):
         for b in range(d):
-            for u in (
-                shift_matrix(d, a) @ clock_matrix(d, b),
-                clock_matrix(d, b) @ shift_matrix(d, a),
-            ):
+            phases = np.exp(2j * np.pi * b * np.arange(d) / d)
+            shift_clock = np.zeros((d, d), dtype=np.complex128)
+            clock_shift = np.zeros((d, d), dtype=np.complex128)
+            for n in range(d):
+                shift_clock[(n + a) % d, n] = phases[n]
+                clock_shift[(n + a) % d, n] = phases[(n + a) % d]
+            for u in (shift_clock, clock_shift):
                 overlap = np.vdot(target.amps, apply_local_unitary(source, u, factor).amps)
                 if abs(overlap) >= 1.0 - LOGIC_TOL:
                     return u

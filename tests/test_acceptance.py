@@ -14,7 +14,6 @@ import pytest
 from hdbsm.audit import audit_reference_table, load_reference_table
 from hdbsm.classifier import (
     build_decoding_table,
-    classify,
     classify_table,
     coincidence_probabilities,
     mix_with_white_noise,
@@ -149,7 +148,8 @@ def test_criterion_5_discrimination():
             assert bell_i.size == bell_j.size == d**4
             for i in range(d):
                 for j in range(d):
-                    result = classify(hyperentangled_state(d, i, j, convention), convention)
+                    state = hyperentangled_state(d, i, j, convention)
+                    result = classify_table(coincidence_probabilities(state, convention), decoding)
                     assert result.bell == BellIndex(i, j)
                     assert result.confidence >= 1 - 1e-9
 

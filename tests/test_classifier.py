@@ -12,7 +12,6 @@ from hdbsm.classifier import (
     CollisionError,
     DecodingTable,
     build_decoding_table,
-    classify,
     classify_table,
     coincidence_probabilities,
     decoding_table_from_law,
@@ -185,10 +184,11 @@ class TestClassify:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_every_bell_input_recovered(self, d):
         conv = REFERENCE_CONVENTION
+        decoding = build_decoding_table(d, conv)
         for i in range(d):
             for j in range(d):
                 state = hyperentangled_state(d, i, j, conv)
-                result = classify(state, conv)
+                result = classify_table(coincidence_probabilities(state, conv), decoding)
                 assert result.bell == BellIndex(i, j)
                 assert result.confidence >= 1 - 1e-9
                 assert not result.tie
@@ -206,7 +206,8 @@ class TestClassify:
     def test_class_masses_sum_to_one(self):
         conv = REFERENCE_CONVENTION
         state = hyperentangled_state(3, 1, 2, conv)
-        result = classify(state, conv)
+        table = coincidence_probabilities(state, conv)
+        result = classify_table(table, build_decoding_table(3, conv))
         assert abs(sum(result.class_masses.values()) - 1.0) < 1e-9
 
     def test_dimension_mismatch(self):
@@ -412,6 +413,15 @@ class TestSampling:
         std_err = np.sqrt(table.probs * (1 - table.probs) / shots)
         deviation = np.abs(freqs - table.probs)
         assert np.all(deviation <= 5 * std_err + 1e-15)
+
+    @pytest.mark.parametrize("support", [range(16), [0, 5]], ids=["every", "two"])
+    def test_a_total_that_overflows_raises(self, support):
+        # Each entry is finite, but their sum is inf: dividing by it would zero the CDF
+        # and send every draw to the last outcome of the support.
+        probs = np.zeros((2,) * 4)
+        probs.flat[list(support)] = 1e308
+        with pytest.raises(ValueError, match="^the table's total probability overflows to inf$"):
+            sample_outcomes(CoincidenceTable(2, probs), shots=1000, seed=0)
 
     def test_invalid_shots(self):
         with pytest.raises(ValueError):

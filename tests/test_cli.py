@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from itertools import product
 from pathlib import Path
 
@@ -17,10 +18,9 @@ from hdbsm import cli
 from hdbsm.cli import format_state_file, main, parse_state_file
 from hdbsm.core import LOGIC_TOL, State
 from hdbsm.decomposition import DecompositionTable, hyperentangled_state
-from hdbsm.report import schema_text
 from hdbsm.states import REFERENCE_CONVENTION, BellIndex
 
-SCHEMA = json.loads(schema_text())
+SCHEMA = json.loads(resources.files("hdbsm.data").joinpath("report.schema.json").read_text())
 
 
 def skip_off_pinned_platform() -> None:

@@ -285,6 +285,40 @@ class TestPermuteFactors:
 C = REFERENCE_CONVENTION
 
 
+def four() -> State:
+    """A state of four unequal factors, built inside each test rather than at collection."""
+    return State((2, 3, 2, 3), np.arange(36) * W3)
+
+
+# The core entries with an integer argument besides d, each as a call of the value v
+# that it reads in place of 1.
+INTEGER_READS = {
+    "factor": lambda v: apply_local_unitary(four(), np.diag(W3 ** np.arange(3)), v).amps,
+    "every factor of order": lambda v: permute_factors(four(), (2, 0, v, 3)).amps,
+    "sign": lambda v: fourier_matrix(3, v),
+}
+
+
+class TestIntegerReads:
+    """apply_local_unitary, permute_factors and fourier_matrix read their integers with as_index."""
+
+    @pytest.mark.parametrize("name", list(INTEGER_READS))
+    @pytest.mark.parametrize("value", [1.0, "1", 1.5])
+    def test_a_non_integer_raises_value_error_naming_the_argument(self, name, value):
+        with pytest.raises(ValueError) as info:
+            INTEGER_READS[name](value)
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_every_entry_of_order_is_read(self):
+        with pytest.raises(ValueError, match="^every factor of order must be an integer, got 3.0$"):
+            permute_factors(four(), (0, 1, 2, 3.0))
+
+    @pytest.mark.parametrize("name", list(INTEGER_READS))
+    @pytest.mark.parametrize("value", [np.int64(1), True], ids=["int64", "bool"])
+    def test_a_numpy_integer_or_a_bool_reads_as_an_int(self, name, value):
+        assert INTEGER_READS[name](value).tobytes() == INTEGER_READS[name](1).tobytes()
+
+
 class TestArgumentDomain:
     """Calls that once returned, or raised TypeError or IndexError, outside the domain."""
 

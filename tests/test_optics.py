@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdbsm.classifier import build_decoding_table, classify, coincidence_probabilities
+from hdbsm.classifier import build_decoding_table, classify_table, coincidence_probabilities
 from hdbsm.core import State, fourier_matrix, is_unitary
 from hdbsm.decomposition import decompose, hyperentangled_state
 from hdbsm.optics import bsa_layout, pipeline_probabilities, prepare_bell, run_experiment
@@ -45,7 +45,8 @@ class TestPrepareSource:
     def test_classifies_as_origin(self):
         for d in (2, 3, 4):
             source = hyperentangled_state(d, 0, 0, REFERENCE_CONVENTION)
-            result = classify(source, REFERENCE_CONVENTION)
+            table = coincidence_probabilities(source, REFERENCE_CONVENTION)
+            result = classify_table(table, build_decoding_table(d, REFERENCE_CONVENTION))
             assert result.bell == BellIndex(0, 0)
             assert result.confidence >= 1 - 1e-9
 

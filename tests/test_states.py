@@ -9,10 +9,8 @@ from hdbsm.states import (
     REFERENCE_CONVENTION,
     aux_state,
     bell_state,
-    clock_matrix,
     decomp_state,
     shift_clock_unitary,
-    shift_matrix,
 )
 
 import oracles
@@ -191,6 +189,19 @@ class TestShiftClockUnitary:
         assert np.max(np.abs(u - np.diag(diag))) < 1e-12
         np.testing.assert_allclose(diag / diag[0], [1, W, W**2], atol=1e-12)
 
+    def test_pure_shift_for_shift_index(self):
+        # i=0, j=1 is X: |n> -> |(n+1) mod 3>
+        x = shift_clock_unitary(3, 0, 1, LITERAL_CONVENTION)
+        np.testing.assert_array_equal(x, np.roll(np.eye(3), 1, axis=0))
+
+    def test_weyl_commutation(self):
+        # Z X = w X Z, with Z = (1, 0) and X = (0, 1) under the literal signs
+        z = shift_clock_unitary(3, 1, 0, LITERAL_CONVENTION)
+        x = shift_clock_unitary(3, 0, 1, LITERAL_CONVENTION)
+        np.testing.assert_allclose(z @ x, W * (x @ z), atol=1e-12)
+        np.testing.assert_allclose(shift_clock_unitary(3, 1, 1, LITERAL_CONVENTION), x @ z,
+                                   atol=1e-15)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("conv", [LITERAL_CONVENTION, REFERENCE_CONVENTION],
                              ids=lambda c: c.label())
@@ -213,24 +224,6 @@ class TestShiftClockUnitary:
             bell_state(d, 0, 0, conv), bell_state(d, i, j, conv), d, factor=1
         )
         assert shift_clock_unitary(d, i, j, conv).tobytes() == expected.tobytes()
-
-
-class TestClockShiftMatrices:
-    def test_clock(self):
-        np.testing.assert_allclose(
-            np.diag(clock_matrix(3)), [1, W, W**2], atol=1e-15
-        )
-
-    def test_shift(self):
-        x = shift_matrix(3)
-        v = np.zeros(3)
-        v[1] = 1.0
-        np.testing.assert_allclose(x @ v, [0, 0, 1], atol=1e-15)
-
-    def test_weyl_commutation(self):
-        # Z X = w X Z
-        z, x = clock_matrix(3), shift_matrix(3)
-        np.testing.assert_allclose(z @ x, W * (x @ z), atol=1e-12)
 
 
 class TestArrayFormulas:
