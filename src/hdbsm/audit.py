@@ -133,6 +133,7 @@ def audit_reference_table(d: int, convention: PhaseConvention) -> TableAudit:
         d: 3 or 4, the dimensions with shipped transcriptions.
         convention: phase convention used for the computed decompositions.
     """
+    d = as_index(d, "dimension")
     printed_rows = load_reference_table(d)
     tables = decompose_all(d, convention)
     rows = []

@@ -120,8 +120,9 @@ class CoincidenceTable:
     amplitudes, so the caller's array is left as it was.
 
     Raises:
-        ValueError: d not an integer in 2..6, wrong shape, or an entry that
-            is negative, nan or inf.
+        ValueError: d not an integer in 2..6, ``probs`` not real numbers (a
+            complex or string array is refused, not cast to float), wrong
+            shape, or an entry that is negative, nan or inf.
     """
 
     d: int
@@ -129,6 +130,9 @@ class CoincidenceTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", check_dimension(self.d))
+        dtype = np.asarray(self.probs).dtype
+        if dtype.kind not in "biuf":
+            raise ValueError(f"probabilities must be real numbers, got dtype {dtype}")
         probs = np.array(self.probs, dtype=np.float64, order="C")
         if probs.shape != (self.d,) * 4:
             raise ValueError(f"probability array shape {probs.shape} is not (d,)*4")

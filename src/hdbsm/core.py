@@ -37,15 +37,28 @@ def as_index(value, name: str, minimum: int | None = None) -> int:
     return index
 
 
-def check_dimension(d: int, **indices: int) -> int:
-    """Plain int d; ValueError unless d is in 2..MAX_DIMENSION and each named index in 0..d-1."""
+def check_dimension(d: int, **indices: int) -> int | tuple[int, ...]:
+    """The plain ints of d and its named indices, the one read of each.
+
+    ``check_dimension(d)`` returns d; ``check_dimension(d, i=i, j=j)`` returns
+    ``(d, i, j)``, the indices in the order they are named. Each argument is
+    read with ``as_index``, so numpy integers and bools come back as the equal
+    ``int``. ValueError unless d is in 2..MAX_DIMENSION and each index in
+    0..d-1; each index is read and range-checked before the next, so the
+    message names the first bad argument.
+    """
     d = as_index(d, "dimension")
     if not 2 <= d <= MAX_DIMENSION:
         raise ValueError(f"dimension {d} outside the supported range (2..{MAX_DIMENSION})")
+    if not indices:
+        return d
+    checked = [d]
     for name, value in indices.items():
-        if not 0 <= as_index(value, name) < d:
+        index = as_index(value, name)
+        if not 0 <= index < d:
             raise ValueError(f"{name}={value} out of range for dimension {d}")
-    return d
+        checked.append(index)
+    return tuple(checked)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LOGIC_TOL, State, as_index, check_dimension, tensor_product
+from .core import LOGIC_TOL, State, check_dimension, tensor_product
 from .states import (
     ALL_CONVENTIONS,
     BellIndex,
@@ -50,8 +50,8 @@ def hyperentangled_state(
     Shape (d, d, d, d) with factor order (B system, B auxiliary, A system,
     A auxiliary), so factors (0, 1) are Bob's particle and (2, 3) Alice's.
     """
-    d = check_dimension(d, i=i, j=j)
-    return State((d,) * 4, _bell_row(d, i, convention)[int(j)])
+    d, i, j = check_dimension(d, i=i, j=j)
+    return State((d,) * 4, _bell_row(d, i, convention)[j])
 
 
 def _bell_row(d: int, i: int, convention: PhaseConvention) -> np.ndarray:
@@ -104,8 +104,9 @@ class DecompositionTable:
     (k, m) is Bob's particle, the second Alice's. :func:`decompose` and
     :func:`decompose_all` hand every caller the same cached tables, so theirs
     hold read-only arrays in ascending flat order. A d that is not an integer
-    in 2..6, an index outside [0, d**4), a repeated index, or a coefficient
-    count other than the index count raises ``ValueError``.
+    in 2..6, a ``flat_support`` that is not a 1-D integer array, ``coeffs``
+    that is not a 1-D array, an index outside [0, d**4), a repeated index, or
+    a coefficient count other than the index count raises ``ValueError``.
     """
 
     d: int
@@ -117,6 +118,10 @@ class DecompositionTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", check_dimension(self.d))
         flat = self.flat_support
+        if not isinstance(flat, np.ndarray) or flat.dtype.kind not in "iu" or flat.ndim != 1:
+            raise ValueError("flat_support must be a 1-D integer array")
+        if not isinstance(self.coeffs, np.ndarray) or self.coeffs.ndim != 1:
+            raise ValueError("coeffs must be a 1-D array")
         if self.coeffs.size != flat.size:
             raise ValueError(f"{self.coeffs.size} coefficients for {flat.size} pair indices")
         if not np.all((flat >= 0) & (flat < self.d**4)):
@@ -159,8 +164,8 @@ def decompose(
     from the cached projection of the whole Bell row i (see
     :func:`_decompose_row`), so it is shared with :func:`decompose_all`.
     """
-    d = check_dimension(d, i=i, j=j)
-    return _decompose_row(d, int(i), convention.bell_sign, convention.decomp_sign)[j]
+    d, i, j = check_dimension(d, i=i, j=j)
+    return _decompose_row(d, i, convention.bell_sign, convention.decomp_sign)[j]
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -176,7 +181,7 @@ def _decompose_row(
     :func:`hyperentangled_state` on its own (an exact zero may differ in
     sign). Each table's arrays are read-only slices in ascending flat order.
     """
-    d = check_dimension(d, i=i)
+    d, i = check_dimension(d, i=i)
     conv = PhaseConvention(bell_sign, decomp_sign)
     rows = decomp_basis(d, decomp_sign).conj()
     half = rows @ _bell_row(d, i, conv).reshape(d, d * d, d * d)
@@ -227,7 +232,7 @@ def reconstruct(table: DecompositionTable) -> State:
 class IndexLaw:
     """Affine law k' = (s*k + t*i) mod d on the support, plus the m' = (m+j) mod d flag.
 
-    d, s and t are stored as the plain ints that ``check_dimension`` checks, s and t in 0..d-1.
+    d, s and t are stored as the plain ints that ``check_dimension`` returns, s and t in 0..d-1.
     """
 
     d: int
@@ -236,9 +241,10 @@ class IndexLaw:
     m_law_holds: bool
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", check_dimension(self.d, s=self.s, t=self.t))
-        object.__setattr__(self, "s", as_index(self.s, "s"))
-        object.__setattr__(self, "t", as_index(self.t, "t"))
+        d, s, t = check_dimension(self.d, s=self.s, t=self.t)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
 
     def alice_k(self, k: int, i: int) -> int:
         return (self.s * k + self.t * i) % self.d
@@ -380,7 +386,8 @@ def find_convention(d: int) -> ConventionSearch:
         NoMatchingConventionError: no convention fits s = t = d - 1, which
             would falsify the construction, not the reference tables.
     """
-    if check_dimension(d) < 3:
+    d = check_dimension(d)
+    if d < 3:
         raise ValueError("convention search needs d >= 3; all conventions coincide at d = 2")
     target = reference_index_law(d)
     laws: dict[PhaseConvention, IndexLaw] = {}

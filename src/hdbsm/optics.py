@@ -34,7 +34,7 @@ def prepare_bell(d: int, i: int, j: int, convention: PhaseConvention) -> State:
     The steering unitary is the monomial X^j Z^(bell_sign * i) of
     :func:`hdbsm.states.shift_clock_unitary`.
     """
-    d = check_dimension(d, i=i, j=j)
+    d, i, j = check_dimension(d, i=i, j=j)
     unitary = shift_clock_unitary(d, i, j, convention)
     return apply_local_unitary(hyperentangled_state(d, 0, 0, convention), unitary, factor=2)
 
@@ -118,9 +118,9 @@ def run_experiment(
     """
     shots = as_index(shots, "shots", minimum=0)
     seed = as_index(seed, "seed", minimum=0)
-    d = check_dimension(d, i=i, j=j)
+    d, i, j = check_dimension(d, i=i, j=j)
     state = prepare_bell(d, i, j, convention)
     layout = bsa_layout(d, convention)
     table = pipeline_probabilities(state, layout)
     record = sample_outcomes(table, shots, seed) if shots > 0 else None
-    return ExperimentResult(BellIndex(int(i), int(j)), table, record, layout.equivalence_gap)
+    return ExperimentResult(BellIndex(i, j), table, record, layout.equivalence_gap)

@@ -83,7 +83,7 @@ def bell_state(d: int, i: int, j: int, convention: PhaseConvention) -> State:
 
         (1/sqrt(d)) * sum_n exp(bell_sign*2j*pi*i*n/d) |n, (n+j) mod d>
     """
-    d = check_dimension(d, i=i, j=j)
+    d, i, j = check_dimension(d, i=i, j=j)
     n = np.arange(d)
     amps = np.zeros((d, d), dtype=np.complex128)
     amps[n, (n + j) % d] = np.exp(convention.bell_sign * 2j * np.pi * i * n / d)
@@ -110,7 +110,7 @@ def decomp_state(d: int, k: int, m: int, convention: PhaseConvention) -> State:
     shift the auxiliary letter of every term down by one, matching the
     construction rule that builds the m > 0 states from the m = 0 ones.
     """
-    d = check_dimension(d, k=k, m=m)
+    d, k, m = check_dimension(d, k=k, m=m)
     return State((d, d), decomp_basis(d, convention.decomp_sign)[k * d + m])
 
 
@@ -144,7 +144,7 @@ def shift_clock_unitary(d: int, i: int, j: int, convention: PhaseConvention) -> 
     a phase, so no other shift/clock monomial reaches the target except as a
     phase multiple.
     """
-    d = check_dimension(d, i=i, j=j)
+    d, i, j = check_dimension(d, i=i, j=j)
     b = (convention.bell_sign * i) % d
     n = np.arange(d)
     u = np.zeros((d, d), dtype=np.complex128)

@@ -221,8 +221,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "    d = check_dimension(d, i=i, j=j)\n    return _decompose_row(",
-        "    d = check_dimension(d, i=i)\n    return _decompose_row(",
+        "    d, i, j = check_dimension(d, i=i, j=j)\n    return _decompose_row(",
+        "    d, i = check_dimension(d, i=i)\n    return _decompose_row(",
         "decompose accepts a negative j",
     ),
     Mutant(
@@ -505,26 +505,32 @@ MUTANTS = (
     # The argument domain, owned by core.check_dimension.
     Mutant(
         "src/hdbsm/core.py",
-        "if not 0 <= as_index(value, name) < d:",
-        "if not 0 <= value < d:",
+        "        index = as_index(value, name)\n",
+        "        index = value\n",
         "an index of 1.5 passes the domain check",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "    d = check_dimension(d, i=i)\n",
-        "    check_dimension(d, i=i)\n",
+        "    d, i = check_dimension(d, i=i)\n",
+        "    _, i = check_dimension(d, i=i)\n",
         "_decompose_row(np.int64(3), ...) caches a second d = 3 decomposition basis",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "    d = check_dimension(d, i=i, j=j)\n    return _decompose_row(",
-        "    check_dimension(d, i=i, j=j)\n    return _decompose_row(",
+        "    d, i = check_dimension(d, i=i)\n",
+        "    d, _ = check_dimension(d, i=i)\n",
+        "_decompose_row(3, np.uint64(1), ...) stores its tables' Bell index as given",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "    d, i, j = check_dimension(d, i=i, j=j)\n    return _decompose_row(",
+        "    _, i, j = check_dimension(d, i=i, j=j)\n    return _decompose_row(",
         "decompose(np.int64(3), ...) caches a second copy of the d = 3 row",
     ),
     Mutant(
         "src/hdbsm/optics.py",
-        "    d = check_dimension(d, i=i, j=j)\n    state = prepare_bell(",
-        "    state = prepare_bell(",
+        "    d, i, j = check_dimension(d, i=i, j=j)\n    state = prepare_bell(",
+        "    _, i, j = check_dimension(d, i=i, j=j)\n    state = prepare_bell(",
         "run_experiment(np.int64(3), ...) caches a second analyser layout",
     ),
     Mutant(
@@ -553,20 +559,20 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "_bell_row(d, i, convention)[int(j)]",
-        "_bell_row(d, i, convention)[j]",
+        "    d, i, j = check_dimension(d, i=i, j=j)\n    return State(",
+        "    d, i, _ = check_dimension(d, i=i, j=j)\n    return State(",
         "hyperentangled_state(3, 1, True, c) reads True as a mask, not as j = 1",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "_decompose_row(d, int(i),",
-        "_decompose_row(d, i,",
-        "decompose(3, True, 0, c).bell stores i as the bool True",
+        "    d, i, j = check_dimension(d, i=i, j=j)\n    return _decompose_row(",
+        "    d, _, j = check_dimension(d, i=i, j=j)\n    return _decompose_row(",
+        "decompose(3, True, 0, c) caches a second copy of row 1",
     ),
     Mutant(
         "src/hdbsm/optics.py",
-        "BellIndex(int(i), int(j))",
-        "BellIndex(i, j)",
+        "    d, i, j = check_dimension(d, i=i, j=j)\n    state = prepare_bell(",
+        "    d, _, _ = check_dimension(d, i=i, j=j)\n    state = prepare_bell(",
         "run_experiment stores a numpy Bell index as given",
     ),
     Mutant(
@@ -615,8 +621,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/classifier.py",
-        '        object.__setattr__(self, "d", check_dimension(self.d))\n        probs =',
-        "        probs =",
+        '        object.__setattr__(self, "d", check_dimension(self.d))\n        dtype =',
+        "        dtype =",
         "CoincidenceTable stores its d unchecked",
     ),
     Mutant(
@@ -627,9 +633,9 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        '        object.__setattr__(self, "d", check_dimension(self.d, s=self.s, t=self.t))\n',
-        "",
-        "IndexLaw stores its d unchecked",
+        '        object.__setattr__(self, "d", d)\n        object.__setattr__(self, "s", s)\n',
+        '        object.__setattr__(self, "s", s)\n',
+        "IndexLaw stores its d as given",
     ),
     Mutant(
         "src/hdbsm/optics.py",
@@ -647,8 +653,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "check_dimension(self.d, s=self.s, t=self.t)",
-        "check_dimension(self.d)",
+        "d, s, t = check_dimension(self.d, s=self.s, t=self.t)",
+        "(d, t), s = check_dimension(self.d, t=self.t), self.s",
         "IndexLaw(3, 3, 2, True) stores s = d",
     ),
     Mutant(
@@ -656,6 +662,18 @@ MUTANTS = (
         'self.classes.dtype.kind in "iu"',
         'self.classes.dtype.kind in "iuf"',
         "DecodingTable accepts float classes",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        'flat.dtype.kind not in "iu"',
+        'flat.dtype.kind not in "iuf"',
+        "DecompositionTable accepts a float flat_support, which only the fits refuse",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        'if dtype.kind not in "biuf":',
+        'if dtype.kind not in "biufc":',
+        "CoincidenceTable drops the imaginary parts of a complex array",
     ),
     Mutant(
         "src/hdbsm/core.py",
@@ -690,8 +708,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/audit.py",
-        '    d = as_index(d, "dimension")\n',
-        "",
+        '    d = as_index(d, "dimension")\n    if d not in',
+        "    if d not in",
         "load_reference_table finds the d = 3 listing for 3.0",
     ),
     Mutant(

@@ -119,6 +119,25 @@ class TestCoincidenceTable:
         with pytest.raises(ValueError):
             CoincidenceTable(2, probs)
 
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            # Cast to float64, a complex array would drop its imaginary parts.
+            (np.full((2,) * 4, 1 / 16) * (1 + 1j), "got dtype complex128"),
+            (np.full((2,) * 4, "0.0625"), "got dtype <U6"),
+        ],
+        ids=["complex", "str"],
+    )
+    def test_non_real_entries_rejected(self, probs, message):
+        with pytest.raises(ValueError) as info:
+            CoincidenceTable(2, probs)
+        assert str(info.value) == f"probabilities must be real numbers, {message}"
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float32])
+    def test_real_dtypes_read_as_float64(self, dtype):
+        table = CoincidenceTable(2, np.ones((2,) * 4, dtype=dtype))
+        assert table.probs.dtype == np.float64 and table.total() == 16.0
+
     def test_negative_zero_accepted(self):
         probs = np.zeros((2,) * 4)
         probs[0, 0, 0, 0] = 1.0

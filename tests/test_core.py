@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import operator
@@ -101,9 +102,12 @@ class TestCheckDimension:
             core.check_dimension(d)
 
     def test_returns_a_plain_int(self):
+        # d alone comes back as an int, d with indices as a tuple of ints in argument order.
         for d in (3, np.int64(3), np.uint8(3)):
-            assert type(check_dimension(d, i=np.int64(2))) is int
-            assert check_dimension(d) == 3
+            assert type(check_dimension(d)) is int and check_dimension(d) == 3
+            checked = check_dimension(d, i=np.uint64(2), j=True, k=np.int64(0), m=np.uint8(1))
+            assert checked == (3, 2, 1, 0, 1)
+            assert all(type(n) is int for n in checked)
 
     @pytest.mark.parametrize(
         "d, indices, message",
@@ -376,6 +380,12 @@ class TestArgumentDomain:
         assert decompose(3, 1, 0, C) is decompose(np.int64(3), 1, 0, C)
         assert _decompose_row.cache_info().currsize == 1
 
+    def test_a_numpy_index_finds_the_row_cached_for_an_int(self):
+        _decompose_row.cache_clear()
+        assert decompose(3, 1, 0, C) is decompose(3, np.uint8(1), 0, C)
+        assert decompose(3, 1, 0, C) is decompose(3, True, 0, C)
+        assert _decompose_row.cache_info().currsize == 1
+
     def test_each_spelling_of_a_sign_finds_the_rows_cached_for_the_int(self):
         _decompose_row.cache_clear()
         for sign in (1, True, np.int64(1)):
@@ -480,6 +490,46 @@ class TestArgumentDomain:
         assert np.array_equal(hyperentangled_state(3, True, True, C).amps, expected)
 
 
+# The entries that take indices, each called with (d, a, b) and a convention.
+INDEX_CALLS = {
+    "bell_state": lambda d, a, b, c: bell_state(d, a, b, c),
+    "decomp_state": lambda d, a, b, c: decomp_state(d, a, b, c),
+    "shift_clock_unitary": lambda d, a, b, c: shift_clock_unitary(d, a, b, c),
+    "hyperentangled_state": lambda d, a, b, c: hyperentangled_state(d, a, b, c),
+    "decompose": lambda d, a, b, c: decompose(d, a, b, c),
+    "_decompose_row": lambda d, a, b, c: _decompose_row(d, a, c.bell_sign, c.decomp_sign),
+    "IndexLaw": lambda d, a, b, c: IndexLaw(d, a, b, c.bell_sign == 1),
+    "prepare_bell": lambda d, a, b, c: prepare_bell(d, a, b, c),
+    "run_experiment": lambda d, a, b, c: run_experiment(d, a, b, 100, 0, c),
+}
+
+
+def fingerprint(value):
+    """The bytes of every array and the type and value of every scalar a result holds."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(fingerprint(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return type(value).__name__, tuple(fingerprint(getattr(value, f.name)) for f in fields)
+    return type(value).__name__, value
+
+
+@pytest.mark.parametrize("name", list(INDEX_CALLS))
+@pytest.mark.parametrize("integer", [np.int64, np.uint64, np.uint8])
+def test_numpy_integers_act_as_the_equal_int(name, integer):
+    """Signed and unsigned numpy integers give exactly what the int call gives.
+
+    Bell index (2, 1) under every convention, so the minus Bell sign negates a
+    nonzero index, which for an unsigned numpy integer is not representable.
+    """
+    for convention in ALL_CONVENTIONS:
+        expected = fingerprint(INDEX_CALLS[name](3, 2, 1, convention))
+        got = INDEX_CALLS[name](integer(3), integer(2), integer(1), convention)
+        assert fingerprint(got) == expected
+
+
 # Every exported entry that takes d or an index, with the arguments it takes from
 # (d, a, b, n, s, convention): a and b are indices, n is a shot count and s a seed.
 CALLS = {
@@ -513,6 +563,8 @@ ARGUMENTS = st.one_of(
     NEAR_INTEGERS.map(float),
     st.floats(),
     NEAR_INTEGERS.map(np.int64),
+    st.integers(0, 9).map(np.uint64),
+    st.integers(0, 9).map(np.uint8),
     NEAR_INTEGERS.map(np.float64),
     st.floats().map(np.float64),
     st.booleans(),

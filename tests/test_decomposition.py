@@ -240,6 +240,22 @@ class TestDecompose:
             )
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "flat, coeffs, message",
+        [
+            # The fits index with flat_support, so these must not reach them.
+            (np.array([5.0]), np.ones(1), "flat_support must be a 1-D integer array"),
+            (np.array([[5, 6]]), np.ones(2), "flat_support must be a 1-D integer array"),
+            ([5], np.ones(1), "flat_support must be a 1-D integer array"),
+            (np.array([5, 6]), np.ones((1, 2)), "coeffs must be a 1-D array"),
+        ],
+        ids=["float", "2-d", "list", "2-d-coeffs"],
+    )
+    def test_hand_built_table_rejects_bad_arrays(self, flat, coeffs, message):
+        with pytest.raises(ValueError) as info:
+            DecompositionTable(3, BellIndex(0, 0), LITERAL_CONVENTION, flat, coeffs)
+        assert str(info.value) == message
+
     def test_decompose_and_decompose_all_share_tables(self):
         tables = decompose_all(4, REFERENCE_CONVENTION)
         assert decompose(4, 2, 3, REFERENCE_CONVENTION) is tables[BellIndex(2, 3)]
