@@ -26,7 +26,7 @@ from .decomposition import decompose_all
 
 Tuple4 = tuple[int, int, int, int]
 
-_TRANSCRIPTIONS = {  # d: (data file, the source an audit names)
+TRANSCRIPTIONS = {  # d: (data file, the source an audit names); verify audits these d
     3: ("reference_decomposition_d3.txt", "reference decomposition table, d=3"),
     4: ("reference_decomposition_d4_i2_j3.txt",
         "reference decomposition listing, d=4, bell (2, 3)"),
@@ -40,11 +40,11 @@ def load_reference_table(d: int) -> dict[BellIndex, list[Tuple4]]:
         ValueError: d is not an integer, or no transcription is shipped for it.
     """
     d = as_index(d, "dimension")
-    if d not in _TRANSCRIPTIONS:
+    if d not in TRANSCRIPTIONS:
         raise ValueError(
-            f"no reference transcription for d={d}; available: {sorted(_TRANSCRIPTIONS)}"
+            f"no reference transcription for d={d}; available: {sorted(TRANSCRIPTIONS)}"
         )
-    text = resources.files("hdbsm.data").joinpath(_TRANSCRIPTIONS[d][0]).read_text()
+    text = resources.files("hdbsm.data").joinpath(TRANSCRIPTIONS[d][0]).read_text()
     rows: dict[BellIndex, list[Tuple4]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -141,4 +141,4 @@ def audit_reference_table(d: int, convention: PhaseConvention) -> TableAudit:
         digits = np.unravel_index(tables[bell].flat_support, (d,) * 4)
         computed = frozenset(zip(*(digit.tolist() for digit in digits)))
         rows.append(_audit_row(bell, printed_rows[bell], computed))
-    return TableAudit(_TRANSCRIPTIONS[d][1], convention, tuple(rows))
+    return TableAudit(TRANSCRIPTIONS[d][1], convention, tuple(rows))

@@ -359,7 +359,7 @@ def _cmd_verify(args) -> int:
     ]
 
     audits = []
-    if d in (3, 4):
+    if d in audit_mod.TRANSCRIPTIONS:
         if selection == "explicit":
             audit_conventions = [convention]
         else:

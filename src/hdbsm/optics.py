@@ -81,7 +81,8 @@ def pipeline_probabilities(state: State, layout: BsaLayout) -> CoincidenceTable:
     Applies the analyser U to each particle's (system, auxiliary) factor pair,
     the :func:`hdbsm.decomposition.pair_product` of the state with U, and squares it.
     """
-    return CoincidenceTable(layout.d, np.abs(pair_product(state, layout.unitary)) ** 2)
+    amplitudes = pair_product(state.reshaped()[None], layout.unitary)[0]
+    return CoincidenceTable(layout.d, np.abs(amplitudes) ** 2)
 
 
 @dataclass(frozen=True, eq=False)

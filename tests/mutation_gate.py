@@ -62,8 +62,8 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "src/hdbsm/decomposition.py",
-        "decomp_basis(state.radices[0], convention.decomp_sign).conj())",
-        "decomp_basis(state.radices[0], convention.decomp_sign))",
+        "basis = decomp_basis(state.radices[0], convention.decomp_sign).conj()",
+        "basis = decomp_basis(state.radices[0], convention.decomp_sign)",
         "pair_coefficients projects on S instead of conj(S)",
     ),
     Mutant(
@@ -197,14 +197,20 @@ MUTANTS = (
     # Mutants recorded in CHANGES.md for earlier changes, retargeted to the current code.
     Mutant(
         "src/hdbsm/decomposition.py",
-        "(basis @ state.amps.reshape(d * d, d * d) @ basis.T)",
-        "(basis @ state.amps.reshape(d * d, d * d) @ basis)",
+        "(basis @ stack.reshape(-1, d * d, d * d) @ basis.T)",
+        "(basis @ stack.reshape(-1, d * d, d * d) @ basis)",
         "the pair product projects Alice's side on the transposed basis",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "rows = decomp_basis(d, decomp_sign).conj()",
-        "rows = decomp_basis(d, decomp_sign)",
+        "stack.reshape(-1, d * d, d * d)",
+        "stack.reshape(d * d, -1, d * d).swapaxes(0, 1)",
+        "the pair product mixes the rows of a stack's states; a stack of one is unchanged",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "pair_product(stack, decomp_basis(d, decomp_sign).conj())",
+        "pair_product(stack, decomp_basis(d, decomp_sign))",
         "the stacked row projection uses S instead of conj(S)",
     ),
     Mutant(
@@ -433,14 +439,14 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "if state.radices != (d,) * 4:",
-        "if len(state.radices) != 4:",
-        "the pair product accepts four factors of unequal radix",
+        "if stack.shape[1:] != (d,) * 4:",
+        "if len(stack.shape[1:]) != 4:",
+        "the pair product accepts states of four factors of unequal radix",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
         "d = math.isqrt(len(basis))",
-        "d = state.radices[0]",
+        "d = stack.shape[1]",
         "the pair product reads d from the state, not from the basis it multiplies by",
     ),
     Mutant(
@@ -734,8 +740,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        'raise ValueError(f"expected shape {(d,) * 4}, got {state.radices}")',
-        'raise ValueError(f"expected shape {(d,) * 5}, got {state.radices}")',
+        'raise ValueError(f"expected shape {(d,) * 4}, got {stack.shape[1:]}")',
+        'raise ValueError(f"expected shape {(d,) * 5}, got {stack.shape[1:]}")',
         "the pair product's shape error names a five-factor shape",
     ),
 )

@@ -97,6 +97,8 @@ ALLOWED = (
             "0 -> 1", "the line above has returned for every matrix that is not square"),
     Allowed("core.py", "amps = np.ascontiguousarray(state.reshaped().transpose(order))"
             ".reshape(-1)", "1 -> 2", RESHAPE),
+    Allowed("decomposition.py", "return (basis @ stack.reshape(-1, d * d, d * d) @ basis.T)"
+            ".reshape(stack.shape)", "1 -> 2", RESHAPE),
     Allowed("decomposition.py", "residual = (residual + math.pi) % (2 * math.pi) - math.pi",
             "+ -> -", "-pi and +pi are equal modulo 2*pi; the roundings differ far below LOGIC_TOL"),
     Allowed("decomposition.py", 'order = np.argsort(bell * d**4 + flat, kind="stable")',

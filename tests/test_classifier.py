@@ -577,3 +577,28 @@ class TestSamplerOracle:
         assert len(searches) >= 3 and max(searches) <= 8
         counts = record.counts.reshape(-1)
         assert np.array_equal(counts, oracles.naive_sample_counts(probs, shots, seed))
+
+
+class TestArgumentDomain:
+    """The value types store the plain int d that check_dimension returns; a seed is an integer."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda d: DecodingTable(d, build_decoding_table(2, LITERAL_CONVENTION).classes),
+            lambda d: CoincidenceTable(d, np.full((2,) * 4, 1 / 16)),
+        ],
+        ids=["decoding", "coincidence"],
+    )
+    def test_value_types_store_the_checked_dimension(self, build):
+        assert type(build(np.int64(2)).d) is int
+        with pytest.raises(ValueError, match="dimension must be an integer, got 2.0"):
+            build(2.0)
+
+    @pytest.mark.parametrize("seed", [None, 1.5])
+    def test_seed_must_be_an_integer(self, seed):
+        # numpy seeds PCG64(None) from the operating system, so two such runs differ.
+        table = CoincidenceTable(2, np.full((2,) * 4, 1 / 16))
+        with pytest.raises(ValueError) as info:
+            sample_outcomes(table, 10, seed)
+        assert str(info.value) == f"seed must be an integer, got {seed!r}"

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hdbsm import decomposition, states
 from hdbsm.core import State, permute_factors, tensor_product
@@ -14,6 +14,7 @@ from hdbsm.decomposition import (
     NoAffineLawError,
     NoMatchingConventionError,
     PhaseNotRootOfUnityError,
+    _decompose_row,
     decompose,
     decompose_all,
     find_convention,
@@ -108,9 +109,40 @@ class TestDecompose:
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             for shape in ((9, 9), 9, 9)
         )
-        state = State((3,) * 4, np.multiply.outer(bob, alice).reshape(-1))
-        expected = np.multiply.outer(basis @ bob, basis @ alice).reshape((3,) * 4)
-        assert np.allclose(pair_product(state, basis), expected, rtol=0, atol=1e-12)
+        stack = np.multiply.outer(bob, alice).reshape(1, 3, 3, 3, 3)
+        expected = np.multiply.outer(basis @ bob, basis @ alice).reshape(1, 3, 3, 3, 3)
+        assert np.allclose(pair_product(stack, basis), expected, rtol=0, atol=1e-12)
+
+    # Each state of a stack is projected as it would be alone, every bit of it,
+    # the sign of an exact zero included, under conj(S) and under each analyser U.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        conv=st.sampled_from(ALL_CONVENTIONS),
+        analyser=st.booleans(),
+        data=st.data(),
+    )
+    def test_pair_product_projects_each_state_of_a_stack_as_alone(self, d, conv, analyser, data):
+        n = data.draw(st.integers(1, d), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        stack = rng.standard_normal((n,) + (d,) * 4) + 1j * rng.standard_normal((n,) + (d,) * 4)
+        stack[rng.random(stack.shape) < 0.5] = 0
+        if analyser:
+            basis = bsa_layout(d, conv).unitary
+        else:
+            basis = states.decomp_basis(d, conv.decomp_sign).conj()
+        got = pair_product(stack, basis)
+        assert got.shape == stack.shape
+        for k in range(n):
+            assert got[k].tobytes() == pair_product(stack[k : k + 1], basis)[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 3, 3, 3), (2, 3, 3, 3, 2), (1, 3, 3, 3), (1, 3, 3, 3, 3, 3)]
+    )
+    def test_pair_product_rejects_a_stack_of_another_shape(self, shape):
+        with pytest.raises(ValueError) as info:
+            pair_product(np.zeros(shape, dtype=complex), np.eye(9))
+        assert str(info.value) == f"expected shape (3, 3, 3, 3), got {shape[1:]}"
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -118,6 +150,8 @@ class TestDecompose:
         conv=st.sampled_from(ALL_CONVENTIONS),
         seed=st.integers(0, 2**32 - 1),
     )
+    # At d = 2 conj(S) equals S; a d = 3 case up front fails a conj(S) slip without a search.
+    @example(d=3, conv=REFERENCE_CONVENTION, seed=0)
     def test_pair_coefficients_match_naive_inner_products(self, d, conv, seed):
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal(d**4) + 1j * rng.standard_normal(d**4)
@@ -145,9 +179,9 @@ class TestDecompose:
             assert str(info.value) == f"expected shape {(radices[0],) * 4}, got {radices}"
 
     def test_pair_product_reads_d_from_its_basis(self):
-        state = State((2,) * 4, np.eye(16)[0])
+        stack = State((2,) * 4, np.eye(16)[0]).reshaped()[None]
         with pytest.raises(ValueError) as info:
-            pair_product(state, np.eye(9))
+            pair_product(stack, np.eye(9))
         assert str(info.value) == "expected shape (3, 3, 3, 3), got (2, 2, 2, 2)"
 
     # pair_coefficients builds its basis from the first radix, so that radix
@@ -291,6 +325,72 @@ class TestDecompose:
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError, match=r"supported range \(2\.\.6\)"):
             decompose(1, 0, 0, LITERAL_CONVENTION)
+
+
+class TestArgumentDomain:
+    """The entries compute with, cache by and store the plain ints check_dimension returns."""
+
+    def test_numpy_and_bool_indices_find_the_row_cached_for_the_int(self):
+        _decompose_row.cache_clear()
+        row = decompose(3, 1, 0, REFERENCE_CONVENTION)
+        for d, i in ((np.int64(3), 1), (3, np.uint8(1)), (3, True)):
+            assert decompose(d, i, 0, REFERENCE_CONVENTION) is row
+        assert _decompose_row.cache_info().currsize == 1
+
+    def test_a_numpy_row_builds_with_the_int_basis_and_stores_int_indices(self):
+        _decompose_row.cache_clear()
+        states.decomp_basis.cache_clear()
+        _decompose_row(3, 1, -1, 1)
+        tables = _decompose_row(np.int64(3), np.uint64(1), -1, 1)
+        assert states.decomp_basis.cache_info().currsize == 1
+        assert {(type(t.d), type(t.bell.i)) for t in tables} == {(int, int)}
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda d: hyperentangled_state(d, 0, 0, REFERENCE_CONVENTION),
+            lambda d: _decompose_row(d, 0, -1, 1),
+        ],
+        ids=["source", "row"],
+    )
+    def test_cached_builders_check_a_float_equal_to_a_cached_int(self, build):
+        build(3)  # a cache keyed by value alone would hand this entry to 3.0
+        with pytest.raises(ValueError, match="dimension must be an integer, got 3.0"):
+            build(3.0)
+
+    def test_hyperentangled_state_reads_a_bool_index_as_an_int(self):
+        expected = hyperentangled_state(3, 1, 1, REFERENCE_CONVENTION).amps
+        got = hyperentangled_state(3, True, True, REFERENCE_CONVENTION).amps
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: decompose_all(0, REFERENCE_CONVENTION),
+            lambda: decompose_all(-1, REFERENCE_CONVENTION),
+            lambda: reference_index_law("3"),
+            lambda: reference_index_law(3.0),
+        ],
+        ids=["all-0", "all--1", "law-str", "law-float"],
+    )
+    def test_dimensions_outside_the_domain_raise_value_error(self, call):
+        with pytest.raises(ValueError, match="dimension"):
+            call()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda d: DecompositionTable(
+                d, BellIndex(0, 0), LITERAL_CONVENTION, np.zeros(1, int), np.ones(1)
+            ),
+            lambda d: IndexLaw(d, 1, 1, True),
+        ],
+        ids=["decomposition", "law"],
+    )
+    def test_value_types_store_the_checked_dimension(self, build):
+        assert type(build(np.int64(2)).d) is int
+        with pytest.raises(ValueError, match="dimension must be an integer, got 2.0"):
+            build(2.0)
 
 
 class TestIndexLaw:

@@ -5,7 +5,13 @@ from hypothesis import given, settings, strategies as st
 from hdbsm.classifier import build_decoding_table, classify_table, coincidence_probabilities
 from hdbsm.core import State, fourier_matrix, is_unitary
 from hdbsm.decomposition import decompose, hyperentangled_state
-from hdbsm.optics import bsa_layout, pipeline_probabilities, prepare_bell, run_experiment
+from hdbsm.optics import (
+    BsaLayout,
+    bsa_layout,
+    pipeline_probabilities,
+    prepare_bell,
+    run_experiment,
+)
 from hdbsm.states import (
     ALL_CONVENTIONS,
     BellIndex,
@@ -195,3 +201,31 @@ class TestRunExperiment:
         support = np.argwhere(result.probabilities.probs > 1e-12).tolist()
         table = decompose(3, 2, 1, conv)
         assert {tuple(p) for p in support} == set(oracles.table_entries(table))
+
+
+class TestArgumentDomain:
+    """The entries compute with, cache by and store the plain ints check_dimension returns."""
+
+    def test_a_numpy_run_finds_the_source_and_layout_cached_for_an_int(self):
+        for cached in (bsa_layout, hyperentangled_state):
+            cached.cache_clear()
+        conv = REFERENCE_CONVENTION
+        run_experiment(3, 1, 2, 10, 0, conv)
+        result = run_experiment(
+            np.int64(3), np.int64(1), np.uint8(2), np.int64(10), np.int64(0), conv
+        )
+        assert bsa_layout.cache_info().currsize == 1
+        assert hyperentangled_state.cache_info().currsize == 1
+        assert result.bell == (1, 2)
+        assert type(result.bell.i) is int and type(result.bell.j) is int
+
+    def test_the_layout_cache_checks_a_float_equal_to_a_cached_int(self):
+        bsa_layout(3, REFERENCE_CONVENTION)  # a cache keyed by value alone would hand it to 3.0
+        with pytest.raises(ValueError, match="dimension must be an integer, got 3.0"):
+            bsa_layout(3.0, REFERENCE_CONVENTION)
+
+    def test_the_layout_stores_the_checked_dimension(self):
+        unitary = bsa_layout(2, REFERENCE_CONVENTION).unitary
+        assert type(BsaLayout(np.int64(2), unitary, 0.0).d) is int
+        with pytest.raises(ValueError, match="dimension must be an integer, got 2.0"):
+            BsaLayout(2.0, unitary, 0.0)
