@@ -103,12 +103,6 @@ class State:
         """Read-only view with one axis per tensor factor."""
         return self.amps.reshape(self.radices)
 
-    def nonzero(self, tol: float = LOGIC_TOL) -> dict[tuple[int, ...], complex]:
-        """Map from digit tuple to amplitude, restricted to |amp| > tol."""
-        flat = np.flatnonzero(np.abs(self.amps) > tol)
-        digits = zip(*(axis.tolist() for axis in np.unravel_index(flat, self.radices)))
-        return dict(zip(digits, self.amps[flat].tolist()))
-
 
 def tensor_product(u: State, v: State) -> State:
     """Joint state u (x) v; factor radices are concatenated in order."""

@@ -1,23 +1,22 @@
-"""Standing mutation gate: every listed mutant of the package must fail tier-1.
+"""Standing mutation gate: every listed mutant of the package must fail its module's tests.
 
-Each mutant names a file of the checkout, an exact text that must occur in it
-exactly once, the text that replaces it, and the defect that the change plants.
-For every mutant the gate copies ``src``, ``tests`` and ``pyproject.toml`` into
-a fresh temporary directory, applies the change there and runs
-``python -m pytest -x -q`` on the copy with a fixed ``--hypothesis-seed``, in
-two stages. The first runs the tests of the mutated module
-``src/hdbsm/<m>.py``, ``tests/test_<m>.py``, alone. Only a mutant that
-survives it, or whose module has no such file, runs the second stage, every
-other test file, those that check every module (``CROSS_MODULE``) first, so
-the two stages together run all of tier-1 once. A mutant is killed when a
-test fails in either stage (pytest exit code 1). The unmutated copy must
-pass every first stage alone and tier-1 as a whole. Runs go two at a time.
+Each mutant names a module ``src/hdbsm/<m>.py`` of the checkout, an exact text
+that must occur in it exactly once, the text that replaces it, and the defect
+that the change plants. For every mutant the gate copies ``src``, ``tests`` and
+``pyproject.toml`` into a fresh temporary directory, applies the change there
+and runs ``python -m pytest -x -q`` with a fixed ``--hypothesis-seed`` on the
+mutated module's own test file ``tests/test_<m>.py`` alone. A mutant is killed
+when a test of that file fails (pytest exit code 1), so each module's file
+holds the cases of its own entries and bounds. The unmutated copy must pass
+each of those files alone. Runs go two at a time.
 
 The gate fails when a mutant survives, when a run ends any other way (a
-collection error or a timeout), when an old text does not occur exactly once,
-or when the unmutated copy does not pass. A refactor of the targeted code must
-therefore update this list. A mutant leaves the list only with a CHANGES.md
-line saying why, for example that the code it targets was deleted.
+collection error or a timeout), when the unmutated copy does not pass, or when
+``stale`` finds an entry out of date: an old text that does not occur exactly
+once, or a module with no test file. Tier-1 runs ``stale`` too
+(``tests/test_mutation_gate.py``), so a refactor of the targeted code must
+update this list. A mutant leaves the list only with a CHANGES.md line saying
+why, for example that the code it targets was deleted.
 
 Usage, from any directory:
 
@@ -47,9 +46,6 @@ TIMEOUT_S = 300
 CI_BUDGET_S = 300  # timeout-minutes: 5 of the mutation-gate step in .github/workflows/tests.yml
 WORKERS = 2  # mutants tested at once, each in its own pytest process
 PYTEST_ARGS = ("-x", "-q", f"--hypothesis-seed={HYPOTHESIS_SEED}")
-# The files that check every module, the named bounds and the argument domain, and
-# so kill the mutants that their own module's file misses.
-CROSS_MODULE = ("tests/test_bounds.py", "tests/test_core.py")
 
 
 class Mutant(NamedTuple):
@@ -369,12 +365,6 @@ MUTANTS = (
         "ROW_THRESHOLD = 1e-12",
         "ROW_THRESHOLD = 1e-10",
         "ROW_THRESHOLD raised from 1e-12 to 1e-10",
-    ),
-    Mutant(
-        "src/hdbsm/core.py",
-        "flat = np.flatnonzero(np.abs(self.amps) > tol)",
-        "flat = np.flatnonzero(np.abs(self.amps) >= tol)",
-        "State.nonzero keeps an amplitude exactly at the tolerance",
     ),
     Mutant(
         "src/hdbsm/optics.py",
@@ -748,30 +738,24 @@ MUTANTS = (
 
 
 def stale() -> list[str]:
-    """One line per mutant whose old text does not occur exactly once."""
+    """One line per problem of a mutant that is out of date.
+
+    Its old text does not occur exactly once, or its module has no test file
+    to run it against.
+    """
     out = []
     for mutant in MUTANTS:
         count = (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old)
         if count != 1:
             out.append(f"{mutant.path}: old text occurs {count} times: {mutant.old!r}")
+        if not (ROOT / own_tests(mutant)).is_file():
+            out.append(f"{mutant.path}: no {own_tests(mutant)} runs: {mutant.reason}")
     return out
 
 
-def own_tests(mutant: Mutant) -> str | None:
-    """The mutated module's test file ``tests/test_<m>.py``, or None where there is none."""
-    name = f"tests/test_{Path(mutant.path).stem}.py"
-    return name if (ROOT / name).is_file() else None
-
-
-def tier1_files(without: str | None = None) -> tuple[str, ...]:
-    """Every test file but ``without``, the CROSS_MODULE files first.
-
-    Each file is named, since pytest collects a file named together with its
-    directory in the directory's order.
-    """
-    files = (str(f.relative_to(ROOT)) for f in (ROOT / "tests").glob("test_*.py"))
-    kept = (f for f in files if f != without)
-    return tuple(sorted(kept, key=lambda f: (f not in CROSS_MODULE, f)))
+def own_tests(mutant: Mutant) -> str:
+    """The mutated module's test file, ``tests/test_<m>.py``."""
+    return f"tests/test_{Path(mutant.path).stem}.py"
 
 
 def run_tests(mutant: Mutant | None, paths: tuple[str, ...]) -> tuple[int | None, str]:
@@ -804,20 +788,6 @@ def run_tests(mutant: Mutant | None, paths: tuple[str, ...]) -> tuple[int | None
         return done.returncode, done.stdout + done.stderr
 
 
-def run_stages(mutant: Mutant) -> tuple[int | None, str]:
-    """Exit code and output of the mutant's first stage that does not pass.
-
-    The module's own test file runs alone first; only a mutant that it does
-    not kill, or one whose module has no such file, runs the rest of tier-1.
-    """
-    own = own_tests(mutant)
-    if own is not None:
-        code, output = run_tests(mutant, (own,))
-        if code != 0:
-            return code, output
-    return run_tests(mutant, tier1_files(without=own))
-
-
 def first_failure(output: str) -> str:
     """pytest's first FAILED or ERROR line, else its last line."""
     lines = output.strip().splitlines() or [""]
@@ -830,17 +800,15 @@ def timed(run, *args) -> tuple[int | None, str, float]:
     return (*run(*args), time.perf_counter() - began)
 
 
-def unmutated_passes(pool: ThreadPoolExecutor, mutants) -> bool:
-    """Whether the unmutated copy passes tier-1 and each of the mutants' first stages alone.
+def unmutated_passes(pool: ThreadPoolExecutor, runs: list[tuple[str, ...]]) -> bool:
+    """Whether the unmutated copy passes each of ``runs``, each a tuple of test files.
 
-    Then a failure in either stage is the mutant's. Prints one line per run,
+    Then a failure in a mutant's run is the mutant's. Prints one line per run,
     and the output of each run that fails.
     """
-    owns = sorted({own_tests(m) for m in mutants} - {None})
-    stages = [tier1_files(), *((own,) for own in owns)]
     passed = True
     for paths, (code, output, seconds) in zip(
-        stages, pool.map(lambda paths: timed(run_tests, None, paths), stages)
+        runs, pool.map(lambda paths: timed(run_tests, None, paths), runs)
     ):
         name = paths[0] if len(paths) == 1 else "tier-1"
         print(f"unmutated copy, {name}: pytest exit {code} ({seconds:.1f} s)")
@@ -859,10 +827,10 @@ def main() -> int:
 
     failures = 0
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        if not unmutated_passes(pool, MUTANTS):
+        if not unmutated_passes(pool, [(own,) for own in sorted(set(map(own_tests, MUTANTS)))]):
             return 1
         for mutant, (code, output, seconds) in zip(
-            MUTANTS, pool.map(lambda m: timed(run_stages, m), MUTANTS)
+            MUTANTS, pool.map(lambda m: timed(run_tests, m, (own_tests(m),)), MUTANTS)
         ):
             verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"NO VERDICT (exit {code})")
             print(f"{verdict:<8} {seconds:5.1f} s  {mutant.path}: {mutant.reason}")

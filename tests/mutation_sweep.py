@@ -14,13 +14,18 @@ node of these kinds:
 Each change is spliced into the original text at the position of its AST
 node, so the rest of the file keeps every byte: re-rendering it with
 ``ast.unparse`` would change the text that ``tests/test_bounds.py`` reads.
-Every mutant runs through the copy-and-run stages of ``mutation_gate.py``,
-two at a time, after the unmutated copy has passed tier-1 and each first
-stage alone (``mutation_gate.unmutated_passes``). Unlike the gate's
-hand-written mutants, a mechanical one can break the package at import, for
-example by flipping ``__name__ == "__main__"``. So pytest's exit codes 2
-(collection failed) and 3 (internal error) kill a mutant here as 1 does;
-only exit 0 is a survivor, and a timeout has no verdict.
+Every mutant runs in a fresh copy made by ``mutation_gate.run_tests``, two at
+a time, in two stages. The first runs the mutated module's own test file
+``tests/test_<m>.py`` alone, as the gate does. Unlike a gate mutant, a
+mechanical one may be killed elsewhere, so a mutant that survives the first
+stage, or whose module has no such file, runs the second: every other test
+file of tier-1, those that check every module (``CROSS_MODULE``) first. The
+unmutated copy must first pass tier-1 and each first stage alone
+(``mutation_gate.unmutated_passes``). Unlike the gate's hand-written mutants,
+a mechanical one can break the package at import, for example by flipping
+``__name__ == "__main__"``. So pytest's exit codes 2 (collection failed) and
+3 (internal error) kill a mutant here as 1 does; only exit 0 is a survivor,
+and a timeout has no verdict.
 
 A mutant that survives is explained when ``ALLOWED`` names its file, its
 stripped source line and its change, with one line of reason. The sweep
@@ -43,7 +48,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
-from mutation_gate import ROOT, WORKERS, Mutant, run_stages, unmutated_passes
+from mutation_gate import ROOT, WORKERS, Mutant, own_tests, run_tests, unmutated_passes
 
 PACKAGE = ROOT / "src" / "hdbsm"
 KILLED = (1, 2, 3)  # pytest exit codes: tests failed, collection failed, internal error
@@ -53,6 +58,11 @@ COMPARISON = re.compile(r"<=|>=|==|!=|<|>|not\s+in\b|in\b|is\s+not\b|is\b")
 ARITHMETIC = re.compile(r"[+-]")
 BOOLEAN = re.compile(r"(and|or)\b")
 NOT = re.compile(r"not\b\s*")
+# The files that check every module, the named bounds and the argument domain.
+CROSS_MODULE = ("tests/test_bounds.py", "tests/test_core.py")
+# The gate's static checks read the mutated copy's text, so they would kill every
+# mutant that touches the old text of a gate entry.
+GATE_CHECKS = "tests/test_mutation_gate.py"
 
 
 class Allowed(NamedTuple):
@@ -205,6 +215,37 @@ def mutants(path) -> list[Sweep]:
     return found
 
 
+def tier1_files(without: str | None = None) -> tuple[str, ...]:
+    """Every test file but ``without`` and GATE_CHECKS, the CROSS_MODULE files first.
+
+    Each file is named, since pytest collects a file named together with its
+    directory in the directory's order.
+    """
+    files = (str(f.relative_to(ROOT)) for f in (ROOT / "tests").glob("test_*.py"))
+    kept = (f for f in files if f not in (without, GATE_CHECKS))
+    return tuple(sorted(kept, key=lambda f: (f not in CROSS_MODULE, f)))
+
+
+def own_file(mutant: Mutant) -> str | None:
+    """The mutated module's test file, or None where it has none."""
+    own = own_tests(mutant)
+    return own if (ROOT / own).is_file() else None
+
+
+def run_stages(mutant: Mutant) -> tuple[int | None, str]:
+    """Exit code and output of the mutant's first stage that does not pass.
+
+    The module's own test file runs alone first; only a mutant that it does
+    not kill, or one whose module has no such file, runs the rest of tier-1.
+    """
+    own = own_file(mutant)
+    if own is not None:
+        code, output = run_tests(mutant, (own,))
+        if code != 0:
+            return code, output
+    return run_tests(mutant, tier1_files(without=own))
+
+
 def allowed(sweep: Sweep) -> Allowed | None:
     name = sweep.mutant.path.removeprefix("src/hdbsm/")
     return next(
@@ -221,7 +262,8 @@ def main() -> int:
 
     survivors, unexplained, errors = [], 0, 0
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        if not unmutated_passes(pool, [sweep.mutant for sweep in swept]):
+        owns = sorted({own_file(sweep.mutant) for sweep in swept} - {None})
+        if not unmutated_passes(pool, [tier1_files(), *((own,) for own in owns)]):
             return 1
         results = pool.map(lambda sweep: run_stages(sweep.mutant)[0], swept)
         for sweep, code in zip(swept, results):

@@ -17,6 +17,7 @@ one digit at a time, with the arithmetic of the package's array formulas, so
 their results are compared byte for byte.
 ``hand_built_table`` is how tests make a decomposition table from a dict of
 their own, and ``table_entries`` reads a table back as such a dict.
+``nonzero`` reads a state as a digit tuple -> amplitude dict.
 ``bell_arrays`` splits a decoding table's class indices into its i and j arrays.
 """
 
@@ -26,6 +27,12 @@ import cmath
 from itertools import product
 
 import numpy as np
+
+
+def nonzero(state, tol: float = 0.0) -> dict:
+    """(digit of factor 0, digit of factor 1, ...) -> amplitude, for each |amplitude| > tol."""
+    labels = product(*(range(radix) for radix in state.radices))
+    return {label: amp for label, amp in zip(labels, state.amps.tolist()) if abs(amp) > tol}
 
 
 def naive_bell(d: int, i: int, j: int, bell_sign: int = 1) -> dict:

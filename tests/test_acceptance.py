@@ -62,7 +62,7 @@ def criterion(number: int, description: str, budget: float | None = None):
 
 
 def assert_literal_state(state, table: dict) -> None:
-    nonzero = state.nonzero(tol=1e-12)
+    nonzero = oracles.nonzero(state, tol=1e-12)
     assert set(nonzero) == set(table)
     for label, amp in table.items():
         assert abs(nonzero[label] - amp / S3) < 1e-12

@@ -23,6 +23,7 @@ from hdbsm.decomposition import (
     decompose_all,
     fit_index_law,
     hyperentangled_state,
+    reference_index_law,
 )
 from hdbsm.states import (
     ALL_CONVENTIONS,
@@ -36,6 +37,31 @@ BOTH_MAIN = [LITERAL_CONVENTION, REFERENCE_CONVENTION]
 
 
 CHUNK = cl._CHUNK
+
+
+# The bound that classifier owns, and the LOGIC_TOL side of its ties, first in the
+# file so that pytest -x reaches them early.
+
+
+def test_documented_value():
+    assert cl.NORM_TOL == 1e-6
+
+
+def test_side_of_norm_tol_is_unobservable():
+    # The norm check compares |norm - 1| with the bound, which no input meets
+    # exactly, as for cli.REPORT_TOL: the distance is a multiple of 2**-55.
+    assert (cl.NORM_TOL * 2**55) % 1 != 0
+
+
+def test_classes_within_logic_tol_of_the_best_tie():
+    decoding = decoding_table_from_law(reference_index_law(2))
+    first, second = decoding.class_order[[0, 4]]  # one pair of class (0, 0), one of (0, 1)
+    at = 0.5 - LOGIC_TOL
+    for runner_up, tied in [(at, True), (np.nextafter(at, 0.0), False)]:
+        probs = np.zeros(16)
+        probs[[first, second]] = 0.5, runner_up
+        result = classify_table(CoincidenceTable(2, probs.reshape((2,) * 4)), decoding)
+        assert (result.bell, result.tie) == (BellIndex(0, 0), tied)
 
 
 class TestDecodingTable:
@@ -580,7 +606,7 @@ class TestSamplerOracle:
 
 
 class TestArgumentDomain:
-    """The value types store the plain int d that check_dimension returns; a seed is an integer."""
+    """d is stored as the plain int check_dimension returns; shots and seed must be integers."""
 
     @pytest.mark.parametrize(
         "build",
@@ -595,7 +621,19 @@ class TestArgumentDomain:
         with pytest.raises(ValueError, match="dimension must be an integer, got 2.0"):
             build(2.0)
 
-    @pytest.mark.parametrize("seed", [None, 1.5])
+    def test_decoding_table_checks_its_dimension(self):
+        assert type(build_decoding_table(np.int64(3), LITERAL_CONVENTION).d) is int
+        with pytest.raises(ValueError, match="outside the supported range"):
+            build_decoding_table(0, LITERAL_CONVENTION)
+
+    def test_shots_must_be_an_integer_and_the_seed_non_negative(self):
+        table = CoincidenceTable(2, np.full((2,) * 4, 1 / 16))
+        with pytest.raises(ValueError, match="^shots must be an integer, got '5'$"):
+            sample_outcomes(table, "5", 0)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            sample_outcomes(table, 10, -1)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, "3", np.float64(2.0)])
     def test_seed_must_be_an_integer(self, seed):
         # numpy seeds PCG64(None) from the operating system, so two such runs differ.
         table = CoincidenceTable(2, np.full((2,) * 4, 1 / 16))

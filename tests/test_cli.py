@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import oracles
 import report_digests
 from hdbsm import cli
+from hdbsm.classifier import CoincidenceTable
 from hdbsm.cli import format_state_file, main, parse_state_file
 from hdbsm.core import LOGIC_TOL, State
 from hdbsm.decomposition import DecompositionTable, hyperentangled_state
@@ -84,6 +85,29 @@ def check_pinned_run(grid_runs, argv, nth=0):
     if kind == "kernel":
         skip_off_pinned_platform()
     assert got == want, f"run {index} ({' '.join(argv)})"
+
+
+# The bounds that cli owns, first in the file so that pytest -x reaches them early.
+
+
+@pytest.mark.parametrize("name", ["REPORT_TOL", "ROW_THRESHOLD"])
+def test_documented_value(name):
+    assert getattr(cli, name) == {"REPORT_TOL": 1e-9, "ROW_THRESHOLD": 1e-12}[name]
+
+
+def test_side_of_report_tol_is_unobservable():
+    # Each check compares |x - c| with the bound, where c is 1 or 1/d >= 1/6 and
+    # x lies within the bound of c. Every double >= 2**-3 is a multiple of 2**-55,
+    # and so is x - c, which is exact; the bound is not. So no input meets the
+    # bound exactly, and `<=` and `<` decide alike.
+    assert (cli.REPORT_TOL * 2**55) % 1 != 0
+
+
+def test_rows_are_strictly_above_their_threshold():
+    probs = np.zeros(16)
+    probs[[3, 9]] = cli.ROW_THRESHOLD, np.nextafter(cli.ROW_THRESHOLD, 1.0)
+    fields, rows = cli._coincidence_rows(CoincidenceTable(2, probs.reshape((2,) * 4)), None)
+    assert rows == [{"k": 1, "m": 0, "k_prime": 0, "m_prime": 1, "probability": probs[9]}]
 
 
 class TestReportDigests:
@@ -400,7 +424,6 @@ class TestSimulateCommand:
         assert header == "k,m,k_prime,m_prime,probability,count"
 
     def test_equivalence_failure_exits_1(self, capsys, monkeypatch):
-        from hdbsm.classifier import CoincidenceTable
         from hdbsm.optics import ExperimentResult
         from hdbsm.states import BellIndex
 
@@ -616,8 +639,6 @@ class TestExitCodeContract:
         assert capsys.readouterr() == ("", "invariant failure: forced\n")
 
     def test_classify_invariant_failure_exits_1(self, tmp_path, capsys, monkeypatch):
-        from hdbsm.classifier import CoincidenceTable
-
         state = hyperentangled_state(2, 0, 0, REFERENCE_CONVENTION)
         path = tmp_path / "state.txt"
         path.write_text(format_state_file(state))

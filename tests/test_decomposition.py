@@ -43,10 +43,31 @@ import oracles
 BOTH_MAIN = [LITERAL_CONVENTION, REFERENCE_CONVENTION]
 
 
+# Two LOGIC_TOL sides, first in the file so that pytest -x reaches them early. No
+# real input reaches them, so each test moves the bound to 0 in this module: a
+# wrapped phase residual is a multiple of 2**-51 near 0 and LOGIC_TOL is not, and a
+# pair coefficient is either about 1/d or rounding noise. Exact zeros reach a bound of 0.
+
+
+def test_phase_residual_at_logic_tol_is_a_root_of_unity(monkeypatch):
+    monkeypatch.setattr(decomposition, "LOGIC_TOL", 0.0)
+    assert decomposition._phase_ints(np.array([1.0 + 0j]), 3).tolist() == [0]
+    with pytest.raises(decomposition.PhaseNotRootOfUnityError):
+        decomposition._phase_ints(np.array([np.exp(1e-3j)]), 3)
+
+
+def test_support_is_strictly_above_logic_tol(monkeypatch):
+    # The pairs with m' != m + j are exact zeros, so at d = 2 each table keeps 8 of 16.
+    monkeypatch.setattr(decomposition, "LOGIC_TOL", 0.0)
+    for table in _decompose_row.__wrapped__(2, 0, 1, 1):
+        assert table.flat_support.size == 8
+        assert np.all(table.coeffs != 0)
+
+
 class TestHyperentangledState:
     @pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=lambda c: c.label())
     def test_matches_naive_joint(self, conv):
-        got = hyperentangled_state(3, 2, 1, conv).nonzero(tol=1e-12)
+        got = oracles.nonzero(hyperentangled_state(3, 2, 1, conv), tol=1e-12)
         expected = oracles.naive_joint(3, 2, 1, conv.bell_sign, conv.decomp_sign)
         assert set(got) == set(expected)
         for label in expected:
@@ -67,7 +88,7 @@ class TestHyperentangledState:
         # B system, B auxiliary, A system, A auxiliary: support labels are
         # (n, p, (n+j) mod d, p)
         state = hyperentangled_state(3, 0, 1, LITERAL_CONVENTION)
-        for (bs, ba, asys, aa) in state.nonzero():
+        for (bs, ba, asys, aa) in oracles.nonzero(state):
             assert asys == (bs + 1) % 3
             assert aa == ba
 
@@ -358,24 +379,42 @@ class TestArgumentDomain:
         with pytest.raises(ValueError, match="dimension must be an integer, got 3.0"):
             build(3.0)
 
+    def test_each_spelling_of_a_sign_finds_the_rows_cached_for_the_int(self):
+        _decompose_row.cache_clear()
+        for sign in (1, True, np.int64(1)):
+            decompose_all(3, PhaseConvention(sign, 1))
+        assert _decompose_row.cache_info().currsize == 3
+
     def test_hyperentangled_state_reads_a_bool_index_as_an_int(self):
         expected = hyperentangled_state(3, 1, 1, REFERENCE_CONVENTION).amps
         got = hyperentangled_state(3, True, True, REFERENCE_CONVENTION).amps
         assert got.tobytes() == expected.tobytes()
 
+    def test_a_numpy_dimension_gives_tables_and_a_law_of_int_d(self):
+        _decompose_row.cache_clear()
+        tables = decompose_all(np.int64(3), REFERENCE_CONVENTION)
+        assert {type(table.d) for table in tables.values()} == {int}
+        assert type(reference_index_law(np.int64(3)).d) is int
+
     @pytest.mark.parametrize(
-        "call",
+        "call, message",
         [
-            lambda: decompose_all(0, REFERENCE_CONVENTION),
-            lambda: decompose_all(-1, REFERENCE_CONVENTION),
-            lambda: reference_index_law("3"),
-            lambda: reference_index_law(3.0),
+            (lambda: decompose_all(0, REFERENCE_CONVENTION), "outside the supported range"),
+            (lambda: decompose_all(-1, REFERENCE_CONVENTION), "outside the supported range"),
+            (lambda: reference_index_law(1), "outside the supported range"),
+            (lambda: reference_index_law(9), "outside the supported range"),
+            (lambda: reference_index_law("3"), "dimension must be an integer"),
+            (lambda: reference_index_law(3.0), "dimension must be an integer"),
         ],
-        ids=["all-0", "all--1", "law-str", "law-float"],
+        ids=["all-0", "all--1", "law-1", "law-9", "law-str", "law-float"],
     )
-    def test_dimensions_outside_the_domain_raise_value_error(self, call):
-        with pytest.raises(ValueError, match="dimension"):
+    def test_dimensions_outside_the_domain_raise_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message):
             call()
+
+    def test_a_float_index_raises_value_error(self):
+        with pytest.raises(ValueError, match="^j must be an integer, got "):
+            decompose(3, 0, np.float64(1.0), REFERENCE_CONVENTION)
 
     @pytest.mark.parametrize(
         "build",
@@ -729,6 +768,8 @@ class TestHandBuiltFits:
 
     @settings(max_examples=80, deadline=None)
     @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    @example(d=3, seed=5)  # a closed form with a constant w
+    @example(d=3, seed=1)  # a (k, m) repeated out of sorted order
     def test_phase_law(self, d, seed):
         tables, phases = self.random_tables(d, seed)
         law = fit_phase_law(tables)

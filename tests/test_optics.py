@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from hdbsm.classifier import build_decoding_table, classify_table, coincidence_p
 from hdbsm.core import State, fourier_matrix, is_unitary
 from hdbsm.decomposition import decompose, hyperentangled_state
 from hdbsm.optics import (
+    EQUIVALENCE_TOL,
     BsaLayout,
     bsa_layout,
     pipeline_probabilities,
@@ -26,12 +29,26 @@ import oracles
 BOTH_MAIN = [LITERAL_CONVENTION, REFERENCE_CONVENTION]
 
 
+# The bound that optics owns, first in the file so that pytest -x reaches it early.
+
+
+def test_documented_value():
+    assert EQUIVALENCE_TOL == 1e-9
+
+
+def test_equivalent_is_strictly_below_its_bound():
+    result = run_experiment(2, 0, 0, 0, 0, LITERAL_CONVENTION)
+    at = dataclasses.replace(result, equivalence_gap=EQUIVALENCE_TOL)
+    below = dataclasses.replace(at, equivalence_gap=np.nextafter(EQUIVALENCE_TOL, 0.0))
+    assert (at.equivalent, below.equivalent) == (False, True)
+
+
 class TestPrepareSource:
     """The source is the hyperentangled state (0, 0)."""
 
     def test_d3_amplitudes(self):
         state = hyperentangled_state(3, 0, 0, REFERENCE_CONVENTION)
-        nonzero = state.nonzero(tol=1e-12)
+        nonzero = oracles.nonzero(state, tol=1e-12)
         assert len(nonzero) == 9
         for (bs, ba, asys, aa), amp in nonzero.items():
             assert bs == asys and ba == aa  # perfectly correlated in both DOFs
@@ -39,7 +56,7 @@ class TestPrepareSource:
 
     def test_d2_amplitudes(self):
         state = hyperentangled_state(2, 0, 0, LITERAL_CONVENTION)
-        nonzero = state.nonzero(tol=1e-12)
+        nonzero = oracles.nonzero(state, tol=1e-12)
         assert len(nonzero) == 4
         assert all(abs(a - 1 / 2) < 1e-12 for a in nonzero.values())
 
@@ -225,7 +242,36 @@ class TestArgumentDomain:
             bsa_layout(3.0, REFERENCE_CONVENTION)
 
     def test_the_layout_stores_the_checked_dimension(self):
+        assert type(bsa_layout(np.int64(3), REFERENCE_CONVENTION).d) is int
         unitary = bsa_layout(2, REFERENCE_CONVENTION).unitary
         assert type(BsaLayout(np.int64(2), unitary, 0.0).d) is int
         with pytest.raises(ValueError, match="dimension must be an integer, got 2.0"):
             BsaLayout(2.0, unitary, 0.0)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: bsa_layout(7, REFERENCE_CONVENTION), "outside the supported range"),
+            (lambda: run_experiment(3, 0, 1.5, 0, 0, REFERENCE_CONVENTION), "j must be an integer"),
+        ],
+        ids=["layout", "run-j"],
+    )
+    def test_arguments_outside_the_domain_raise_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_shots_must_be_an_integer_and_the_seed_non_negative(self):
+        with pytest.raises(ValueError, match="^shots must be an integer, got 1.5$"):
+            run_experiment(3, 0, 0, 1.5, 0, REFERENCE_CONVENTION)
+        assert run_experiment(3, 0, 0, np.int64(5), 0, REFERENCE_CONVENTION).record.shots == 5
+        for shots in (10**5, 0):
+            with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+                run_experiment(3, 1, 2, shots, -1, REFERENCE_CONVENTION)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, "3", np.float64(2.0)])
+    def test_seed_must_be_an_integer(self, seed):
+        # numpy seeds PCG64(None) from the operating system, so two such runs differ.
+        for shots in (10**5, 0):
+            with pytest.raises(ValueError) as info:
+                run_experiment(3, 1, 2, shots, seed, REFERENCE_CONVENTION)
+            assert str(info.value) == f"seed must be an integer, got {seed!r}"

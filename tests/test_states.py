@@ -9,6 +9,7 @@ from hdbsm.states import (
     REFERENCE_CONVENTION,
     aux_state,
     bell_state,
+    decomp_basis,
     decomp_state,
     shift_clock_unitary,
 )
@@ -20,7 +21,7 @@ S3 = np.sqrt(3)
 
 
 def assert_state_equals(state: State, table: dict, scale: float) -> None:
-    nonzero = state.nonzero(tol=1e-12)
+    nonzero = oracles.nonzero(state, tol=1e-12)
     assert set(nonzero) == set(table)
     for label, amp in table.items():
         assert abs(nonzero[label] - amp / scale) < 1e-12
@@ -44,7 +45,7 @@ class TestLiteralConformance:
         for k in range(3):
             for m in range(3):
                 expected = oracles.naive_decomp(3, k, m)
-                got = decomp_state(3, k, m, LITERAL_CONVENTION).nonzero(tol=1e-12)
+                got = oracles.nonzero(decomp_state(3, k, m, LITERAL_CONVENTION), tol=1e-12)
                 assert set(got) == set(expected)
                 for label in expected:
                     assert abs(got[label] - expected[label]) < 1e-12
@@ -176,6 +177,36 @@ class TestPhaseConvention:
         assert (conv.bell_sign, conv.decomp_sign) == (1, -1)
         assert type(conv.bell_sign) is int and type(conv.decomp_sign) is int
         assert conv == PhaseConvention(1, -1) and conv.label() == "+-"
+
+
+class TestArgumentDomain:
+    """The builders read d and their indices with check_dimension."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: bell_state(3, 1.5, 0, LITERAL_CONVENTION), "i must be an integer"),
+            (lambda: bell_state(3.0, 0, 0, LITERAL_CONVENTION), "dimension must be an integer"),
+            (lambda: decomp_state(3, 1.5, 0, LITERAL_CONVENTION), "k must be an integer"),
+            (lambda: bell_state(7, 0, 0, LITERAL_CONVENTION), "outside the supported range"),
+            (lambda: aux_state(7), "outside the supported range"),
+            (lambda: decomp_state(8, 0, 0, LITERAL_CONVENTION), "outside the supported range"),
+            (
+                lambda: shift_clock_unitary(1, 0, 0, LITERAL_CONVENTION),
+                "outside the supported range",
+            ),
+            (lambda: decomp_basis(0, 1), "outside the supported range"),
+        ],
+        ids=["bell-i", "bell-d", "decomp-k", "bell", "aux", "decomp", "unitary", "basis"],
+    )
+    def test_arguments_outside_the_domain_raise_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_the_basis_cache_checks_a_float_equal_to_a_cached_int(self):
+        decomp_basis(3, 1)  # a cache keyed by value alone would hand this entry to 3.0
+        with pytest.raises(ValueError, match="dimension must be an integer, got 3.0"):
+            decomp_basis(3.0, 1)
 
 
 class TestShiftClockUnitary:
