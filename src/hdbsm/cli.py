@@ -238,17 +238,6 @@ def parse_state_file(text: str) -> State:
     return state
 
 
-def format_state_file(state: State) -> str:
-    """Render a (d, d, d, d) state in the documented file format; another shape raises."""
-    d = state.radices[0]
-    if state.radices != (d,) * 4:
-        raise ValueError(f"expected shape {(d,) * 4}, got {state.radices}")
-    lines = [f"d={d}"]
-    for amp in state.amps:
-        lines.append(f"{float(amp.real)!r} {float(amp.imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------

@@ -708,13 +708,6 @@ MUTANTS = (
         "    if d not in",
         "load_reference_table finds the d = 3 listing for 3.0",
     ),
-    Mutant(
-        "src/hdbsm/cli.py",
-        "    if state.radices != (d,) * 4:\n"
-        '        raise ValueError(f"expected shape {(d,) * 4}, got {state.radices}")\n',
-        "",
-        "format_state_file writes a d=2 header over the 6 amplitudes of a (2, 3) state",
-    ),
     # Error messages that only an exact-message test reads.
     Mutant(
         "src/hdbsm/decomposition.py",

@@ -31,7 +31,8 @@ A mutant that survives is explained when ``ALLOWED`` names its file, its
 stripped source line and its change, with one line of reason. The sweep
 prints each unexplained survivor's file, line, change and source line, and
 each allowed entry that matches no survivor, and exits 1 when there is
-either. It is slow (several hundred mutants), so neither CI nor pytest runs
+either. Tier-1 checks that each entry's line still occurs (``stale_lines``).
+The sweep is slow (several hundred mutants), so neither CI nor pytest runs
 it, and the file name does not match ``test_*.py``.
 
 Usage, from any directory:
@@ -244,6 +245,17 @@ def run_stages(mutant: Mutant) -> tuple[int | None, str]:
         if code != 0:
             return code, output
     return run_tests(mutant, tier1_files(without=own))
+
+
+def stale_lines() -> list[str]:
+    """One message per ALLOWED entry whose line occurs nowhere in its module, once stripped."""
+    found = []
+    for entry in ALLOWED:
+        module = PACKAGE / entry.path
+        text = module.read_text(encoding="utf-8") if module.is_file() else ""
+        if entry.line not in {line.strip() for line in text.splitlines()}:
+            found.append(f"{entry.path}: no such line: {entry.line}")
+    return found
 
 
 def allowed(sweep: Sweep) -> Allowed | None:

@@ -18,6 +18,7 @@ their results are compared byte for byte.
 ``hand_built_table`` is how tests make a decomposition table from a dict of
 their own, and ``table_entries`` reads a table back as such a dict.
 ``nonzero`` reads a state as a digit tuple -> amplitude dict.
+``state_file_text`` writes a (d, d, d, d) state in the documented state-file format.
 ``bell_arrays`` splits a decoding table's class indices into its i and j arrays.
 """
 
@@ -33,6 +34,12 @@ def nonzero(state, tol: float = 0.0) -> dict:
     """(digit of factor 0, digit of factor 1, ...) -> amplitude, for each |amplitude| > tol."""
     labels = product(*(range(radix) for radix in state.radices))
     return {label: amp for label, amp in zip(labels, state.amps.tolist()) if abs(amp) > tol}
+
+
+def state_file_text(state) -> str:
+    """The state-file text of a (d, d, d, d) state: a d= header, then each amplitude's re im."""
+    amps = "".join(f"{float(amp.real)!r} {float(amp.imag)!r}\n" for amp in state.amps)
+    return f"d={state.radices[0]}\n{amps}"
 
 
 def naive_bell(d: int, i: int, j: int, bell_sign: int = 1) -> dict:

@@ -51,7 +51,8 @@ from pathlib import Path
 
 import numpy as np
 
-from hdbsm.cli import format_state_file, main
+import oracles
+from hdbsm.cli import main
 from hdbsm.core import State
 from hdbsm.decomposition import hyperentangled_state
 from hdbsm.states import REFERENCE_CONVENTION
@@ -97,7 +98,7 @@ def python_version() -> str:
 
 def write_state(path: str, state: State) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_state_file(state))
+        fh.write(oracles.state_file_text(state))
 
 
 def grid() -> Iterator[list[str]]:

@@ -576,6 +576,67 @@ class TestPhaseLaw:
         )
 
 
+class TestHandBuiltFits:
+    """Both fits on hand-built tables, against the one-tuple-at-a-time loops."""
+
+    @staticmethod
+    def random_tables(d, seed):
+        """Random supports, some obeying a random affine law, with random or closed-form phases.
+
+        Keys are inserted in random order and may repeat (k, m) with another
+        (k', m'), so the phase table keeps the last in sorted order.
+        """
+        rng = np.random.default_rng(seed)
+        s, t, u, v, w = rng.integers(d, size=5).tolist()
+        affine = rng.random() < 0.5
+        closed = rng.random() < 0.5
+        tables, phases = {}, {}
+        for i in range(d):
+            for j in range(d):
+                keys = set()
+                for _ in range(rng.integers(1, d * d + 1)):
+                    k, m, kp, mp = rng.integers(d, size=4).tolist()
+                    if affine:
+                        kp, mp = (s * k + t * i) % d, (m + j) % d
+                    keys.add((k, m, kp, mp))
+                keys = sorted(keys)
+                rng.shuffle(keys)
+                phase = {
+                    key: (u * key[2] * j + v * i * j + w) % d if closed else int(rng.integers(d))
+                    for key in keys
+                }
+                entries = {key: np.exp(2j * np.pi * r / d) / d for key, r in phase.items()}
+                tables[BellIndex(i, j)] = oracles.hand_built_table(
+                    d, BellIndex(i, j), LITERAL_CONVENTION, entries
+                )
+                phases[(i, j)] = phase
+        return tables, phases
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_index_law(self, d, seed):
+        tables, phases = self.random_tables(d, seed)
+        fits, m_ok = oracles.loop_fit_index_law(d, phases)
+        if len(fits) == 1:
+            assert fit_index_law(tables) == IndexLaw(d, *fits[0], m_ok)
+        else:
+            with pytest.raises(NoAffineLawError) as info:
+                fit_index_law(tables)
+            if fits:
+                assert str(info.value) == f"ambiguous affine law at d={d}: {fits}"
+            else:
+                assert str(info.value) == f"support is not affine in (k, i) at d={d}"
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    @example(d=3, seed=5)  # a closed form with a constant w
+    @example(d=3, seed=1)  # a (k, m) repeated out of sorted order
+    def test_phase_law(self, d, seed):
+        tables, phases = self.random_tables(d, seed)
+        law = fit_phase_law(tables)
+        assert (law.table, law.closed_form) == oracles.loop_fit_phase_law(d, phases)
+
+
 class TestFindConvention:
     def test_d3_matching_set(self):
         search = find_convention(3)
@@ -697,7 +758,6 @@ class TestExactOracle:
             assert np.array_equal(table_i, bell_i)
             assert np.array_equal(table_j, bell_j)
 
-
     # Worst case measured under the SkylakeX, Haswell and Prescott OpenBLAS
     # kernels: 24.6 ulp(1/d), at d = 6, convention -+, Bell (2, 3), pair (5, 0, 5, 3).
     ULP_BOUND = 32
@@ -714,63 +774,3 @@ class TestExactOracle:
                 coeff = entries[key]
                 assert abs(coeff.real - math.cos(angle) / d) <= bound
                 assert abs(coeff.imag - math.sin(angle) / d) <= bound
-
-class TestHandBuiltFits:
-    """Both fits on hand-built tables, against the one-tuple-at-a-time loops."""
-
-    @staticmethod
-    def random_tables(d, seed):
-        """Random supports, some obeying a random affine law, with random or closed-form phases.
-
-        Keys are inserted in random order and may repeat (k, m) with another
-        (k', m'), so the phase table keeps the last in sorted order.
-        """
-        rng = np.random.default_rng(seed)
-        s, t, u, v, w = rng.integers(d, size=5).tolist()
-        affine = rng.random() < 0.5
-        closed = rng.random() < 0.5
-        tables, phases = {}, {}
-        for i in range(d):
-            for j in range(d):
-                keys = set()
-                for _ in range(rng.integers(1, d * d + 1)):
-                    k, m, kp, mp = rng.integers(d, size=4).tolist()
-                    if affine:
-                        kp, mp = (s * k + t * i) % d, (m + j) % d
-                    keys.add((k, m, kp, mp))
-                keys = sorted(keys)
-                rng.shuffle(keys)
-                phase = {
-                    key: (u * key[2] * j + v * i * j + w) % d if closed else int(rng.integers(d))
-                    for key in keys
-                }
-                entries = {key: np.exp(2j * np.pi * r / d) / d for key, r in phase.items()}
-                tables[BellIndex(i, j)] = oracles.hand_built_table(
-                    d, BellIndex(i, j), LITERAL_CONVENTION, entries
-                )
-                phases[(i, j)] = phase
-        return tables, phases
-
-    @settings(max_examples=80, deadline=None)
-    @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
-    def test_index_law(self, d, seed):
-        tables, phases = self.random_tables(d, seed)
-        fits, m_ok = oracles.loop_fit_index_law(d, phases)
-        if len(fits) == 1:
-            assert fit_index_law(tables) == IndexLaw(d, *fits[0], m_ok)
-        else:
-            with pytest.raises(NoAffineLawError) as info:
-                fit_index_law(tables)
-            if fits:
-                assert str(info.value) == f"ambiguous affine law at d={d}: {fits}"
-            else:
-                assert str(info.value) == f"support is not affine in (k, i) at d={d}"
-
-    @settings(max_examples=80, deadline=None)
-    @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
-    @example(d=3, seed=5)  # a closed form with a constant w
-    @example(d=3, seed=1)  # a (k, m) repeated out of sorted order
-    def test_phase_law(self, d, seed):
-        tables, phases = self.random_tables(d, seed)
-        law = fit_phase_law(tables)
-        assert (law.table, law.closed_form) == oracles.loop_fit_phase_law(d, phases)

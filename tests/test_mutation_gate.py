@@ -1,7 +1,12 @@
-"""The mutation gate's static checks, run with tier-1 so that a stale entry fails at once."""
+"""Static checks of the gate's entries and the sweep's allow-list, run with tier-1.
+
+The sweep leaves this file out: each check here reads the text a mutant changes.
+"""
 
 import mutation_gate
+import mutation_sweep
 from mutation_gate import Mutant, stale
+from mutation_sweep import Allowed, stale_lines
 
 
 def test_every_gate_entry_is_current():
@@ -16,4 +21,21 @@ def test_stale_names_a_missing_old_text_and_a_module_without_a_test_file(monkeyp
     assert stale() == [
         "src/hdbsm/core.py: old text occurs 0 times: 'no such text'",
         "src/hdbsm/report.py: no tests/test_report.py runs: renamed",
+    ]
+
+
+def test_every_allowed_line_is_current():
+    assert stale_lines() == []
+
+
+def test_stale_lines_names_an_edited_line_and_a_missing_module(monkeypatch):
+    # The line of bell_state and aux_state occurs twice, and one entry explains both.
+    twice = "return State((d, d), amps.reshape(-1) / np.sqrt(d))"
+    current = Allowed("states.py", twice, "1 -> 2", "kept")
+    edited = Allowed("cli.py", "d = state.radices[1]", "1 -> 2", "edited")
+    missing = Allowed("gone.py", "d = state.radices[0]", "0 -> 1", "deleted")
+    monkeypatch.setattr(mutation_sweep, "ALLOWED", (current, edited, missing))
+    assert stale_lines() == [
+        "cli.py: no such line: d = state.radices[1]",
+        "gone.py: no such line: d = state.radices[0]",
     ]

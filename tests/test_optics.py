@@ -228,13 +228,12 @@ class TestArgumentDomain:
             cached.cache_clear()
         conv = REFERENCE_CONVENTION
         run_experiment(3, 1, 2, 10, 0, conv)
-        result = run_experiment(
-            np.int64(3), np.int64(1), np.uint8(2), np.int64(10), np.int64(0), conv
-        )
+        for j in (np.int64(2), np.uint8(2)):
+            result = run_experiment(np.int64(3), np.int64(1), j, np.int64(10), np.int64(0), conv)
+            assert result.bell == (1, 2)
+            assert type(result.bell.i) is int and type(result.bell.j) is int
         assert bsa_layout.cache_info().currsize == 1
         assert hyperentangled_state.cache_info().currsize == 1
-        assert result.bell == (1, 2)
-        assert type(result.bell.i) is int and type(result.bell.j) is int
 
     def test_the_layout_cache_checks_a_float_equal_to_a_cached_int(self):
         bsa_layout(3, REFERENCE_CONVENTION)  # a cache keyed by value alone would hand it to 3.0
