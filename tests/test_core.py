@@ -10,7 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from hdbsm import core
 from hdbsm.audit import audit_reference_table, load_reference_table
-from hdbsm.classifier import build_decoding_table
+from hdbsm.classifier import (
+    CoincidenceTable,
+    DecodingTable,
+    build_decoding_table,
+    sample_outcomes,
+)
 from hdbsm.core import (
     State,
     apply_local_unitary,
@@ -20,6 +25,7 @@ from hdbsm.core import (
     tensor_product,
 )
 from hdbsm.decomposition import (
+    DecompositionTable,
     IndexLaw,
     _decompose_row,
     decompose,
@@ -28,10 +34,11 @@ from hdbsm.decomposition import (
     hyperentangled_state,
     reference_index_law,
 )
-from hdbsm.optics import bsa_layout, prepare_bell, run_experiment
+from hdbsm.optics import BsaLayout, bsa_layout, prepare_bell, run_experiment
 from hdbsm.states import (
     ALL_CONVENTIONS,
     REFERENCE_CONVENTION,
+    BellIndex,
     aux_state,
     bell_state,
     decomp_basis,
@@ -293,6 +300,9 @@ class TestPermuteFactors:
             permute_factors(State((2, 2), np.eye(4)[0]), (0, 0))
 
 
+C = REFERENCE_CONVENTION
+
+
 def four() -> State:
     """A state of four unequal factors, built inside each test rather than at collection."""
     return State((2, 3, 2, 3), np.arange(36) * W3)
@@ -325,6 +335,111 @@ class TestIntegerReads:
     @pytest.mark.parametrize("value", [np.int64(1), True], ids=["int64", "bool"])
     def test_a_numpy_integer_or_a_bool_reads_as_an_int(self, name, value):
         assert INTEGER_READS[name](value).tobytes() == INTEGER_READS[name](1).tobytes()
+
+
+class TestArgumentDomain:
+    """Calls that once returned, or raised TypeError or IndexError, outside the domain."""
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_decompose_all_rejects_a_dimension_with_no_rows(self, d):
+        with pytest.raises(ValueError, match="outside the supported range"):
+            decompose_all(d, C)
+
+    def test_a_numpy_dimension_finds_the_row_cached_for_an_int(self):
+        _decompose_row.cache_clear()
+        assert decompose(3, 1, 0, C) is decompose(np.int64(3), 1, 0, C)
+        assert _decompose_row.cache_info().currsize == 1
+
+    def test_a_numpy_index_finds_the_row_cached_for_an_int(self):
+        _decompose_row.cache_clear()
+        assert decompose(3, 1, 0, C) is decompose(3, np.uint8(1), 0, C)
+        assert decompose(3, 1, 0, C) is decompose(3, True, 0, C)
+        assert _decompose_row.cache_info().currsize == 1
+
+    def test_a_numpy_row_finds_the_basis_cached_for_an_int(self):
+        # The row's tables store the checked d either way; its basis lookup shows the d it used.
+        _decompose_row.cache_clear()
+        decomp_basis.cache_clear()
+        _decompose_row(3, 1, C.bell_sign, C.decomp_sign)
+        _decompose_row(np.int64(3), 1, C.bell_sign, C.decomp_sign)
+        assert decomp_basis.cache_info().currsize == 1
+
+    def test_a_numpy_run_finds_the_source_and_layout_cached_for_an_int(self):
+        for cached in (bsa_layout, hyperentangled_state):
+            cached.cache_clear()
+        run_experiment(3, 1, 2, 10, 0, C)
+        run_experiment(np.int64(3), np.int64(1), np.int64(2), np.int64(10), np.int64(0), C)
+        assert bsa_layout.cache_info().currsize == 1
+        assert hyperentangled_state.cache_info().currsize == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda d: bsa_layout(d, C),
+            lambda d: hyperentangled_state(d, 0, 0, C),
+            lambda d: _decompose_row(d, 0, -1, 1),
+        ],
+        ids=["layout", "source", "row"],
+    )
+    def test_cached_builders_check_a_float_equal_to_a_cached_int(self, build):
+        build(3)  # a cache keyed by value alone would hand this entry to 3.0
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            build(3.0)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            # numpy seeds PCG64(None) from the operating system, so two such runs differ.
+            (None, "seed must be an integer, got None"),
+            (1.5, "seed must be an integer, got 1.5"),
+        ],
+        ids=["none", "float"],
+    )
+    def test_seed_must_be_a_non_negative_integer(self, seed, message):
+        table = CoincidenceTable(2, np.full((2,) * 4, 1 / 16))
+        for call in (
+            lambda: sample_outcomes(table, 10, seed),
+            lambda: run_experiment(3, 1, 2, 10**5, seed, C),
+            lambda: run_experiment(3, 1, 2, 0, seed, C),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_stored_values_are_plain_ints(self):
+        for bell in (
+            decompose(3, True, 0, C).bell,
+            run_experiment(3, np.int64(1), np.int64(0), 0, 0, C).bell,
+        ):
+            assert bell == (1, 0)
+            assert type(bell.i) is int and type(bell.j) is int
+        assert type(build_decoding_table(np.int64(3), C).d) is int
+        assert type(reference_index_law(np.int64(3)).d) is int
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda d: DecompositionTable(d, BellIndex(0, 0), C, np.zeros(1, int), np.ones(1)),
+            lambda d: DecodingTable(d, build_decoding_table(2, C).classes),
+            lambda d: CoincidenceTable(d, np.full((2,) * 4, 1 / 16)),
+            lambda d: IndexLaw(d, 1, 1, True),
+            lambda d: BsaLayout(d, bsa_layout(2, C).unitary, 0.0),
+        ],
+        ids=["decomposition", "decoding", "coincidence", "law", "layout"],
+    )
+    def test_value_types_store_the_checked_dimension(self, build):
+        assert type(build(np.int64(2)).d) is int
+        with pytest.raises(ValueError, match="dimension must be an integer, got 2.0"):
+            build(2.0)
+
+    @pytest.mark.parametrize("d", [3.0, "3", 1, 9])
+    def test_reference_index_law_checks_its_dimension(self, d):
+        with pytest.raises(ValueError):
+            reference_index_law(d)
+
+    def test_hyperentangled_state_reads_a_bool_index_as_an_int(self):
+        expected = hyperentangled_state(3, 1, 1, C).amps
+        assert np.array_equal(hyperentangled_state(3, True, True, C).amps, expected)
 
 
 # The entries that take indices, each called with (d, a, b) and a convention.
@@ -444,9 +559,7 @@ INSIDE = st.integers(2, core.MAX_DIMENSION).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(inside=INSIDE, value=ARGUMENTS, convention=st.sampled_from(ALL_CONVENTIONS))
 # None in every argument, the seed included: numpy would seed PCG64(None) from the OS.
-@example(
-    inside={"d": 3, "a": 1, "b": 2, "n": 1, "s": 0}, value=None, convention=REFERENCE_CONVENTION
-)
+@example(inside={"d": 3, "a": 1, "b": 2, "n": 1, "s": 0}, value=None, convention=C)
 def test_entry_returns_only_inside_the_domain(name, inside, value, convention):
     """Each entry returns only for arguments in the domain; otherwise it raises ValueError.
 
