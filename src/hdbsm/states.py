@@ -121,8 +121,13 @@ def decomp_basis(d: int, decomp_sign: int) -> np.ndarray:
     Row k*d + m holds exp(decomp_sign*2j*pi*k*q/d)/sqrt(d) at column
     q*d + (q - m) mod d. Built once per (d, sign) and shared by
     :func:`decomp_state` and the pair projections of hdbsm.decomposition.
+    ``decomp_sign`` is +1 or -1, read with ``as_index`` as ``fourier_matrix``
+    reads its sign.
     """
     d = check_dimension(d)
+    decomp_sign = as_index(decomp_sign, "decomp_sign")
+    if decomp_sign not in (1, -1):
+        raise ValueError(f"decomp_sign must be +1 or -1, got {decomp_sign}")
     digits = np.arange(d)
     phases = np.exp(decomp_sign * 2j * np.pi * digits[:, None] * digits / d) / np.sqrt(d)
     k, m, q = np.ix_(digits, digits, digits)

@@ -42,7 +42,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml")
 HYPOTHESIS_SEED = 0
-TIMEOUT_S = 300
+TIMEOUT_S = 60  # each run is one test file, a few seconds; a hang fails well inside CI_BUDGET_S
 CI_BUDGET_S = 300  # timeout-minutes: 5 of the mutation-gate step in .github/workflows/tests.yml
 WORKERS = 2  # mutants tested at once, each in its own pytest process
 PYTEST_ARGS = ("-x", "-q", f"--hypothesis-seed={HYPOTHESIS_SEED}")
@@ -694,6 +694,14 @@ MUTANTS = (
         '    sign = as_index(sign, "sign")\n',
         "",
         "fourier_matrix accepts a sign of 1.0",
+    ),
+    Mutant(
+        "src/hdbsm/states.py",
+        '    decomp_sign = as_index(decomp_sign, "decomp_sign")\n'
+        "    if decomp_sign not in (1, -1):\n"
+        '        raise ValueError(f"decomp_sign must be +1 or -1, got {decomp_sign}")\n',
+        "",
+        "decomp_basis builds and caches a non-unitary basis for a sign of 0 or 1.5",
     ),
     Mutant(
         "src/hdbsm/classifier.py",

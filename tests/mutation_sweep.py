@@ -1,4 +1,4 @@
-"""Mechanical mutation sweep: every small operator change in the package must fail tier-1.
+"""Mechanical mutation sweep: every small operator change must fail its module's tests.
 
 The sweep parses each module ``src/hdbsm/*.py`` and makes one mutant per
 node of these kinds:
@@ -14,18 +14,16 @@ node of these kinds:
 Each change is spliced into the original text at the position of its AST
 node, so the rest of the file keeps every byte: re-rendering it with
 ``ast.unparse`` would change the text that ``tests/test_bounds.py`` reads.
-Every mutant runs in a fresh copy made by ``mutation_gate.run_tests``, two at
-a time, in two stages. The first runs the mutated module's own test file
-``tests/test_<m>.py`` alone, as the gate does. Unlike a gate mutant, a
-mechanical one may be killed elsewhere, so a mutant that survives the first
-stage, or whose module has no such file, runs the second: every other test
-file of tier-1, those that check every module (``CROSS_MODULE``) first. The
-unmutated copy must first pass tier-1 and each first stage alone
-(``mutation_gate.unmutated_passes``). Unlike the gate's hand-written mutants,
-a mechanical one can break the package at import, for example by flipping
-``__name__ == "__main__"``. So pytest's exit codes 2 (collection failed) and
-3 (internal error) kill a mutant here as 1 does; only exit 0 is a survivor,
-and a timeout has no verdict.
+Every mutant runs once, in a fresh copy made by ``mutation_gate.run_tests``,
+two at a time, against the mutated module's own test file ``tests/test_<m>.py``
+alone, as the gate's mutants do (``mutation_gate.own_tests``). The unmutated
+copy must first pass each of those files alone
+(``mutation_gate.unmutated_passes``); a module with mutants and no test file
+fails that run with pytest's exit 4, and the sweep exits 1. Unlike the gate's
+hand-written mutants, a mechanical one can break the package at import, for
+example by flipping ``__name__ == "__main__"``. So pytest's exit codes 2
+(collection failed) and 3 (internal error) kill a mutant here as 1 does; only
+exit 0 is a survivor, and a timeout has no verdict.
 
 A mutant that survives is explained when ``ALLOWED`` names its file, its
 stripped source line and its change, with one line of reason. The sweep
@@ -59,11 +57,6 @@ COMPARISON = re.compile(r"<=|>=|==|!=|<|>|not\s+in\b|in\b|is\s+not\b|is\b")
 ARITHMETIC = re.compile(r"[+-]")
 BOOLEAN = re.compile(r"(and|or)\b")
 NOT = re.compile(r"not\b\s*")
-# The files that check every module, the named bounds and the argument domain.
-CROSS_MODULE = ("tests/test_bounds.py", "tests/test_core.py")
-# The gate's static checks read the mutated copy's text, so they would kill every
-# mutant that touches the old text of a gate entry.
-GATE_CHECKS = "tests/test_mutation_gate.py"
 
 
 class Allowed(NamedTuple):
@@ -216,37 +209,6 @@ def mutants(path) -> list[Sweep]:
     return found
 
 
-def tier1_files(without: str | None = None) -> tuple[str, ...]:
-    """Every test file but ``without`` and GATE_CHECKS, the CROSS_MODULE files first.
-
-    Each file is named, since pytest collects a file named together with its
-    directory in the directory's order.
-    """
-    files = (str(f.relative_to(ROOT)) for f in (ROOT / "tests").glob("test_*.py"))
-    kept = (f for f in files if f not in (without, GATE_CHECKS))
-    return tuple(sorted(kept, key=lambda f: (f not in CROSS_MODULE, f)))
-
-
-def own_file(mutant: Mutant) -> str | None:
-    """The mutated module's test file, or None where it has none."""
-    own = own_tests(mutant)
-    return own if (ROOT / own).is_file() else None
-
-
-def run_stages(mutant: Mutant) -> tuple[int | None, str]:
-    """Exit code and output of the mutant's first stage that does not pass.
-
-    The module's own test file runs alone first; only a mutant that it does
-    not kill, or one whose module has no such file, runs the rest of tier-1.
-    """
-    own = own_file(mutant)
-    if own is not None:
-        code, output = run_tests(mutant, (own,))
-        if code != 0:
-            return code, output
-    return run_tests(mutant, tier1_files(without=own))
-
-
 def stale_lines() -> list[str]:
     """One message per ALLOWED entry whose line occurs nowhere in its module, once stripped."""
     found = []
@@ -274,10 +236,11 @@ def main() -> int:
 
     survivors, unexplained, errors = [], 0, 0
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        owns = sorted({own_file(sweep.mutant) for sweep in swept} - {None})
-        if not unmutated_passes(pool, [tier1_files(), *((own,) for own in owns)]):
+        owns = sorted({own_tests(sweep.mutant) for sweep in swept})
+        if not unmutated_passes(pool, [(own,) for own in owns]):
             return 1
-        results = pool.map(lambda sweep: run_stages(sweep.mutant)[0], swept)
+        results = pool.map(lambda sweep: run_tests(sweep.mutant, (own_tests(sweep.mutant),))[0],
+                           swept)
         for sweep, code in zip(swept, results):
             where = f"{sweep.mutant.path}:{sweep.line}: {sweep.change}: {sweep.source}"
             if code in KILLED:

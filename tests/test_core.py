@@ -117,10 +117,11 @@ class TestCheckDimension:
 
     def test_returns_a_plain_int(self):
         # d alone comes back as an int, d with indices as a tuple of ints in argument order.
-        for d in (3, np.int64(3), np.uint8(3)):
-            assert type(check_dimension(d)) is int and check_dimension(d) == 3
+        # MAX_DIMENSION itself is inside the range.
+        for d in (3, np.int64(3), np.uint8(3), core.MAX_DIMENSION):
+            assert type(check_dimension(d)) is int and check_dimension(d) == d
             checked = check_dimension(d, i=np.uint64(2), j=True, k=np.int64(0), m=np.uint8(1))
-            assert checked == (3, 2, 1, 0, 1)
+            assert checked == (d, 2, 1, 0, 1)
             assert all(type(n) is int for n in checked)
 
     @pytest.mark.parametrize(
@@ -371,20 +372,6 @@ class TestArgumentDomain:
         run_experiment(np.int64(3), np.int64(1), np.int64(2), np.int64(10), np.int64(0), C)
         assert bsa_layout.cache_info().currsize == 1
         assert hyperentangled_state.cache_info().currsize == 1
-
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda d: bsa_layout(d, C),
-            lambda d: hyperentangled_state(d, 0, 0, C),
-            lambda d: _decompose_row(d, 0, -1, 1),
-        ],
-        ids=["layout", "source", "row"],
-    )
-    def test_cached_builders_check_a_float_equal_to_a_cached_int(self, build):
-        build(3)  # a cache keyed by value alone would hand this entry to 3.0
-        with pytest.raises(ValueError, match="dimension must be an integer"):
-            build(3.0)
 
     @pytest.mark.parametrize(
         "seed, message",

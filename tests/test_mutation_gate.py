@@ -1,6 +1,7 @@
 """Static checks of the gate's entries and the sweep's allow-list, run with tier-1.
 
-The sweep leaves this file out: each check here reads the text a mutant changes.
+No mutant runs this file, which is no module's own test file: each check here
+reads the text a mutant changes.
 """
 
 import mutation_gate
@@ -14,13 +15,13 @@ def test_every_gate_entry_is_current():
 
 
 def test_stale_names_a_missing_old_text_and_a_module_without_a_test_file(monkeypatch):
-    # report.py has no tests/test_report.py, so the gate would have no file to run.
+    # __main__.py has no tests/test___main__.py, so the gate would have no file to run.
     missing = Mutant("src/hdbsm/core.py", "no such text", "", "absent")
-    untested = Mutant("src/hdbsm/report.py", "def check(", "def checked(", "renamed")
+    untested = Mutant("src/hdbsm/__main__.py", "sys.exit(main())", "main()", "exit dropped")
     monkeypatch.setattr(mutation_gate, "MUTANTS", (missing, untested))
     assert stale() == [
         "src/hdbsm/core.py: old text occurs 0 times: 'no such text'",
-        "src/hdbsm/report.py: no tests/test_report.py runs: renamed",
+        "src/hdbsm/__main__.py: no tests/test___main__.py runs: exit dropped",
     ]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -181,13 +182,13 @@ class TestRunExperiment:
     def test_every_outcome_decodes_to_input(self):
         conv = REFERENCE_CONVENTION
         bell_i, bell_j = oracles.bell_arrays(build_decoding_table(3, conv))
-        for i in range(3):
-            for j in range(3):
-                result = run_experiment(3, i, j, shots=300, seed=17, convention=conv)
-                assert result.equivalent
-                observed = result.record.counts > 0
-                decoded = zip(bell_i[observed].tolist(), bell_j[observed].tolist())
-                assert set(decoded) == {(i, j)}
+        for i, j, shots in itertools.product(range(3), range(3), (1, 300)):
+            result = run_experiment(3, i, j, shots=shots, seed=17, convention=conv)
+            assert result.equivalent
+            assert result.record.shots == result.record.counts.sum() == shots
+            observed = result.record.counts > 0
+            decoded = zip(bell_i[observed].tolist(), bell_j[observed].tolist())
+            assert set(decoded) == {(i, j)}
 
     def test_theory_only_run(self):
         result = run_experiment(3, 1, 2, shots=0, seed=0, convention=REFERENCE_CONVENTION)

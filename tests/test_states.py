@@ -196,8 +196,12 @@ class TestArgumentDomain:
                 "outside the supported range",
             ),
             (lambda: decomp_basis(0, 1), "outside the supported range"),
+            (lambda: decomp_basis(3, 0), "^decomp_sign must be \\+1 or -1, got 0$"),
+            (lambda: decomp_basis(3, 1.5), "^decomp_sign must be an integer, got 1.5$"),
+            (lambda: decomp_basis(3, 2), "^decomp_sign must be \\+1 or -1, got 2$"),
         ],
-        ids=["bell-i", "bell-d", "decomp-k", "bell", "aux", "decomp", "unitary", "basis"],
+        ids=["bell-i", "bell-d", "decomp-k", "bell", "aux", "decomp", "unitary", "basis",
+             "basis-sign-0", "basis-sign-float", "basis-sign-2"],
     )
     def test_arguments_outside_the_domain_raise_value_error(self, call, message):
         with pytest.raises(ValueError, match=message):
