@@ -55,10 +55,8 @@ class InvariantError(RuntimeError):
     """A computed result breaks the protocol's structure; maps to exit code 1."""
 
 
-def _resolve_convention(
-    d: int, label: str | None, search: dec.ConventionSearch | None = None
-) -> tuple[PhaseConvention, str]:
-    """Convention and how it was selected; ``auto`` reuses ``search`` when given."""
+def _resolve_convention(d: int, label: str | None) -> tuple[PhaseConvention, str]:
+    """Convention and how it was selected; ``auto`` at d >= 3 is -+, as verify's search checks."""
     if label in _EXPLICIT:
         return _EXPLICIT[label], "explicit"
     if label is None and d == 2:
@@ -68,7 +66,7 @@ def _resolve_convention(
             "convention 'auto' is undefined at d=2 (all sign conventions "
             "coincide); omit the flag or pick one explicitly"
         )
-    return (search or dec.find_convention(d)).preferred, "auto"
+    return REFERENCE_CONVENTION, "auto"
 
 
 class _ConventionAction(argparse.Action):
@@ -292,18 +290,18 @@ def _cmd_verify(args) -> int:
     if args.format == "csv":
         raise UsageError("verify reports are structured; only --format json is supported")
     d = args.d
-    # One convention search at d >= 3 serves the auto resolution, the four
-    # fitted laws and the reference_law check. A failed search or law fit is
-    # a structural error, and main reports it.
-    search = dec.find_convention(d) if d >= 3 else None
-    convention, selection = _resolve_convention(d, args.convention, search)
+    convention, selection = _resolve_convention(d, args.convention)
 
-    if search is not None:
+    if d >= 3:
+        # One search serves the four fitted laws and checks that auto's -+ matches
+        # the law. A failed search or law fit is a structural error, and main reports it.
+        search = dec.find_convention(d)
         laws = search.laws
         matching = [c.label() for c in search.matching]
         preferred = search.preferred.label()
         reference_check = check(
-            "reference_law", True, f"s = t = {d - 1} under convention(s) " + ", ".join(matching)
+            "reference_law", REFERENCE_CONVENTION in search.matching,
+            f"s = t = {d - 1} under convention(s) " + ", ".join(matching),
         )
     else:
         laws = {conv: dec.fit_index_law(dec.decompose_all(d, conv)) for conv in ALL_CONVENTIONS}

@@ -41,7 +41,6 @@ class NoMatchingConventionError(RuntimeError):
     """No sign convention reproduces the reference index law."""
 
 
-@lru_cache(maxsize=None, typed=True)
 def hyperentangled_state(
     d: int, i: int, j: int, convention: PhaseConvention
 ) -> State:
@@ -49,8 +48,13 @@ def hyperentangled_state(
 
     Shape (d, d, d, d) with factor order (B system, B auxiliary, A system,
     A auxiliary), so factors (0, 1) are Bob's particle and (2, 3) Alice's.
+    Cached by the plain ints that ``check_dimension`` reads first.
     """
-    d, i, j = check_dimension(d, i=i, j=j)
+    return _hyperentangled_state(*check_dimension(d, i=i, j=j), convention)
+
+
+@lru_cache(maxsize=None)
+def _hyperentangled_state(d: int, i: int, j: int, convention: PhaseConvention) -> State:
     return State((d,) * 4, _bell_row(d, i, convention)[j])
 
 

@@ -51,7 +51,6 @@ class BsaLayout:
         object.__setattr__(self, "d", check_dimension(self.d))
 
 
-@lru_cache(maxsize=None, typed=True)
 def bsa_layout(d: int, convention: PhaseConvention) -> BsaLayout:
     """Analyser layout for one particle.
 
@@ -62,9 +61,13 @@ def bsa_layout(d: int, convention: PhaseConvention) -> BsaLayout:
     OAM-to-path sort, group = (path - oam) mod d, then the transform on every
     group. U comes from this wiring and S from the state formula in
     ``decomp_basis``, so the gap checks one against the other. Built once per
-    (d, convention).
+    (d, convention), with d read by ``check_dimension`` before the cache lookup.
     """
-    d = check_dimension(d)
+    return _bsa_layout(check_dimension(d), convention)
+
+
+@lru_cache(maxsize=None)
+def _bsa_layout(d: int, convention: PhaseConvention) -> BsaLayout:
     transform = fourier_matrix(d, -convention.decomp_sign)
     port_out, group, port_in = np.ix_(*[np.arange(d)] * 3)
     unitary = np.zeros((d,) * 4, dtype=np.complex128)  # [port out, group, port in, oam]

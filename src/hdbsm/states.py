@@ -114,7 +114,6 @@ def decomp_state(d: int, k: int, m: int, convention: PhaseConvention) -> State:
     return State((d, d), decomp_basis(d, convention.decomp_sign)[k * d + m])
 
 
-@lru_cache(maxsize=None, typed=True)
 def decomp_basis(d: int, decomp_sign: int) -> np.ndarray:
     """Read-only (d*d, d*d) array whose row k*d + m is decomposition state (k, m).
 
@@ -122,12 +121,18 @@ def decomp_basis(d: int, decomp_sign: int) -> np.ndarray:
     q*d + (q - m) mod d. Built once per (d, sign) and shared by
     :func:`decomp_state` and the pair projections of hdbsm.decomposition.
     ``decomp_sign`` is +1 or -1, read with ``as_index`` as ``fourier_matrix``
-    reads its sign.
+    reads its sign. Both are read before the cache lookup, so every spelling
+    of an integer finds the one array built for it.
     """
     d = check_dimension(d)
     decomp_sign = as_index(decomp_sign, "decomp_sign")
     if decomp_sign not in (1, -1):
         raise ValueError(f"decomp_sign must be +1 or -1, got {decomp_sign}")
+    return _decomp_basis(d, decomp_sign)
+
+
+@lru_cache(maxsize=None)
+def _decomp_basis(d: int, decomp_sign: int) -> np.ndarray:
     digits = np.arange(d)
     phases = np.exp(decomp_sign * 2j * np.pi * digits[:, None] * digits / d) / np.sqrt(d)
     k, m, q = np.ix_(digits, digits, digits)

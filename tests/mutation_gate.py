@@ -186,9 +186,15 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/cli.py",
-        "(search or dec.find_convention(d))",
-        "dec.find_convention(d)",
-        "verify's auto resolution repeats the convention search",
+        'return REFERENCE_CONVENTION, "auto"',
+        'return LITERAL_CONVENTION, "auto"',
+        "auto resolves to the literal convention",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        '"reference_law", REFERENCE_CONVENTION in search.matching,',
+        '"reference_law", True,',
+        "reference_law passes without the reference convention",
     ),
     # Mutants recorded in CHANGES.md for earlier changes, retargeted to the current code.
     Mutant(
@@ -508,12 +514,6 @@ MUTANTS = (
     Mutant(
         "src/hdbsm/decomposition.py",
         "    d, i = check_dimension(d, i=i)\n",
-        "    _, i = check_dimension(d, i=i)\n",
-        "_decompose_row(np.int64(3), ...) caches a second d = 3 decomposition basis",
-    ),
-    Mutant(
-        "src/hdbsm/decomposition.py",
-        "    d, i = check_dimension(d, i=i)\n",
         "    d, _ = check_dimension(d, i=i)\n",
         "_decompose_row(3, np.uint64(1), ...) stores its tables' Bell index as given",
     ),
@@ -525,15 +525,24 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/optics.py",
-        "    d, i, j = check_dimension(d, i=i, j=j)\n    state = prepare_bell(",
-        "    _, i, j = check_dimension(d, i=i, j=j)\n    state = prepare_bell(",
-        "run_experiment(np.int64(3), ...) caches a second analyser layout",
+        "    return _bsa_layout(check_dimension(d), convention)\n\n\n@lru_cache(maxsize=None)\n",
+        "    check_dimension(d)\n    return _bsa_layout(d, convention)\n\n\n"
+        "@lru_cache(maxsize=None, typed=True)\n",
+        "bsa_layout(np.int64(3), c) caches a second analyser layout",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "@lru_cache(maxsize=None, typed=True)\ndef hyperentangled_state",
-        "@lru_cache(maxsize=None)\ndef hyperentangled_state",
-        "hyperentangled_state(3.0, 0, 0, c) returns the source cached for d = 3",
+        "    return _hyperentangled_state(*check_dimension(d, i=i, j=j), convention)\n\n\n"
+        "@lru_cache(maxsize=None)\n",
+        "    check_dimension(d, i=i, j=j)\n    return _hyperentangled_state(d, i, j, convention)"
+        "\n\n\n@lru_cache(maxsize=None, typed=True)\n",
+        "hyperentangled_state(np.int64(3), 1, 1, c) caches a second source state",
+    ),
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "_hyperentangled_state(*check_dimension(d, i=i, j=j), convention)",
+        "_hyperentangled_state(d, i, j, convention)",
+        "hyperentangled_state looks its cache up before the check: 3.0 finds the source of 3",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
@@ -543,9 +552,15 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/optics.py",
-        "@lru_cache(maxsize=None, typed=True)\ndef bsa_layout",
-        "@lru_cache(maxsize=None)\ndef bsa_layout",
-        "bsa_layout(3.0, c) returns the layout cached for d = 3",
+        "return _bsa_layout(check_dimension(d), convention)",
+        "return _bsa_layout(d, convention)",
+        "bsa_layout looks its cache up before the check: 3.0 finds the layout of 3",
+    ),
+    Mutant(
+        "src/hdbsm/states.py",
+        "    d = check_dimension(d)\n    decomp_sign = as_index(",
+        "    decomp_sign = as_index(",
+        "decomp_basis looks its cache up before the d check: 3.0 finds the basis of 3",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
@@ -555,9 +570,9 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "    d, i, j = check_dimension(d, i=i, j=j)\n    return State(",
-        "    d, i, _ = check_dimension(d, i=i, j=j)\n    return State(",
-        "hyperentangled_state(3, 1, True, c) reads True as a mask, not as j = 1",
+        "_hyperentangled_state(*check_dimension(d, i=i, j=j), convention)",
+        "_hyperentangled_state(*check_dimension(d, i=i, j=j)[:2], j, convention)",
+        "hyperentangled_state(3, 1, True, c) builds with True as a mask, not as j = 1",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",

@@ -317,6 +317,24 @@ class TestVerifyCommand:
         assert main(argv) == 0
         assert calls == {"fit_index_law": 4, "find_convention": 1}
 
+    def test_reference_law_fails_when_the_search_misses_the_reference_convention(
+        self, capsys, monkeypatch
+    ):
+        original = cli.dec.find_convention
+
+        def without_reference(d):
+            search = original(d)
+            others = tuple(c for c in search.matching if c != REFERENCE_CONVENTION)
+            return cli.dec.ConventionSearch(search.laws, others)
+
+        monkeypatch.setattr(cli.dec, "find_convention", without_reference)
+        code, report = run_json(capsys, ["verify", "-d", "3"])
+        assert code == 1
+        checks = {c["name"]: c for c in report["checks"]}
+        assert [name for name, c in checks.items() if not c["passed"]] == ["reference_law"]
+        assert checks["reference_law"]["detail"] == "s = t = 2 under convention(s) +-"
+        assert report["payload"]["matching_conventions"] == ["+-"]
+
     @staticmethod
     def decoding_partition(capsys) -> dict:
         assert main(["verify", "-d", "3"]) == 1
@@ -445,11 +463,11 @@ class TestSimulateCommand:
             return transform
 
         monkeypatch.setattr(cli.optics, "fourier_matrix", skewed)
-        cli.optics.bsa_layout.cache_clear()
+        cli.optics._bsa_layout.cache_clear()
         try:
             code, report = run_json(capsys, ["simulate", "-d", "3", "-i", "0", "-j", "0"])
         finally:
-            cli.optics.bsa_layout.cache_clear()
+            cli.optics._bsa_layout.cache_clear()
         assert code == 1
         assert report["checks"][0] == {
             "name": "pipeline_equivalence",
@@ -670,15 +688,32 @@ class TestExitCodeContract:
         capsys.readouterr()
         assert main(["verify", "-d", "3", "--format", "csv"]) == 2
 
-    def test_structural_error_during_auto_resolution_exits_1(self, capsys, monkeypatch):
-        from hdbsm.decomposition import NoMatchingConventionError
+    @pytest.mark.parametrize("label", [None, "auto"])
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("command", ["decompose", "classify", "simulate"])
+    def test_auto_runs_no_convention_search(
+        self, tmp_path, capsys, monkeypatch, command, d, label
+    ):
+        # auto at d >= 3 is -+ itself, so a search that would fail is never reached.
+        if command == "classify":
+            state = hyperentangled_state(d, 1, 2, REFERENCE_CONVENTION)
+            path = tmp_path / "state.txt"
+            path.write_text(oracles.state_file_text(state))
+            argv = ["classify", str(path)]
+        else:
+            argv = [command, "-d", str(d), "-i", "1", "-j", "2"]
+        argv += ["--shots", "20", "--seed", "7"] if command == "simulate" else []
+        argv += [f"--convention={label}"] if label else []
 
         def no_match(d):
-            raise NoMatchingConventionError("forced")
+            raise cli.dec.NoMatchingConventionError("forced")
 
-        monkeypatch.setattr(cli.dec, "find_convention", no_match)
-        assert main(["decompose", "-d", "3", "-i", "0", "-j", "0"]) == 1
-        assert "invariant failure" in capsys.readouterr().err
+        with monkeypatch.context() as patched:
+            patched.setattr(cli.dec, "find_convention", no_match)
+            assert main(argv) == 0
+            without_search = capsys.readouterr()
+        assert main(argv) == 0
+        assert without_search == capsys.readouterr()
 
 
 class TestDocumentedBounds:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from hdbsm import core
+from hdbsm import core, decomposition, optics, states
 from hdbsm.audit import audit_reference_table, load_reference_table
 from hdbsm.classifier import (
     CoincidenceTable,
@@ -341,11 +341,6 @@ class TestIntegerReads:
 class TestArgumentDomain:
     """Calls that once returned, or raised TypeError or IndexError, outside the domain."""
 
-    @pytest.mark.parametrize("d", [0, -1])
-    def test_decompose_all_rejects_a_dimension_with_no_rows(self, d):
-        with pytest.raises(ValueError, match="outside the supported range"):
-            decompose_all(d, C)
-
     def test_a_numpy_dimension_finds_the_row_cached_for_an_int(self):
         _decompose_row.cache_clear()
         assert decompose(3, 1, 0, C) is decompose(np.int64(3), 1, 0, C)
@@ -358,20 +353,20 @@ class TestArgumentDomain:
         assert _decompose_row.cache_info().currsize == 1
 
     def test_a_numpy_row_finds_the_basis_cached_for_an_int(self):
-        # The row's tables store the checked d either way; its basis lookup shows the d it used.
+        # The row's tables store the checked d either way, and both rows share one basis.
         _decompose_row.cache_clear()
-        decomp_basis.cache_clear()
+        states._decomp_basis.cache_clear()
         _decompose_row(3, 1, C.bell_sign, C.decomp_sign)
         _decompose_row(np.int64(3), 1, C.bell_sign, C.decomp_sign)
-        assert decomp_basis.cache_info().currsize == 1
+        assert states._decomp_basis.cache_info().currsize == 1
 
     def test_a_numpy_run_finds_the_source_and_layout_cached_for_an_int(self):
-        for cached in (bsa_layout, hyperentangled_state):
+        for cached in (optics._bsa_layout, decomposition._hyperentangled_state):
             cached.cache_clear()
         run_experiment(3, 1, 2, 10, 0, C)
         run_experiment(np.int64(3), np.int64(1), np.int64(2), np.int64(10), np.int64(0), C)
-        assert bsa_layout.cache_info().currsize == 1
-        assert hyperentangled_state.cache_info().currsize == 1
+        assert optics._bsa_layout.cache_info().currsize == 1
+        assert decomposition._hyperentangled_state.cache_info().currsize == 1
 
     @pytest.mark.parametrize(
         "seed, message",
@@ -423,10 +418,6 @@ class TestArgumentDomain:
     def test_reference_index_law_checks_its_dimension(self, d):
         with pytest.raises(ValueError):
             reference_index_law(d)
-
-    def test_hyperentangled_state_reads_a_bool_index_as_an_int(self):
-        expected = hyperentangled_state(3, 1, 1, C).amps
-        assert np.array_equal(hyperentangled_state(3, True, True, C).amps, expected)
 
 
 # The entries that take indices, each called with (d, a, b) and a convention.

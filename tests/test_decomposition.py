@@ -360,10 +360,11 @@ class TestArgumentDomain:
 
     def test_a_numpy_row_builds_with_the_int_basis_and_stores_int_indices(self):
         _decompose_row.cache_clear()
-        states.decomp_basis.cache_clear()
+        states._decomp_basis.cache_clear()
         _decompose_row(3, 1, -1, 1)
         tables = _decompose_row(np.int64(3), np.uint64(1), -1, 1)
-        assert states.decomp_basis.cache_info().currsize == 1
+        assert states.decomp_basis(np.int64(3), np.int64(1)) is states.decomp_basis(3, 1)
+        assert states._decomp_basis.cache_info().currsize == 1
         assert {(type(t.d), type(t.bell.i)) for t in tables} == {(int, int)}
 
     @pytest.mark.parametrize(
@@ -386,9 +387,11 @@ class TestArgumentDomain:
         assert _decompose_row.cache_info().currsize == 3
 
     def test_hyperentangled_state_reads_a_bool_index_as_an_int(self):
-        expected = hyperentangled_state(3, 1, 1, REFERENCE_CONVENTION).amps
-        got = hyperentangled_state(3, True, True, REFERENCE_CONVENTION).amps
-        assert got.tobytes() == expected.tobytes()
+        decomposition._hyperentangled_state.cache_clear()  # the bool call builds the entry
+        got = hyperentangled_state(3, True, True, REFERENCE_CONVENTION)
+        assert got is hyperentangled_state(np.int64(3), 1, 1, REFERENCE_CONVENTION)
+        expected = tensor_product(bell_state(3, 1, 1, REFERENCE_CONVENTION), aux_state(3))
+        assert np.array_equal(got.amps, permute_factors(expected, (0, 2, 1, 3)).amps)
 
     def test_a_numpy_dimension_gives_tables_and_a_law_of_int_d(self):
         _decompose_row.cache_clear()
@@ -671,7 +674,7 @@ class TestFindConvention:
     def test_cold_d6_search_peaks_under_1_mb(self):
         for cached in (
             decomposition._decompose_row,
-            states.decomp_basis,
+            states._decomp_basis,
         ):
             cached.cache_clear()
         tracemalloc.start()

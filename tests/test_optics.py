@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hdbsm import decomposition, optics
 from hdbsm.classifier import build_decoding_table, classify_table, coincidence_probabilities
 from hdbsm.core import State, fourier_matrix, is_unitary
 from hdbsm.decomposition import decompose, hyperentangled_state
@@ -225,7 +226,7 @@ class TestArgumentDomain:
     """The entries compute with, cache by and store the plain ints check_dimension returns."""
 
     def test_a_numpy_run_finds_the_source_and_layout_cached_for_an_int(self):
-        for cached in (bsa_layout, hyperentangled_state):
+        for cached in (optics._bsa_layout, decomposition._hyperentangled_state):
             cached.cache_clear()
         conv = REFERENCE_CONVENTION
         run_experiment(3, 1, 2, 10, 0, conv)
@@ -233,8 +234,10 @@ class TestArgumentDomain:
             result = run_experiment(np.int64(3), np.int64(1), j, np.int64(10), np.int64(0), conv)
             assert result.bell == (1, 2)
             assert type(result.bell.i) is int and type(result.bell.j) is int
-        assert bsa_layout.cache_info().currsize == 1
-        assert hyperentangled_state.cache_info().currsize == 1
+        assert bsa_layout(np.int64(3), conv) is bsa_layout(3, conv)
+        assert hyperentangled_state(np.int64(3), 0, 0, conv) is hyperentangled_state(3, 0, 0, conv)
+        assert optics._bsa_layout.cache_info().currsize == 1
+        assert decomposition._hyperentangled_state.cache_info().currsize == 1
 
     def test_the_layout_cache_checks_a_float_equal_to_a_cached_int(self):
         bsa_layout(3, REFERENCE_CONVENTION)  # a cache keyed by value alone would hand it to 3.0
