@@ -82,13 +82,20 @@ class _ConventionAction(argparse.Action):
 
 
 def _check_bell_args(d: int, i: int, j: int) -> None:
-    if not (0 <= i < d and 0 <= j < d):
-        raise UsageError(f"bell indices ({i}, {j}) out of range for d={d}")
+    try:
+        check_dimension(d, i=i, j=j)
+    except ValueError as exc:
+        raise UsageError(f"bell indices ({i}, {j}) out of range for d={d}") from exc
 
 
 def _check_seed(seed: int) -> None:
     if not 0 <= seed <= MAX_SEED:
         raise UsageError(f"seed must fit in 64 bits, got {seed}")
+
+
+def _within(name: str, observed: float, target: float, detail: str) -> dict:
+    """The check that ``observed`` lies within REPORT_TOL of ``target``."""
+    return check(name, abs(observed - target) <= REPORT_TOL, detail)
 
 
 def _emit(args, d, convention, selection, payload, checks, fields=None, rows=None) -> int:
@@ -265,12 +272,13 @@ def _cmd_decompose(args) -> int:
             len(coeffs) == d * d,
             f"{len(coeffs)} of {d * d} expected nonzero coefficients",
         ),
-        check(
+        _within(
             "magnitudes_uniform",
-            all(abs(mag - 1 / d) <= REPORT_TOL for mag in magnitudes),
+            max(abs(mag - 1 / d) for mag in magnitudes),
+            0.0,
             f"all coefficient magnitudes within {_bound(REPORT_TOL)} of 1/{d}",
         ),
-        check("total_weight", abs(weight - 1.0) <= REPORT_TOL, f"squared weight {weight:.12f}"),
+        _within("total_weight", weight, 1.0, f"squared weight {weight:.12f}"),
         check(
             "aux_shift_law",
             bool(((m + args.j) % d == mp).all()),
@@ -384,6 +392,7 @@ def _cmd_simulate(args) -> int:
     result = optics.run_experiment(args.d, args.i, args.j, args.shots, args.seed, convention)
     decoding = cl.build_decoding_table(args.d, convention)
     classification = cl.classify_table(result.probabilities, decoding)
+    total = result.probabilities.total()
 
     checks = [
         check(
@@ -392,11 +401,7 @@ def _cmd_simulate(args) -> int:
             f"max |optics - abstract| = {result.equivalence_gap:.3e} "
             f"(tolerance {_bound(optics.EQUIVALENCE_TOL)})",
         ),
-        check(
-            "probabilities_total",
-            abs(result.probabilities.total() - 1.0) <= REPORT_TOL,
-            f"total probability {result.probabilities.total():.12f}",
-        ),
+        _within("probabilities_total", total, 1.0, f"total probability {total:.12f}"),
         check(
             "classification_correct",
             classification.bell == BellIndex(args.i, args.j) and not classification.tie,
@@ -436,21 +441,16 @@ def _cmd_classify(args) -> int:
     d = state.radices[0]
     convention, selection = _resolve_convention(d, args.convention)
 
-    table = cl.coincidence_probabilities(state, convention)
-    if args.noise > 0.0:
-        table = cl.mix_with_white_noise(table, args.noise)
+    table = cl.mix_with_white_noise(cl.coincidence_probabilities(state, convention), args.noise)
     decoding = cl.build_decoding_table(d, convention)
     classification = cl.classify_table(table, decoding)
 
     # The pair basis is complete, so the total is the state's squared norm,
     # mixed with the noise weight.
     expected_total = (1.0 - args.noise) * state.norm() ** 2 + args.noise
+    total = table.total()
     checks = [
-        check(
-            "probabilities_total",
-            abs(table.total() - expected_total) <= REPORT_TOL,
-            f"total probability {table.total():.12f}",
-        ),
+        _within("probabilities_total", total, expected_total, f"total probability {total:.12f}"),
     ]
     payload = {
         "state_file": args.state_file,
@@ -549,7 +549,3 @@ def main(argv: list[str] | None = None) -> int:
     except _STRUCTURAL_ERRORS as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -95,15 +95,15 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/cli.py",
-        "abs(table.total() - expected_total) <= REPORT_TOL,",
-        "abs(table.total() - expected_total) <= cl.NORM_TOL,",
-        "classify probabilities_total reads NORM_TOL (1e-6) instead of REPORT_TOL (1e-9)",
+        "abs(observed - target) <= REPORT_TOL",
+        "abs(observed - target) <= cl.NORM_TOL",
+        "_within reads NORM_TOL (1e-6) instead of REPORT_TOL (1e-9)",
     ),
     Mutant(
         "src/hdbsm/cli.py",
-        "abs(result.probabilities.total() - 1.0) <= REPORT_TOL,",
-        "abs(result.probabilities.total() - 1.0) <= 1e-3,",
-        "simulate probabilities_total loosened from 1e-9 to 1e-3",
+        "abs(observed - target) <= REPORT_TOL",
+        "abs(observed - 1.0) <= REPORT_TOL",
+        "_within ignores its target and compares every value with 1",
     ),
     Mutant(
         "src/hdbsm/optics.py",
@@ -113,9 +113,9 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/cli.py",
-        "all(abs(mag - 1 / d) <= REPORT_TOL for mag in magnitudes)",
-        "all(abs(mag - 1 / d) <= 1e-2 for mag in magnitudes)",
-        "decompose magnitudes_uniform loosened from 1e-9 to 1e-2",
+        "max(abs(mag - 1 / d) for mag in magnitudes)",
+        "min(abs(mag - 1 / d) for mag in magnitudes)",
+        "decompose magnitudes_uniform reads the smallest deviation from 1/d, not the largest",
     ),
     Mutant(
         "src/hdbsm/cli.py",
@@ -393,9 +393,10 @@ MUTANTS = (
     # Survivors of a mechanical sweep that tests now kill.
     Mutant(
         "src/hdbsm/cli.py",
-        "0 <= j < d)",
-        "0 <= j <= d)",
-        "decompose and simulate accept j = d and end in a traceback",
+        "check_dimension(d, i=i, j=j)",
+        "check_dimension(d, i=i)",
+        "the CLI reads j without check_dimension: decompose and simulate accept j = d "
+        "and end in a traceback",
     ),
     Mutant(
         "src/hdbsm/classifier.py",

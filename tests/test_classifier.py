@@ -382,6 +382,16 @@ class TestWhiteNoise:
         ]
         assert all(a > b for a, b in zip(confidences, confidences[1:]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_weight_zero_returns_the_table_bit_for_bit(self, d, seed):
+        # classify mixes at every weight it accepts, so at 0.0 and -0.0 no bit may move.
+        rng = np.random.default_rng(seed)
+        scale = rng.choice([0.0, 2.0**-1074, 2.0**-1022, 1.0], size=d**4)  # zero, subnormal, normal
+        table = CoincidenceTable(d, (rng.random(d**4) * scale).reshape((d,) * 4))
+        for noise in (0.0, -0.0):
+            assert mix_with_white_noise(table, noise).probs.tobytes() == table.probs.tobytes()
+
     def test_noise_bounds(self):
         table = CoincidenceTable(2, np.full((2,) * 4, 1 / 16))
         with pytest.raises(ValueError):

@@ -96,10 +96,11 @@ def test_documented_value(name):
 
 
 def test_side_of_report_tol_is_unobservable():
-    # Each check compares |x - c| with the bound, where c is 1 or 1/d >= 1/6 and
-    # x lies within the bound of c. Every double >= 2**-3 is a multiple of 2**-55,
-    # and so is x - c, which is exact; the bound is not. So no input meets the
-    # bound exactly, and `<=` and `<` decide alike.
+    # Each check compares a distance |x - c| with the bound (magnitudes_uniform the
+    # largest one), where c is 1 or 1/d >= 1/6 and x lies within the bound of c.
+    # Every double >= 2**-3 is a multiple of 2**-55, and so is x - c, which is
+    # exact; the bound is not. So no input meets the bound exactly, and `<=` and
+    # `<` decide alike.
     assert (cli.REPORT_TOL * 2**55) % 1 != 0
 
 

@@ -414,11 +414,6 @@ class TestArgumentDomain:
         with pytest.raises(ValueError, match="dimension must be an integer, got 2.0"):
             build(2.0)
 
-    @pytest.mark.parametrize("d", [3.0, "3", 1, 9])
-    def test_reference_index_law_checks_its_dimension(self, d):
-        with pytest.raises(ValueError):
-            reference_index_law(d)
-
 
 # The entries that take indices, each called with (d, a, b) and a convention.
 INDEX_CALLS = {
