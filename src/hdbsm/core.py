@@ -124,13 +124,6 @@ def fourier_matrix(d: int, sign: int) -> np.ndarray:
     return np.exp(sign * 2j * np.pi * grid / d) / np.sqrt(d)
 
 
-def is_unitary(u: np.ndarray, tol: float = LOGIC_TOL) -> bool:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < tol)
-
-
 def apply_local_unitary(state: State, u: np.ndarray, factor: int) -> State:
     """Apply a single-factor unitary to one tensor factor of a state.
 

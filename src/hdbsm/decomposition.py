@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LOGIC_TOL, State, check_dimension, tensor_product
+from .core import LOGIC_TOL, State, check_dimension
 from .states import (
     ALL_CONVENTIONS,
     BellIndex,
@@ -25,7 +25,6 @@ from .states import (
     aux_state,
     bell_state,
     decomp_basis,
-    decomp_state,
 )
 
 
@@ -62,7 +61,7 @@ def _bell_row(d: int, i: int, convention: PhaseConvention) -> np.ndarray:
     """The d hyperentangled states of Bell row i, indexed [j, B sys, B aux, A sys, A aux].
 
     State j holds bell[n] * aux[p] at [n, p, (n + j) mod d, p], the product
-    that :func:`tensor_product` forms: bell is the diagonal of Bell state
+    that ``core.tensor_product`` forms: bell is the diagonal of Bell state
     (i, 0), whose phases every Bell state (i, j) shares, and aux that of the
     auxiliary state.
     """
@@ -117,7 +116,6 @@ class DecompositionTable:
 
     d: int
     bell: BellIndex
-    convention: PhaseConvention
     flat_support: np.ndarray = field(repr=False)
     coeffs: np.ndarray
 
@@ -196,7 +194,7 @@ def _decompose_row(
     values.flags.writeable = False
     bounds = [0, *np.bincount(js, minlength=d).cumsum().tolist()]
     return tuple(
-        DecompositionTable(d, BellIndex(i, j), conv, flat[start:end], values[start:end])
+        DecompositionTable(d, BellIndex(i, j), flat[start:end], values[start:end])
         for j, (start, end) in enumerate(zip(bounds, bounds[1:]))
     )
 
@@ -217,20 +215,6 @@ def decompose_all(
     }
 
 
-def reconstruct(table: DecompositionTable) -> State:
-    """Rebuild the joint state from its table, for round-trip checks."""
-    d = table.d
-    amps = np.zeros(d**4, dtype=np.complex128)
-    for flat, coeff in zip(table.flat_support.tolist(), table.coeffs.tolist()):
-        k, m, kp, mp = np.unravel_index(flat, (d,) * 4)
-        pair = tensor_product(
-            decomp_state(d, k, m, table.convention),
-            decomp_state(d, kp, mp, table.convention),
-        )
-        amps = amps + coeff * pair.amps
-    return State((d, d, d, d), amps)
-
-
 @dataclass(frozen=True)
 class IndexLaw:
     """Affine law k' = (s*k + t*i) mod d on the support, plus the m' = (m+j) mod d flag.
@@ -248,12 +232,6 @@ class IndexLaw:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
-
-    def alice_k(self, k: int, i: int) -> int:
-        return (self.s * k + self.t * i) % self.d
-
-    def alice_m(self, m: int, j: int) -> int:
-        return (m + j) % self.d
 
 
 def reference_index_law(d: int) -> IndexLaw:

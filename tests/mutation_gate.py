@@ -223,8 +223,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "conv, flat[start:end], values[start:end])",
-        "conv, flat[start:end][::-1], values[start:end][::-1])",
+        "BellIndex(i, j), flat[start:end], values[start:end])",
+        "BellIndex(i, j), flat[start:end][::-1], values[start:end][::-1])",
         "row-built tables list their entries in descending flat order",
     ),
     Mutant(
@@ -411,12 +411,6 @@ MUTANTS = (
         "exactly two affine fits are not reported as ambiguous",
     ),
     Mutant(
-        "src/hdbsm/decomposition.py",
-        "amps = amps + coeff * pair.amps",
-        "amps = amps - coeff * pair.amps",
-        "reconstruct rebuilds the state with the opposite global sign",
-    ),
-    Mutant(
         "src/hdbsm/audit.py",
         "return not (self.mismatches or self.duplicates or self.missing)",
         "return not (self.mismatches and self.duplicates and self.missing)",
@@ -445,12 +439,6 @@ MUTANTS = (
         "d = math.isqrt(len(basis))",
         "d = stack.shape[1]",
         "the pair product reads d from the state, not from the basis it multiplies by",
-    ),
-    Mutant(
-        "src/hdbsm/core.py",
-        "if u.ndim != 2 or u.shape[0] != u.shape[1]:",
-        "if u.ndim != 2 and u.shape[0] != u.shape[1]:",
-        "is_unitary multiplies out a non-square matrix instead of rejecting it",
     ),
     Mutant(
         "src/hdbsm/classifier.py",
@@ -599,7 +587,7 @@ MUTANTS = (
         'probs = np.asarray(self.probs, dtype=np.float64, order="C")',
         "CoincidenceTable keeps a float64 caller array and makes it read-only",
     ),
-    # The strict sides of LOGIC_TOL and of is_unitary's tolerance, each flipped.
+    # The strict sides of LOGIC_TOL, each flipped.
     Mutant(
         "src/hdbsm/classifier.py",
         "if mass >= best - LOGIC_TOL",
@@ -617,12 +605,6 @@ MUTANTS = (
         "js, flat = np.nonzero(np.abs(coeffs) > LOGIC_TOL)",
         "js, flat = np.nonzero(np.abs(coeffs) >= LOGIC_TOL)",
         "a pair coefficient exactly at LOGIC_TOL stays in the support",
-    ),
-    Mutant(
-        "src/hdbsm/core.py",
-        "np.eye(u.shape[0]))) < tol)",
-        "np.eye(u.shape[0]))) <= tol)",
-        "a matrix exactly tol away from unitarity counts as unitary",
     ),
     # The value types store the checked d; two entries with their own range read d as an integer.
     Mutant(
@@ -775,8 +757,8 @@ def own_tests(mutant: Mutant) -> str:
     return f"tests/test_{Path(mutant.path).stem}.py"
 
 
-def run_tests(mutant: Mutant | None, paths: tuple[str, ...]) -> tuple[int | None, str]:
-    """Exit code of pytest on the test files ``paths`` in a fresh copy, and its output.
+def run_tests(mutant: Mutant | None, path: str) -> tuple[int | None, str]:
+    """Exit code of pytest on the test file ``path`` in a fresh copy, and its output.
 
     ``mutant``, when given, is applied to the copy first. The exit code is
     None when the run times out.
@@ -795,7 +777,7 @@ def run_tests(mutant: Mutant | None, paths: tuple[str, ...]) -> tuple[int | None
             text = target.read_text(encoding="utf-8")
             target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
-        argv = [sys.executable, "-m", "pytest", *PYTEST_ARGS, *paths]
+        argv = [sys.executable, "-m", "pytest", *PYTEST_ARGS, path]
         try:
             done = subprocess.run(
                 argv, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
@@ -817,18 +799,17 @@ def timed(run, *args) -> tuple[int | None, str, float]:
     return (*run(*args), time.perf_counter() - began)
 
 
-def unmutated_passes(pool: ThreadPoolExecutor, runs: list[tuple[str, ...]]) -> bool:
-    """Whether the unmutated copy passes each of ``runs``, each a tuple of test files.
+def unmutated_passes(pool: ThreadPoolExecutor, paths: list[str]) -> bool:
+    """Whether the unmutated copy passes each of the test files ``paths`` alone.
 
     Then a failure in a mutant's run is the mutant's. Prints one line per run,
     and the output of each run that fails.
     """
     passed = True
-    for paths, (code, output, seconds) in zip(
-        runs, pool.map(lambda paths: timed(run_tests, None, paths), runs)
+    for path, (code, output, seconds) in zip(
+        paths, pool.map(lambda path: timed(run_tests, None, path), paths)
     ):
-        name = paths[0] if len(paths) == 1 else "tier-1"
-        print(f"unmutated copy, {name}: pytest exit {code} ({seconds:.1f} s)")
+        print(f"unmutated copy, {path}: pytest exit {code} ({seconds:.1f} s)")
         if code != 0:
             print(output)
             passed = False
@@ -844,10 +825,10 @@ def main() -> int:
 
     failures = 0
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        if not unmutated_passes(pool, [(own,) for own in sorted(set(map(own_tests, MUTANTS)))]):
+        if not unmutated_passes(pool, sorted(set(map(own_tests, MUTANTS)))):
             return 1
         for mutant, (code, output, seconds) in zip(
-            MUTANTS, pool.map(lambda m: timed(run_tests, m, (own_tests(m),)), MUTANTS)
+            MUTANTS, pool.map(lambda m: timed(run_tests, m, own_tests(m)), MUTANTS)
         ):
             verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"NO VERDICT (exit {code})")
             print(f"{verdict:<8} {seconds:5.1f} s  {mutant.path}: {mutant.reason}")

@@ -96,8 +96,6 @@ ALLOWED = (
             ".reshape(-1).copy()", "1 -> 2", RESHAPE),
     Allowed("core.py", "return State(u.radices + v.radices, np.multiply.outer(u.amps, v.amps)"
             ".reshape(-1))", "1 -> 2", RESHAPE),
-    Allowed("core.py", "return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < tol)",
-            "0 -> 1", "the line above has returned for every matrix that is not square"),
     Allowed("core.py", "amps = np.ascontiguousarray(state.reshaped().transpose(order))"
             ".reshape(-1)", "1 -> 2", RESHAPE),
     Allowed("decomposition.py", "return (basis @ stack.reshape(-1, d * d, d * d) @ basis.T)"
@@ -231,10 +229,11 @@ def main() -> int:
     survivors, unexplained, errors = [], 0, 0
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
         owns = sorted({own_tests(sweep.mutant) for sweep in swept})
-        if not unmutated_passes(pool, [(own,) for own in owns]):
+        if not unmutated_passes(pool, owns):
             return 1
-        results = pool.map(lambda sweep: run_tests(sweep.mutant, (own_tests(sweep.mutant),))[0],
-                           swept)
+        results = pool.map(
+            lambda sweep: run_tests(sweep.mutant, own_tests(sweep.mutant))[0], swept
+        )
         for sweep, code in zip(swept, results):
             where = f"{sweep.mutant.path}:{sweep.line}: {sweep.change}: {sweep.source}"
             if code in KILLED:

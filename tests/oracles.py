@@ -15,8 +15,9 @@ the closed form's arithmetic, as the ``loop_*`` builders do, and
 ``loop_*`` builders construct the state families and the analyser unitary
 one digit at a time, with the arithmetic of the package's array formulas, so
 their results are compared byte for byte.
-``hand_built_table`` is how tests make a decomposition table from a dict of
-their own, and ``table_entries`` reads a table back as such a dict.
+``hand_built_table(d, bell, entries)`` is how tests make a decomposition
+table from a dict of their own, and ``table_entries`` reads a table back as
+such a dict.
 ``nonzero`` reads a state as a digit tuple -> amplitude dict.
 ``state_file_text`` writes a (d, d, d, d) state in the documented state-file format.
 ``bell_arrays`` splits a decoding table's class indices into its i and j arrays.
@@ -127,13 +128,13 @@ def naive_decompose(d: int, i: int, j: int, convention) -> dict:
     return entries
 
 
-def hand_built_table(d: int, bell, convention, entries: dict):
+def hand_built_table(d: int, bell, entries: dict):
     """A ``DecompositionTable`` of ``entries`` ((k, m, k', m') -> coefficient), in dict order."""
     from hdbsm.decomposition import DecompositionTable
 
     flat = [((k * d + m) * d + kp) * d + mp for k, m, kp, mp in entries]
     coeffs = np.array(list(entries.values()), dtype=np.complex128)
-    return DecompositionTable(d, bell, convention, np.array(flat, dtype=np.intp), coeffs)
+    return DecompositionTable(d, bell, np.array(flat, dtype=np.intp), coeffs)
 
 
 def table_entries(table) -> dict:

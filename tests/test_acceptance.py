@@ -128,7 +128,7 @@ def test_criterion_4_d4_internal_consistency():
         printed = load_reference_table(4)[BellIndex(2, 3)]
         assert len(printed) == 16
         for (k, m, kp, mp) in printed:
-            assert kp == law.alice_k(k, 2) and mp == law.alice_m(m, 3)
+            assert kp == (law.s * k + law.t * 2) % 4 and mp == (m + 3) % 4
 
 
 def test_criterion_5_discrimination():

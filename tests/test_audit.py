@@ -176,5 +176,5 @@ class TestAuditD4:
         law = reference_index_law(4)
         rows = load_reference_table(4)
         for (k, m, kp, mp) in rows[BellIndex(2, 3)]:
-            assert kp == law.alice_k(k, 2)
-            assert mp == law.alice_m(m, 3)
+            assert kp == (law.s * k + law.t * 2) % 4
+            assert mp == (m + 3) % 4

@@ -3,10 +3,12 @@
 The owning module's test file pins each name's documented value as a literal
 and tests each side the docs promise at the bound itself, so that the module's
 own file kills a changed bound. Here every float literal of the package that
-equals a bound must be that bound's one definition.
+equals a bound must be that bound's one definition, and every public function
+of the package must have a reader in the package or in ``perfbench``.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -77,3 +79,61 @@ def test_doctored_source_is_caught(module, old, new):
         assert sources[module].count(old) == 1
         sources[module] = sources[module].replace(old, new)
     assert bound_sites(sources) != EXPECTED_SITES
+
+
+# Every public function and method of the package is read by name somewhere in
+# the package or in the benchmark, which binds its targets by name.
+PERFBENCH = SRC.parent.parent / "perfbench"
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def public_functions(sources: dict[str, str]) -> set[str]:
+    """Names of the public functions of each module and of its classes' public methods."""
+    names = set()
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            names.update(
+                f.name for f in members if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+            )
+    return names
+
+
+def names_read(sources: list[str]) -> set[str]:
+    """Every name the sources read: a name, an attribute, an imported name or a dotted string."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if DOTTED_NAME.fullmatch(node.value):
+                    read.update(node.value.split("."))
+    return read
+
+
+def unread_functions(sources: dict[str, str]) -> set[str]:
+    benchmark = [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.glob("*.py"))]
+    return public_functions(sources) - names_read([*sources.values(), *benchmark])
+
+
+def test_every_public_function_is_read_by_name():
+    assert unread_functions(package_sources()) == set()
+
+
+@pytest.mark.parametrize(
+    "module, added",
+    [
+        ("core", "\n\ndef orphan(u):\n    return u\n"),
+        ("report", "\n\nclass Orphan:\n    def orphan(self):\n        return self\n"),
+    ],
+    ids=["function", "method"],
+)
+def test_an_unread_function_is_caught(module, added):
+    sources = package_sources()
+    sources[module] += added
+    assert "orphan" in unread_functions(sources)

@@ -112,9 +112,7 @@ class TestDecodingTable:
         stolen = next(iter(oracles.table_entries(tables[BellIndex(0, 0)])))
         doctored = oracles.table_entries(tables[BellIndex(1, 0)])
         doctored[stolen] = 0.5
-        tables[BellIndex(1, 0)] = oracles.hand_built_table(
-            2, BellIndex(1, 0), LITERAL_CONVENTION, doctored
-        )
+        tables[BellIndex(1, 0)] = oracles.hand_built_table(2, BellIndex(1, 0), doctored)
         monkeypatch.setattr(cl, "decompose_all", lambda d, conv: tables)
         with pytest.raises(CollisionError):
             build_decoding_table(2, LITERAL_CONVENTION)
@@ -126,9 +124,7 @@ class TestDecodingTable:
         doctored = oracles.table_entries(tables[BellIndex(1, 2)])
         doctored[(2, 1, 1, 1)] = 1 / 3
         doctored[(0, 0, 0, 1)] = 1 / 3
-        tables[BellIndex(1, 2)] = oracles.hand_built_table(
-            3, BellIndex(1, 2), LITERAL_CONVENTION, doctored
-        )
+        tables[BellIndex(1, 2)] = oracles.hand_built_table(3, BellIndex(1, 2), doctored)
         monkeypatch.setattr(cl, "decompose_all", lambda d, conv: tables)
         with pytest.raises(CollisionError) as info:
             build_decoding_table(3, LITERAL_CONVENTION)

@@ -628,9 +628,7 @@ class TestExitCodeContract:
 
         def broken_decompose(d, i, j, convention):
             # one coefficient missing: the support-size check must fail
-            return oracles.hand_built_table(
-                d, BellIndex(i, j), convention, {(0, 0, 0, 0): 1 / d}
-            )
+            return oracles.hand_built_table(d, BellIndex(i, j), {(0, 0, 0, 0): 1 / d})
 
         monkeypatch.setattr(cli.dec, "decompose", broken_decompose)
         assert main(["decompose", "-d", "2", "-i", "0", "-j", "0"]) == 1
@@ -740,7 +738,7 @@ class TestDocumentedBounds:
         def doctored(d, i, j, convention):
             table = original(d, i, j, convention)
             coeffs = edit(table.coeffs.copy())
-            return DecompositionTable(d, table.bell, convention, table.flat_support, coeffs)
+            return DecompositionTable(d, table.bell, table.flat_support, coeffs)
 
         monkeypatch.setattr(cli.dec, "decompose", doctored)
 

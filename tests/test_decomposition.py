@@ -23,7 +23,6 @@ from hdbsm.decomposition import (
     hyperentangled_state,
     pair_coefficients,
     pair_product,
-    reconstruct,
     reference_index_law,
 )
 from hdbsm.classifier import build_decoding_table, decoding_table_from_law
@@ -239,9 +238,12 @@ class TestDecompose:
     def test_parseval_reconstruction(self, conv):
         # amplitude for amplitude: a fidelity would forgive a global phase
         for (d, i, j) in [(2, 1, 1), (3, 2, 1), (4, 2, 3)]:
-            rebuilt = reconstruct(decompose(d, i, j, conv))
-            expected = hyperentangled_state(d, i, j, conv)
-            np.testing.assert_allclose(rebuilt.amps, expected.amps, rtol=0, atol=1e-12)
+            rebuilt = np.zeros((d,) * 4, dtype=np.complex128)
+            for (k, m, kp, mp), coeff in oracles.table_entries(decompose(d, i, j, conv)).items():
+                for label, amp in oracles.naive_pair(d, k, m, kp, mp, conv.decomp_sign).items():
+                    rebuilt[label] += coeff * amp
+            expected = hyperentangled_state(d, i, j, conv).reshaped()
+            np.testing.assert_allclose(rebuilt, expected, rtol=0, atol=1e-12)
 
     def test_d2_conventions_degenerate(self):
         tables = [decompose_all(2, conv) for conv in ALL_CONVENTIONS]
@@ -290,7 +292,7 @@ class TestDecompose:
         flat, coeffs, message = key
         with pytest.raises(ValueError) as info:
             DecompositionTable(
-                3, BellIndex(0, 0), LITERAL_CONVENTION,
+                3, BellIndex(0, 0),
                 np.array(flat, dtype=np.intp), np.array(coeffs, dtype=np.complex128),
             )
         assert str(info.value) == message
@@ -308,7 +310,7 @@ class TestDecompose:
     )
     def test_hand_built_table_rejects_bad_arrays(self, flat, coeffs, message):
         with pytest.raises(ValueError) as info:
-            DecompositionTable(3, BellIndex(0, 0), LITERAL_CONVENTION, flat, coeffs)
+            DecompositionTable(3, BellIndex(0, 0), flat, coeffs)
         assert str(info.value) == message
 
     def test_decompose_and_decompose_all_share_tables(self):
@@ -422,9 +424,7 @@ class TestArgumentDomain:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda d: DecompositionTable(
-                d, BellIndex(0, 0), LITERAL_CONVENTION, np.zeros(1, int), np.ones(1)
-            ),
+            lambda d: DecompositionTable(d, BellIndex(0, 0), np.zeros(1, int), np.ones(1)),
             lambda d: IndexLaw(d, 1, 1, True),
         ],
         ids=["decomposition", "law"],
@@ -466,9 +466,7 @@ class TestIndexLaw:
         entries = oracles.table_entries(tables[BellIndex(0, 0)])
         coeff = entries.pop((0, 0, 0, 0))
         entries[(0, 0, 2, 0)] = coeff  # break the affine pattern
-        tables[BellIndex(0, 0)] = oracles.hand_built_table(
-            3, BellIndex(0, 0), LITERAL_CONVENTION, entries
-        )
+        tables[BellIndex(0, 0)] = oracles.hand_built_table(3, BellIndex(0, 0), entries)
         with pytest.raises(NoAffineLawError) as info:
             fit_index_law(tables)
         assert str(info.value) == "support is not affine in (k, i) at d=3"
@@ -476,9 +474,7 @@ class TestIndexLaw:
     def test_ambiguous_law_message(self):
         # k = k' = 0 everywhere: t*i = 0 forces t = 0 and leaves s free
         ambiguous = {
-            BellIndex(i, j): oracles.hand_built_table(
-                3, BellIndex(i, j), LITERAL_CONVENTION, {(0, 0, 0, j): 1 / 3}
-            )
+            BellIndex(i, j): oracles.hand_built_table(3, BellIndex(i, j), {(0, 0, 0, j): 1 / 3})
             for i in range(3)
             for j in range(3)
         }
@@ -489,9 +485,7 @@ class TestIndexLaw:
     def test_two_fits_are_ambiguous(self):
         # k = 0 and k' = i everywhere: t = 1, and s may be either digit
         ambiguous = {
-            BellIndex(i, j): oracles.hand_built_table(
-                2, BellIndex(i, j), LITERAL_CONVENTION, {(0, 0, i, j): 1 / 2}
-            )
+            BellIndex(i, j): oracles.hand_built_table(2, BellIndex(i, j), {(0, 0, i, j): 1 / 2})
             for i in range(2)
             for j in range(2)
         }
@@ -507,7 +501,7 @@ class TestIndexLaw:
                 for j in range(d):
                     for k in range(d):
                         for m in range(d):
-                            key = (k, m, law.alice_k(k, i), law.alice_m(m, j))
+                            key = (k, m, (law.s * k + law.t * i) % d, (m + j) % d)
                             assert (decoding_i[key], decoding_j[key]) == (i, j)
 
 
@@ -557,9 +551,7 @@ class TestPhaseLaw:
         entries = oracles.table_entries(tables[BellIndex(1, 1)])
         key = next(iter(entries))
         entries[key] = entries[key] * np.exp(0.1j)
-        tables[BellIndex(1, 1)] = oracles.hand_built_table(
-            3, BellIndex(1, 1), LITERAL_CONVENTION, entries
-        )
+        tables[BellIndex(1, 1)] = oracles.hand_built_table(3, BellIndex(1, 1), entries)
         with pytest.raises(PhaseNotRootOfUnityError):
             fit_phase_law(tables)
 
@@ -569,7 +561,7 @@ class TestPhaseLaw:
         tables = dict(decompose_all(2, LITERAL_CONVENTION))
         for bell, key, phase in [((0, 1), (1, 1, 1, 1), 0.3), ((1, 0), (0, 0, 0, 0), 0.2)]:
             tables[BellIndex(*bell)] = oracles.hand_built_table(
-                2, BellIndex(*bell), LITERAL_CONVENTION, {key: np.exp(1j * phase) / 2}
+                2, BellIndex(*bell), {key: np.exp(1j * phase) / 2}
             )
         with pytest.raises(PhaseNotRootOfUnityError) as info:
             fit_phase_law(tables)
@@ -609,9 +601,7 @@ class TestHandBuiltFits:
                     for key in keys
                 }
                 entries = {key: np.exp(2j * np.pi * r / d) / d for key, r in phase.items()}
-                tables[BellIndex(i, j)] = oracles.hand_built_table(
-                    d, BellIndex(i, j), LITERAL_CONVENTION, entries
-                )
+                tables[BellIndex(i, j)] = oracles.hand_built_table(d, BellIndex(i, j), entries)
                 phases[(i, j)] = phase
         return tables, phases
 

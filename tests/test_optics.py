@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hdbsm import decomposition, optics
 from hdbsm.classifier import build_decoding_table, classify_table, coincidence_probabilities
-from hdbsm.core import State, fourier_matrix, is_unitary
+from hdbsm.core import State, fourier_matrix
 from hdbsm.decomposition import decompose, hyperentangled_state
 from hdbsm.optics import (
     EQUIVALENCE_TOL,
@@ -110,7 +110,8 @@ class TestBsaUnitary:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("conv", BOTH_MAIN, ids=lambda c: c.label())
     def test_lossless(self, d, conv):
-        assert is_unitary(bsa_layout(d, conv).unitary, tol=1e-12)
+        u = bsa_layout(d, conv).unitary
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(d * d), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("sign", [1, -1])
