@@ -8,6 +8,7 @@ proposed path/OAM optics.
 
 from .core import (
     LOGIC_TOL,
+    InvariantError,
     State,
     apply_local_unitary,
     fourier_matrix,

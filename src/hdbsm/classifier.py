@@ -14,12 +14,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import LOGIC_TOL, State, as_index, check_dimension
+from .core import LOGIC_TOL, InvariantError, State, as_index, check_dimension
 from .decomposition import IndexLaw, decompose_all, pair_coefficients
 from .states import BellIndex, PhaseConvention
 
 
-class CollisionError(RuntimeError):
+class CollisionError(InvariantError):
     """Two Bell indices claim the same outcome pair in the decoding table."""
 
 
@@ -102,10 +102,14 @@ def decoding_table_from_law(law: IndexLaw) -> DecodingTable:
     """Build the decoding table directly from an affine index law.
 
     Independent of any computed decomposition: used to cross-check the
-    table derived from the brute-force supports.
+    table derived from the brute-force supports. ValueError when t has no
+    inverse modulo d.
     """
     d = law.d
-    t_inv = pow(law.t, -1, d)
+    try:
+        t_inv = pow(law.t, -1, d)
+    except ValueError:
+        raise ValueError(f"t = {law.t} has no inverse modulo d = {d}") from None
     k, m, kp, mp = np.indices((d,) * 4, dtype=np.int64)
     classes = (t_inv * (kp - law.s * k)) % d * d + (mp - m) % d
     classes.flags.writeable = False

@@ -25,7 +25,7 @@ from . import audit as audit_mod
 from . import classifier as cl
 from . import decomposition as dec
 from . import optics
-from .core import MAX_DIMENSION, State, check_dimension
+from .core import MAX_DIMENSION, InvariantError, State, check_dimension
 from .report import build_report, check, render_csv, render_json, write_report
 from .states import (
     ALL_CONVENTIONS,
@@ -49,10 +49,6 @@ CONVENTION_CHOICES = ("auto", *_EXPLICIT)
 
 class UsageError(Exception):
     """Invalid arguments or inputs; maps to exit code 2."""
-
-
-class InvariantError(RuntimeError):
-    """A computed result breaks the protocol's structure; maps to exit code 1."""
 
 
 def _resolve_convention(d: int, label: str | None) -> tuple[PhaseConvention, str]:
@@ -264,7 +260,7 @@ def _cmd_decompose(args) -> int:
     coeffs = table.coeffs.tolist()
     # Python's complex abs, not numpy's, whose SIMD loops can round differently.
     magnitudes = [abs(c) for c in coeffs]
-    weight = table.squared_weight()
+    weight = sum(mag**2 for mag in magnitudes)
     _, m, _, mp = np.unravel_index(table.flat_support, (d,) * 4)
     checks = [
         check(
@@ -323,23 +319,17 @@ def _cmd_verify(args) -> int:
         )
     phase_law = dec.fit_phase_law(dec.decompose_all(d, convention))
 
-    decoding_ok = True
-    decoding_detail = f"all {d**4} outcome pairs partition into {d * d} classes of {d * d}"
+    decoding_failure = None  # or why the supports do not partition the pairs as the law does
     try:
         decoding = cl.build_decoding_table(d, convention)
         classes = decoding.classes[decoding.classes != cl.UNREACHABLE]
         sizes = set(np.bincount(classes, minlength=d * d).tolist())
         if sizes != {d * d}:
-            decoding_ok = False
-            decoding_detail = f"unexpected class sizes {sorted(sizes)}"
-        else:
-            from_law = cl.decoding_table_from_law(laws[convention])
-            if not np.array_equal(decoding.classes, from_law.classes):
-                decoding_ok = False
-                decoding_detail = "decoding from supports disagrees with decoding from the law"
-    except cl.CollisionError as exc:
-        decoding_ok = False
-        decoding_detail = str(exc)
+            decoding_failure = f"unexpected class sizes {sorted(sizes)}"
+        elif (cl.decoding_table_from_law(laws[convention]).classes != decoding.classes).any():
+            decoding_failure = "decoding from supports disagrees with decoding from the law"
+    except (cl.CollisionError, ValueError) as exc:  # ValueError: the law's t has no inverse mod d
+        decoding_failure = str(exc)
 
     checks = [
         check("index_law_affine", True, "affine index law fitted under every sign convention"),
@@ -350,7 +340,12 @@ def _cmd_verify(args) -> int:
         ),
         reference_check,
         check("phase_root_of_unity", True, "every coefficient phase is an exact d-th root of unity"),
-        check("decoding_partition", decoding_ok, decoding_detail),
+        check(
+            "decoding_partition",
+            decoding_failure is None,
+            decoding_failure
+            or f"all {d**4} outcome pairs partition into {d * d} classes of {d * d}",
+        ),
     ]
 
     audits = []
@@ -529,15 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_STRUCTURAL_ERRORS = (
-    InvariantError,
-    dec.NoAffineLawError,
-    dec.NoMatchingConventionError,
-    dec.PhaseNotRootOfUnityError,
-    cl.CollisionError,
-)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -546,6 +532,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _STRUCTURAL_ERRORS as exc:
+    except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1

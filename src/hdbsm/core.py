@@ -23,6 +23,10 @@ LOGIC_TOL = 1e-9
 MAX_DIMENSION = 6
 
 
+class InvariantError(RuntimeError):
+    """A computed result breaks the protocol's structure; the CLI exits 1 on any subclass."""
+
+
 def as_index(value, name: str, minimum: int | None = None) -> int:
     """``operator.index(value)``, with a ValueError naming the argument, not a TypeError.
 

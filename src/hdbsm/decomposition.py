@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LOGIC_TOL, State, check_dimension
+from .core import LOGIC_TOL, InvariantError, State, check_dimension
 from .states import (
     ALL_CONVENTIONS,
     BellIndex,
@@ -28,15 +28,15 @@ from .states import (
 )
 
 
-class NoAffineLawError(RuntimeError):
+class NoAffineLawError(InvariantError):
     """The computed supports are not affine in the Bell and Bob indices."""
 
 
-class PhaseNotRootOfUnityError(RuntimeError):
+class PhaseNotRootOfUnityError(InvariantError):
     """A coefficient phase is not an exact d-th root of unity."""
 
 
-class NoMatchingConventionError(RuntimeError):
+class NoMatchingConventionError(InvariantError):
     """No sign convention reproduces the reference index law."""
 
 
@@ -132,9 +132,6 @@ class DecompositionTable:
             raise ValueError(f"pair index outside [0, {self.d**4}) at d={self.d}")
         if (np.diff(np.sort(flat)) == 0).any():
             raise ValueError(f"repeated pair index in {flat.tolist()}")
-
-    def squared_weight(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.coeffs.tolist()))
 
     def phase_ints(self) -> np.ndarray:
         """Integers r with coefficient phase exp(2j*pi*r/d), aligned with ``flat_support``."""

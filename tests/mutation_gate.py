@@ -714,6 +714,32 @@ MUTANTS = (
         "    if d not in",
         "load_reference_table finds the d = 3 listing for 3.0",
     ),
+    # Every structural error is an InvariantError, the one type main catches, and a law
+    # whose t has no inverse mod d fails verify's decoding check alone.
+    Mutant(
+        "src/hdbsm/decomposition.py",
+        "class NoAffineLawError(InvariantError):",
+        "class NoAffineLawError(RuntimeError):",
+        "NoAffineLawError derives from RuntimeError, not InvariantError",
+    ),
+    Mutant(
+        "src/hdbsm/classifier.py",
+        "class CollisionError(InvariantError):",
+        "class CollisionError(RuntimeError):",
+        "CollisionError derives from RuntimeError, not InvariantError",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        "except InvariantError as exc:",
+        "except cl.CollisionError as exc:",
+        "main catches CollisionError only",
+    ),
+    Mutant(
+        "src/hdbsm/cli.py",
+        "except (cl.CollisionError, ValueError) as exc:",
+        "except cl.CollisionError as exc:",
+        "verify ends in a traceback when the fitted t has no inverse mod d",
+    ),
     # Error messages that only an exact-message test reads.
     Mutant(
         "src/hdbsm/decomposition.py",

@@ -88,7 +88,7 @@ def test_criterion_2_decomposition_structure():
                 for bell, table in tables.items():
                     entries = oracles.table_entries(table)
                     assert len(entries) == d * d
-                    assert abs(table.squared_weight() - 1.0) <= 1e-9
+                    assert abs(sum(abs(c) ** 2 for c in table.coeffs.tolist()) - 1.0) <= 1e-9
                     for (k, m, kp, mp), coeff in entries.items():
                         assert abs(abs(coeff) - 1 / d) <= 1e-9
                         assert mp == (m + bell.j) % d

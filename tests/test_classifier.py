@@ -18,7 +18,7 @@ from hdbsm.classifier import (
     mix_with_white_noise,
     sample_outcomes,
 )
-from hdbsm.core import LOGIC_TOL, State, tensor_product
+from hdbsm.core import LOGIC_TOL, InvariantError, State, tensor_product
 from hdbsm.decomposition import (
     decompose_all,
     fit_index_law,
@@ -116,6 +116,10 @@ class TestDecodingTable:
         monkeypatch.setattr(cl, "decompose_all", lambda d, conv: tables)
         with pytest.raises(CollisionError):
             build_decoding_table(2, LITERAL_CONVENTION)
+
+    def test_collision_is_an_invariant_error(self):
+        # The CLI exits 1 with one line on any InvariantError.
+        assert issubclass(CollisionError, InvariantError)
 
     def test_collision_message_names_first_claim_in_table_order(self, monkeypatch):
         # Bell (1, 2) also lists a pair of Bell (0, 0), then a pair of Bell

@@ -17,7 +17,7 @@ import report_digests
 from hdbsm import cli
 from hdbsm.classifier import CoincidenceTable
 from hdbsm.cli import main, parse_state_file
-from hdbsm.core import LOGIC_TOL, State
+from hdbsm.core import LOGIC_TOL, InvariantError, State
 from hdbsm.decomposition import DecompositionTable, hyperentangled_state
 from hdbsm.states import REFERENCE_CONVENTION, BellIndex
 
@@ -376,6 +376,23 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli.cl, "build_decoding_table", collide)
         assert self.decoding_partition(capsys) == message
 
+    def test_law_without_an_inverse_fails(self, capsys, monkeypatch):
+        # t = 2 has no inverse mod 4, so no decoding table can be built from the law.
+        original = cli.dec.find_convention
+
+        def with_t_2(d):
+            search = original(d)
+            laws = {c: dataclasses.replace(law, t=2) for c, law in search.laws.items()}
+            return cli.dec.ConventionSearch(laws, search.matching)
+
+        monkeypatch.setattr(cli.dec, "find_convention", with_t_2)
+        assert main(["verify", "-d", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert [name for name, c in checks.items() if not c["passed"]] == ["decoding_partition"]
+        assert checks["decoding_partition"]["detail"] == "t = 2 has no inverse modulo d = 4"
+
     def test_phase_law_published(self, capsys):
         code, report = run_json(capsys, ["verify", "-d", "3"])
         phase = report["payload"]["phase_law"]
@@ -653,6 +670,18 @@ class TestExitCodeContract:
 
         monkeypatch.setattr(cli.dec, fit, fail)
         assert main(["verify", "-d", str(d)]) == 1
+        assert capsys.readouterr() == ("", "invariant failure: forced\n")
+
+    def test_any_invariant_error_exits_1_with_one_line(self, capsys, monkeypatch):
+        # main names no subclass, so one it has never seen ends the same way.
+        class Doctored(InvariantError):
+            pass
+
+        def fail(d, i, j, convention):
+            raise Doctored("forced")
+
+        monkeypatch.setattr(cli.dec, "decompose", fail)
+        assert main(["decompose", "-d", "3", "-i", "0", "-j", "0"]) == 1
         assert capsys.readouterr() == ("", "invariant failure: forced\n")
 
     def test_classify_invariant_failure_exits_1(self, tmp_path, capsys, monkeypatch):

@@ -12,7 +12,6 @@ from hdbsm import core, decomposition, optics, states
 from hdbsm.audit import audit_reference_table, load_reference_table
 from hdbsm.classifier import (
     CoincidenceTable,
-    DecodingTable,
     build_decoding_table,
     sample_outcomes,
 )
@@ -388,14 +387,7 @@ class TestArgumentDomain:
         assert type(reference_index_law(np.int64(3)).d) is int
 
     @pytest.mark.parametrize(
-        "build",
-        [
-            lambda d: DecodingTable(d, build_decoding_table(2, C).classes),
-            lambda d: CoincidenceTable(d, np.full((2,) * 4, 1 / 16)),
-            lambda d: IndexLaw(d, 1, 1, True),
-            lambda d: BsaLayout(d, bsa_layout(2, C).unitary, 0.0),
-        ],
-        ids=["decoding", "coincidence", "law", "layout"],
+        "build", [lambda d: BsaLayout(d, bsa_layout(2, C).unitary, 0.0)], ids=["layout"]
     )
     def test_value_types_store_the_checked_dimension(self, build):
         assert type(build(np.int64(2)).d) is int

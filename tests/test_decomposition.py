@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hdbsm import decomposition, states
-from hdbsm.core import State, permute_factors, tensor_product
+from hdbsm.core import InvariantError, State, permute_factors, tensor_product
 from hdbsm.decomposition import (
     DecompositionTable,
     IndexLaw,
@@ -61,6 +61,14 @@ def test_support_is_strictly_above_logic_tol(monkeypatch):
     for table in _decompose_row.__wrapped__(2, 0, 1, 1):
         assert table.flat_support.size == 8
         assert np.all(table.coeffs != 0)
+
+
+@pytest.mark.parametrize(
+    "error", [NoAffineLawError, NoMatchingConventionError, PhaseNotRootOfUnityError]
+)
+def test_structural_errors_are_invariant_errors(error):
+    # The CLI exits 1 with one line on any InvariantError.
+    assert issubclass(error, InvariantError)
 
 
 class TestHyperentangledState:
@@ -219,7 +227,7 @@ class TestDecompose:
         for bell, table in decompose_all(d, conv).items():
             entries = oracles.table_entries(table)
             assert len(entries) == d * d
-            assert abs(table.squared_weight() - 1.0) < 1e-9
+            assert abs(sum(abs(c) ** 2 for c in table.coeffs.tolist()) - 1.0) < 1e-9
             for (k, m, kp, mp), coeff in entries.items():
                 assert abs(abs(coeff) - 1 / d) < 1e-9
                 assert mp == (m + bell.j) % d
@@ -680,7 +688,7 @@ class TestFindConvention:
         tables = decompose_all(6, REFERENCE_CONVENTION)
         for bell, table in tables.items():
             assert len(oracles.table_entries(table)) == 36
-            assert abs(table.squared_weight() - 1.0) < 1e-9
+            assert abs(sum(abs(c) ** 2 for c in table.coeffs.tolist()) - 1.0) < 1e-9
 
 
 class TestIndexLawDecodeErrors:
