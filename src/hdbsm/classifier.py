@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import LOGIC_TOL, InvariantError, State, as_index, check_dimension
+from .core import LOGIC_TOL, InvariantError, State, as_index, check_dimension, format_bound
 from .decomposition import IndexLaw, decompose_all, pair_coefficients
 from .states import BellIndex, PhaseConvention
 
@@ -24,7 +24,7 @@ class CollisionError(InvariantError):
 
 
 UNREACHABLE = -1
-NORM_TOL = 1e-6  # largest |norm - 1| of a state that coincidence_probabilities accepts
+NORM_TOL = 1e-6  # largest |norm - 1| of a state that check_normalized accepts
 
 # Indexed search of sample_outcomes: cells of [0, 1), one per value of a raw
 # 64-bit word's top _CELL_BITS bits, and words drawn per step.
@@ -151,6 +151,17 @@ class CoincidenceTable:
         return float(self.probs.sum())
 
 
+def check_normalized(state: State) -> State:
+    """Return ``state``; raise ValueError when its norm is off 1 by more than NORM_TOL."""
+    norm = state.norm()
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(
+            f"state is not normalized: norm {norm:.9f} deviates from 1 "
+            f"by {abs(norm - 1.0):.3e} (tolerance {format_bound(NORM_TOL)})"
+        )
+    return state
+
+
 def coincidence_probabilities(
     state: State, convention: PhaseConvention
 ) -> CoincidenceTable:
@@ -164,9 +175,7 @@ def coincidence_probabilities(
     Raises:
         ValueError: wrong shape or norm off by more than NORM_TOL.
     """
-    if abs(state.norm() - 1.0) > NORM_TOL:
-        raise ValueError(f"input state norm {state.norm():.9f} is not 1")
-    coeffs = pair_coefficients(state, convention)
+    coeffs = pair_coefficients(check_normalized(state), convention)
     return CoincidenceTable(state.radices[0], np.abs(coeffs) ** 2)
 
 

@@ -17,7 +17,7 @@ import argparse
 import dataclasses
 import math
 import sys
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import audit as audit_mod
 from . import classifier as cl
 from . import decomposition as dec
 from . import optics
-from .core import MAX_DIMENSION, InvariantError, State, check_dimension
+from .core import MAX_DIMENSION, InvariantError, State, check_dimension, format_bound
 from .report import build_report, check, render_csv, render_json, write_report
 from .states import (
     ALL_CONVENTIONS,
@@ -38,7 +38,6 @@ from .states import (
 MAX_SEED = 2**64 - 1
 REPORT_TOL = 1e-9  # magnitudes_uniform, total_weight and probabilities_total pass within it
 ROW_THRESHOLD = 1e-12  # coincidence rows list the pairs above it, or with a count
-_bound = partial(np.format_float_scientific, trim="-", exp_digits=1)  # 1e-9, not str()'s 1e-09
 
 _EXPLICIT = {  # every --convention value but auto, in the order --help lists them
     "literal": LITERAL_CONVENTION, "reference": REFERENCE_CONVENTION,
@@ -89,11 +88,6 @@ def _check_seed(seed: int) -> None:
         raise UsageError(f"seed must fit in 64 bits, got {seed}")
 
 
-def _within(name: str, observed: float, target: float, detail: str) -> dict:
-    """The check that ``observed`` lies within REPORT_TOL of ``target``."""
-    return check(name, abs(observed - target) <= REPORT_TOL, detail)
-
-
 def _emit(args, d, convention, selection, payload, checks, fields=None, rows=None) -> int:
     """Render the report as JSON, or as CSV of ``rows``, write it, and return the exit code.
 
@@ -115,10 +109,7 @@ def _emit(args, d, convention, selection, payload, checks, fields=None, rows=Non
         "format": args.format,
     }
     report = build_report(args.command, config, payload, checks)
-    if args.format == "csv":
-        text = render_csv(report, fields, rows)
-    else:
-        text = render_json(report)
+    text = render_csv(report, fields, rows) if args.format == "csv" else render_json(report)
     try:
         write_report(text, args.output)
     except OSError as exc:
@@ -197,8 +188,8 @@ def parse_state_file(text: str) -> State:
 
     Raises:
         UsageError: malformed header, unsupported dimension, malformed or
-            non-finite amplitude line, wrong amplitude count, or norm off by
-            more than classifier.NORM_TOL.
+            non-finite amplitude line, wrong amplitude count, or a norm that
+            classifier.check_normalized rejects.
     """
     lines = [(number, ln.strip()) for number, ln in enumerate(text.splitlines(), start=1)]
     lines = [(number, ln) for number, ln in lines if ln and not ln.startswith("#")]
@@ -229,14 +220,10 @@ def parse_state_file(text: str) -> State:
         if not (math.isfinite(real) and math.isfinite(imag)):
             raise UsageError(f"non-finite amplitude on line {number}: {line!r}")
         amps[idx] = complex(real, imag)
-    state = State((d, d, d, d), amps)
-    norm = state.norm()
-    if abs(norm - 1.0) > cl.NORM_TOL:
-        raise UsageError(
-            f"state is not normalized: norm {norm:.9f} deviates from 1 "
-            f"by {abs(norm - 1.0):.3e} (tolerance {_bound(cl.NORM_TOL)})"
-        )
-    return state
+    try:
+        return cl.check_normalized(State((d, d, d, d), amps))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +251,18 @@ def _cmd_decompose(args) -> int:
     _, m, _, mp = np.unravel_index(table.flat_support, (d,) * 4)
     checks = [
         check(
-            "support_size",
-            len(coeffs) == d * d,
+            "support_size", len(coeffs), "==", d * d,
             f"{len(coeffs)} of {d * d} expected nonzero coefficients",
         ),
-        _within(
-            "magnitudes_uniform",
-            max(abs(mag - 1 / d) for mag in magnitudes),
-            0.0,
-            f"all coefficient magnitudes within {_bound(REPORT_TOL)} of 1/{d}",
-        ),
-        _within("total_weight", weight, 1.0, f"squared weight {weight:.12f}"),
         check(
-            "aux_shift_law",
-            bool(((m + args.j) % d == mp).all()),
+            "magnitudes_uniform", max(abs(mag - 1 / d) for mag in magnitudes), "<=", REPORT_TOL,
+            f"all coefficient magnitudes within {format_bound(REPORT_TOL)} of 1/{d}",
+        ),
+        check(
+            "total_weight", abs(weight - 1.0), "<=", REPORT_TOL, f"squared weight {weight:.12f}"
+        ),
+        check(
+            "aux_shift_law", int(((m + args.j) % d != mp).sum()), "==", 0,
             "m' = (m + j) mod d on every support tuple",
         ),
     ]
@@ -304,7 +289,7 @@ def _cmd_verify(args) -> int:
         matching = [c.label() for c in search.matching]
         preferred = search.preferred.label()
         reference_check = check(
-            "reference_law", REFERENCE_CONVENTION in search.matching,
+            "reference_law", REFERENCE_CONVENTION in search.matching, "==", True,
             f"s = t = {d - 1} under convention(s) " + ", ".join(matching),
         )
     else:
@@ -313,39 +298,39 @@ def _cmd_verify(args) -> int:
         matching = sorted(conv.label() for conv in laws)
         preferred = convention.label()
         reference_check = check(
-            "reference_law",
-            all((law.s, law.t) == (reference.s, reference.t) for law in laws.values()),
-            "fitted law k' = (k + i) mod 2, m' = (m + j) mod 2",
+            "reference_law", {(law.s, law.t) for law in laws.values()}, "==",
+            {(reference.s, reference.t)}, "fitted law k' = (k + i) mod 2, m' = (m + j) mod 2",
         )
     phase_law = dec.fit_phase_law(dec.decompose_all(d, convention))
 
-    decoding_failure = None  # or why the supports do not partition the pairs as the law does
+    partition = f"all {d**4} outcome pairs partition into {d * d} classes of {d * d}"
+    detail = partition  # or why the supports do not partition the pairs as the law does
     try:
         decoding = cl.build_decoding_table(d, convention)
         classes = decoding.classes[decoding.classes != cl.UNREACHABLE]
         sizes = set(np.bincount(classes, minlength=d * d).tolist())
         if sizes != {d * d}:
-            decoding_failure = f"unexpected class sizes {sorted(sizes)}"
+            detail = f"unexpected class sizes {sorted(sizes)}"
         elif (cl.decoding_table_from_law(laws[convention]).classes != decoding.classes).any():
-            decoding_failure = "decoding from supports disagrees with decoding from the law"
+            detail = "decoding from supports disagrees with decoding from the law"
     except (cl.CollisionError, ValueError) as exc:  # ValueError: the law's t has no inverse mod d
-        decoding_failure = str(exc)
+        detail = str(exc)
 
     checks = [
-        check("index_law_affine", True, "affine index law fitted under every sign convention"),
         check(
-            "aux_shift_law",
-            all(law.m_law_holds for law in laws.values()),
+            "index_law_affine", len(laws), "==", len(ALL_CONVENTIONS),
+            "affine index law fitted under every sign convention",
+        ),
+        check(
+            "aux_shift_law", sum(not law.m_law_holds for law in laws.values()), "==", 0,
             "m' = (m + j) mod d under every convention",
         ),
         reference_check,
-        check("phase_root_of_unity", True, "every coefficient phase is an exact d-th root of unity"),
         check(
-            "decoding_partition",
-            decoding_failure is None,
-            decoding_failure
-            or f"all {d**4} outcome pairs partition into {d * d} classes of {d * d}",
+            "phase_root_of_unity", len(phase_law.table), "==", d**4,
+            "every coefficient phase is an exact d-th root of unity",
         ),
+        check("decoding_partition", detail, "==", partition, detail),
     ]
 
     audits = []
@@ -391,25 +376,26 @@ def _cmd_simulate(args) -> int:
 
     checks = [
         check(
-            "pipeline_equivalence",
-            result.equivalent,
+            "pipeline_equivalence", result.equivalence_gap, "<", optics.EQUIVALENCE_TOL,
             f"max |optics - abstract| = {result.equivalence_gap:.3e} "
-            f"(tolerance {_bound(optics.EQUIVALENCE_TOL)})",
+            f"(tolerance {format_bound(optics.EQUIVALENCE_TOL)})",
         ),
-        _within("probabilities_total", total, 1.0, f"total probability {total:.12f}"),
         check(
-            "classification_correct",
-            classification.bell == BellIndex(args.i, args.j) and not classification.tie,
+            "probabilities_total", abs(total - 1.0), "<=", REPORT_TOL,
+            f"total probability {total:.12f}",
+        ),
+        check(
+            "classification_correct", (classification.bell, classification.tie), "==",
+            (BellIndex(args.i, args.j), False),
             f"argmax class ({classification.bell.i}, {classification.bell.j})",
         ),
     ]
     if result.record is not None:
         observed = result.record.counts > 0
-        decoded = set(decoding.classes[observed].tolist())
         checks.append(
             check(
-                "outcomes_decode_to_input",
-                decoded == {args.i * args.d + args.j},
+                "outcomes_decode_to_input", set(decoding.classes[observed].tolist()), "==",
+                {args.i * args.d + args.j},
                 f"{result.record.shots} outcomes over {int(observed.sum())} pairs",
             )
         )
@@ -445,7 +431,10 @@ def _cmd_classify(args) -> int:
     expected_total = (1.0 - args.noise) * state.norm() ** 2 + args.noise
     total = table.total()
     checks = [
-        _within("probabilities_total", total, expected_total, f"total probability {total:.12f}"),
+        check(
+            "probabilities_total", abs(total - expected_total), "<=", REPORT_TOL,
+            f"total probability {total:.12f}",
+        ),
     ]
     payload = {
         "state_file": args.state_file,

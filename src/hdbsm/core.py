@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -21,6 +22,8 @@ import numpy as np
 LOGIC_TOL = 1e-9
 
 MAX_DIMENSION = 6
+
+format_bound = partial(np.format_float_scientific, trim="-", exp_digits=1)  # 1e-9, not 1e-09
 
 
 class InvariantError(RuntimeError):

@@ -97,11 +97,6 @@ class ExperimentResult:
     record: ShotRecord | None
     equivalence_gap: float
 
-    @property
-    def equivalent(self) -> bool:
-        """Analyser operator equals the conjugate decomposition basis: gap < EQUIVALENCE_TOL."""
-        return self.equivalence_gap < EQUIVALENCE_TOL
-
 
 def run_experiment(
     d: int,

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import io
 import json
+import operator
 import os
 
 from .states import PhaseConvention
 
 SCHEMA_VERSION = "1"
+_SIDES = {"<=": operator.le, "<": operator.lt, "==": operator.eq}
 
 
-def check(name: str, passed: bool, detail: str = "") -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
+def check(name: str, observed, side: str, bound, detail: str) -> dict:
+    """A named check: ``passed`` is ``observed <side> bound``; an unknown side raises KeyError."""
+    return {"name": name, "passed": bool(_SIDES[side](observed, bound)), "detail": detail}
 
 
 def build_report(command: str, config: dict, payload: dict, checks: list[dict]) -> dict:

@@ -107,10 +107,7 @@ ALLOWED = (
     Allowed("states.py", "return State((d, d), amps.reshape(-1) / np.sqrt(d))", "1 -> 2",
             f"{RESHAPE} (bell_state and aux_state)"),
     # Strict sides flipped at the bounds that README lists with no side.
-    Allowed("classifier.py", "if abs(state.norm() - 1.0) > NORM_TOL:", "> -> >=", NO_SIDE),
-    Allowed("cli.py", "if abs(norm - 1.0) > cl.NORM_TOL:", "> -> >=", NO_SIDE),
-    Allowed("cli.py", "return check(name, abs(observed - target) <= REPORT_TOL, detail)",
-            "<= -> <", NO_SIDE),
+    Allowed("classifier.py", "if abs(norm - 1.0) > NORM_TOL:", "> -> >=", NO_SIDE),
 )
 
 

@@ -53,6 +53,21 @@ def test_side_of_norm_tol_is_unobservable():
     assert (cl.NORM_TOL * 2**55) % 1 != 0
 
 
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+def test_a_norm_within_norm_tol_is_accepted(factor, accepted):
+    state = hyperentangled_state(3, 1, 2, REFERENCE_CONVENTION)
+    scaled = State(state.radices, state.amps * (1 + factor * cl.NORM_TOL))
+    if accepted:
+        assert cl.check_normalized(scaled) is scaled
+    else:
+        with pytest.raises(ValueError) as info:
+            cl.check_normalized(scaled)
+        assert str(info.value) == (
+            "state is not normalized: norm 1.000002000 deviates from 1 "
+            "by 2.000e-06 (tolerance 1e-6)"
+        )
+
+
 def test_classes_within_logic_tol_of_the_best_tie():
     decoding = decoding_table_from_law(reference_index_law(2))
     first, second = decoding.class_order[[0, 4]]  # one pair of class (0, 0), one of (0, 1)
@@ -216,8 +231,10 @@ class TestCoincidenceProbabilities:
         # error must come out, not numpy's overflow warning (an error here).
         amps = np.zeros(16, dtype=complex)
         amps[0] = 1e200
-        with pytest.raises(ValueError, match="^input state norm inf is not 1$"):
+        message = "state is not normalized: norm inf deviates from 1 by inf (tolerance 1e-6)"
+        with pytest.raises(ValueError) as info:
             coincidence_probabilities(State((2, 2, 2, 2), amps), LITERAL_CONVENTION)
+        assert str(info.value) == message
 
     def test_wrong_shape_rejected(self):
         state = State((2, 2), np.array([1, 0, 0, 0], dtype=complex))

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 import report_digests
-from hdbsm import cli
+from hdbsm import cli, report
 from hdbsm.classifier import CoincidenceTable
 from hdbsm.cli import main, parse_state_file
 from hdbsm.core import LOGIC_TOL, InvariantError, State
@@ -871,6 +871,19 @@ class TestDocumentedBounds:
         )
         assert checks["probabilities_total"][0] is True
 
+    def test_simulate_pipeline_equivalence_is_strictly_below_its_bound(self, capsys, monkeypatch):
+        at = cli.optics.EQUIVALENCE_TOL
+        original = cli.optics.run_experiment
+        verdicts = []
+        for gap in (at, np.nextafter(at, 0.0)):
+            monkeypatch.setattr(
+                cli.optics, "run_experiment",
+                lambda *args, gap=gap: dataclasses.replace(original(*args), equivalence_gap=gap),
+            )
+            code, checks = self.checks(capsys, ["simulate", "-d", "2", "-i", "0", "-j", "0"])
+            verdicts.append((code, checks["pipeline_equivalence"][0]))
+        assert verdicts == [(1, False), (0, True)]
+
     @pytest.mark.parametrize("factor, exit_code", FACTORS)
     def test_classify_probabilities_total(
         self, tmp_path, capsys, monkeypatch, factor, exit_code
@@ -908,6 +921,29 @@ class TestDocumentedBounds:
                 "error: state is not normalized: norm 1.000002000 deviates from 1 "
                 "by 2.000e-06 (tolerance 1e-6)\n",
             )
+
+
+def test_every_check_is_decided_by_report_check(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "state.txt"
+    path.write_text(oracles.state_file_text(hyperentangled_state(3, 1, 2, REFERENCE_CONVENTION)))
+    decided = []
+
+    def recorded(name, observed, side, bound, detail):
+        decided.append(name)
+        return report.check(name, observed, side, bound, detail)
+
+    monkeypatch.setattr(cli, "check", recorded)
+    for argv in (
+        ["decompose", "-d", "3", "-i", "1", "-j", "2"],
+        ["verify", "-d", "2"],
+        ["verify", "-d", "3"],
+        ["simulate", "-d", "3", "-i", "1", "-j", "2", "--shots", "10"],
+        ["classify", str(path), "--noise", "0.3"],
+    ):
+        decided.clear()
+        code, document = run_json(capsys, argv)
+        assert code == 0
+        assert sorted(c["name"] for c in document["checks"]) == sorted(decided), argv
 
 
 class TestStateFileFormat:

@@ -60,6 +60,10 @@ def test_documented_value():
     assert core.LOGIC_TOL == 1e-9
 
 
+def test_format_bound_prints_each_bound_as_the_docs_write_it():
+    assert [core.format_bound(b) for b in (1e-9, 1e-6, 1e-12)] == ["1e-9", "1e-6", "1e-12"]
+
+
 class TestStateBasics:
     def test_factor_zero_is_most_significant(self):
         # |1, 0> on (2, 3) sits at offset 1*3 + 0

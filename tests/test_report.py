@@ -13,7 +13,28 @@ def simulate_report(seed, shots) -> dict:
         "shots": shots,
         "format": "csv",
     }
-    return build_report("simulate", config, {}, [check("total_weight", True, "ok")])
+    return build_report("simulate", config, {}, [check("total_weight", 0.0, "<=", 1e-9, "ok")])
+
+
+# observed below, at and above the bound 1.0
+SIDES = {"<=": (True, True, False), "<": (True, False, False), "==": (False, True, False)}
+
+
+@pytest.mark.parametrize("side", list(SIDES))
+def test_check_decides_each_side_at_the_bound(side):
+    passed = [check("c", observed, side, 1.0, "d")["passed"] for observed in (0.5, 1.0, 2.0)]
+    assert passed == list(SIDES[side])
+
+
+def test_check_returns_name_verdict_and_detail():
+    assert check("outcomes", {4}, "==", {4}, "9 pairs") == {
+        "name": "outcomes", "passed": True, "detail": "9 pairs"
+    }
+
+
+def test_an_unknown_side_raises():
+    with pytest.raises(KeyError):
+        check("c", 1.0, ">", 0.0, "d")
 
 
 def test_render_json_indents_two_spaces_sorts_keys_and_ends_with_a_newline():
