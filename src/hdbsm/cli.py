@@ -109,7 +109,8 @@ def _emit(args, d, convention, selection, payload, checks, fields=None, rows=Non
         "format": args.format,
     }
     report = build_report(args.command, config, payload, checks)
-    text = render_csv(report, fields, rows) if args.format == "csv" else render_json(report)
+    label = convention.label()
+    text = render_csv(report, label, fields, rows) if args.format == "csv" else render_json(report)
     try:
         write_report(text, args.output)
     except OSError as exc:

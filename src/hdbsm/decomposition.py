@@ -95,7 +95,7 @@ def pair_coefficients(state: State, convention: PhaseConvention) -> np.ndarray:
     A auxiliary), as a stack of one, with conj(S) for S = ``decomp_basis`` of the
     first radix, which is checked as a dimension (2..6) before the shape.
     """
-    basis = decomp_basis(state.radices[0], convention.decomp_sign).conj()
+    basis = decomp_basis(state.radices[0], convention).conj()
     return pair_product(state.reshaped()[None], basis)[0]
 
 
@@ -166,25 +166,22 @@ def decompose(
     :func:`_decompose_row`), so it is shared with :func:`decompose_all`.
     """
     d, i, j = check_dimension(d, i=i, j=j)
-    return _decompose_row(d, i, convention.bell_sign, convention.decomp_sign)[j]
+    return _decompose_row(d, i, convention)[j]
 
 
-@lru_cache(maxsize=None, typed=True)
-def _decompose_row(
-    d: int, i: int, bell_sign: int, decomp_sign: int
-) -> tuple[DecompositionTable, ...]:
+@lru_cache(maxsize=None)
+def _decompose_row(d: int, i: int, convention: PhaseConvention) -> tuple[DecompositionTable, ...]:
     """Decomposition tables of Bell row i (j = 0..d-1) from one stacked projection.
 
     The d hyperentangled states of :func:`_bell_row` go through one
     :func:`pair_product` with conj(S), so every coefficient equals, bit for
     bit, the one from projecting :func:`hyperentangled_state` on its own.
-    Each table's arrays are read-only slices in ascending flat order.
+    Each table's arrays are read-only slices in ascending flat order. Callers
+    pass the plain ints that ``check_dimension`` returns, so each row is built once.
     """
-    d, i = check_dimension(d, i=i)
-    conv = PhaseConvention(bell_sign, decomp_sign)
     # Referenced until return: freed inside pair_product, malloc trims its pages (~7% slower).
-    stack = _bell_row(d, i, conv)
-    coeffs = pair_product(stack, decomp_basis(d, decomp_sign).conj()).reshape(d, d**4)
+    stack = _bell_row(d, i, convention)
+    coeffs = pair_product(stack, decomp_basis(d, convention).conj()).reshape(d, d**4)
     js, flat = np.nonzero(np.abs(coeffs) > LOGIC_TOL)
     values = coeffs[js, flat]
     flat.flags.writeable = False
@@ -208,7 +205,7 @@ def decompose_all(
     return {
         table.bell: table
         for i in range(d)
-        for table in _decompose_row(d, i, convention.bell_sign, convention.decomp_sign)
+        for table in _decompose_row(d, i, convention)
     }
 
 

@@ -74,7 +74,7 @@ def _bsa_layout(d: int, convention: PhaseConvention) -> BsaLayout:
     unitary[port_out, group, port_in, (port_in - group) % d] = transform[port_out, port_in]
     unitary = unitary.reshape(d * d, d * d)
     unitary.flags.writeable = False
-    gap = float(np.max(np.abs(unitary - decomp_basis(d, convention.decomp_sign).conj())))
+    gap = float(np.max(np.abs(unitary - decomp_basis(d, convention).conj())))
     return BsaLayout(d, unitary, gap)
 
 

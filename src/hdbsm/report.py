@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import io
 import json
-import operator
 import os
 
-from .states import PhaseConvention
-
 SCHEMA_VERSION = "1"
-_SIDES = {"<=": operator.le, "<": operator.lt, "==": operator.eq}
+_SIDES = {"<=": lambda o, b: o <= b, "<": lambda o, b: o < b, "==": lambda o, b: o == b}
 
 
 def check(name: str, observed, side: str, bound, detail: str) -> dict:
@@ -40,16 +37,15 @@ def render_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
-def render_csv(report: dict, fieldnames: list[str], rows: list[dict]) -> str:
-    """CSV rendering: '# key=value' metadata lines, then header and rows."""
+def render_csv(report: dict, label: str, fieldnames: list[str], rows: list[dict]) -> str:
+    """CSV rendering: '# key=value' metadata lines, the convention as ``label``, then rows."""
     buf = io.StringIO()
     config = report["config"]
-    conv = config["convention"]
     meta = [
         ("schema_version", report["schema_version"]),
         ("command", report["command"]),
         ("d", config["d"]),
-        ("convention", PhaseConvention(conv["bell_sign"], conv["decomp_sign"]).label()),
+        ("convention", label),
         ("seed", config["seed"]),
         ("shots", config["shots"]),
         ("passed", str(report["passed"]).lower()),

@@ -111,24 +111,20 @@ def decomp_state(d: int, k: int, m: int, convention: PhaseConvention) -> State:
     construction rule that builds the m > 0 states from the m = 0 ones.
     """
     d, k, m = check_dimension(d, k=k, m=m)
-    return State((d, d), decomp_basis(d, convention.decomp_sign)[k * d + m])
+    return State((d, d), decomp_basis(d, convention)[k * d + m])
 
 
-def decomp_basis(d: int, decomp_sign: int) -> np.ndarray:
+def decomp_basis(d: int, convention: PhaseConvention) -> np.ndarray:
     """Read-only (d*d, d*d) array whose row k*d + m is decomposition state (k, m).
 
     Row k*d + m holds exp(decomp_sign*2j*pi*k*q/d)/sqrt(d) at column
-    q*d + (q - m) mod d. Built once per (d, sign) and shared by
-    :func:`decomp_state` and the pair projections of hdbsm.decomposition.
-    ``decomp_sign`` is +1 or -1, read with ``as_index`` as ``fourier_matrix``
-    reads its sign. Both are read before the cache lookup, so every spelling
-    of an integer finds the one array built for it.
+    q*d + (q - m) mod d. Built once per (d, decomp_sign), so the two
+    conventions that share a decomposition sign share one array, which
+    :func:`decomp_state` and the pair projections of hdbsm.decomposition read.
+    d is read before the cache lookup, so every spelling of an integer finds
+    the one array built for it.
     """
-    d = check_dimension(d)
-    decomp_sign = as_index(decomp_sign, "decomp_sign")
-    if decomp_sign not in (1, -1):
-        raise ValueError(f"decomp_sign must be +1 or -1, got {decomp_sign}")
-    return _decomp_basis(d, decomp_sign)
+    return _decomp_basis(check_dimension(d), convention.decomp_sign)
 
 
 @lru_cache(maxsize=None)

@@ -13,9 +13,9 @@ each of those files alone. Runs go two at a time.
 The gate fails when a mutant survives, when a run ends any other way (a
 collection error or a timeout), when the unmutated copy does not pass, or when
 ``stale`` finds an entry out of date: an old text that does not occur exactly
-once, or a module with no test file. Tier-1 runs ``stale`` too
-(``tests/test_mutation_gate.py``), so a refactor of the targeted code must
-update this list. A mutant leaves the list only with a CHANGES.md line saying
+once, a change that does not compile, or a module with no test file. Tier-1
+runs ``stale`` too (``tests/test_mutation_gate.py``), so a refactor of the
+targeted code must update this list. A mutant leaves the list only with a CHANGES.md line saying
 why, for example that the code it targets was deleted.
 
 Usage, from any directory:
@@ -58,8 +58,8 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "src/hdbsm/decomposition.py",
-        "basis = decomp_basis(state.radices[0], convention.decomp_sign).conj()",
-        "basis = decomp_basis(state.radices[0], convention.decomp_sign)",
+        "basis = decomp_basis(state.radices[0], convention).conj()",
+        "basis = decomp_basis(state.radices[0], convention)",
         "pair_coefficients projects on S instead of conj(S)",
     ),
     Mutant(
@@ -125,8 +125,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/optics.py",
-        "unitary - decomp_basis(d, convention.decomp_sign).conj()",
-        "unitary - decomp_basis(d, convention.decomp_sign)",
+        "unitary - decomp_basis(d, convention).conj()",
+        "unitary - decomp_basis(d, convention)",
         "the analyser's operator gap is taken against S instead of conj(S)",
     ),
     Mutant(
@@ -211,8 +211,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "pair_product(stack, decomp_basis(d, decomp_sign).conj())",
-        "pair_product(stack, decomp_basis(d, decomp_sign))",
+        "pair_product(stack, decomp_basis(d, convention).conj())",
+        "pair_product(stack, decomp_basis(d, convention))",
         "the stacked row projection uses S instead of conj(S)",
     ),
     Mutant(
@@ -387,20 +387,20 @@ MUTANTS = (
     # Each side of report.check, decided as another comparison.
     Mutant(
         "src/hdbsm/report.py",
-        '"<=": operator.le',
-        '"<=": operator.lt',
+        '"<=": lambda o, b: o <= b',
+        '"<=": lambda o, b: o < b',
         "<= decided as <: an observed value at its bound fails",
     ),
     Mutant(
         "src/hdbsm/report.py",
-        '"<": operator.lt',
-        '"<": operator.le',
+        '"<": lambda o, b: o < b',
+        '"<": lambda o, b: o <= b',
         "< decided as <=: a gap exactly at EQUIVALENCE_TOL counts as equivalent",
     ),
     Mutant(
         "src/hdbsm/report.py",
-        '"==": operator.eq',
-        '"==": operator.ge',
+        '"==": lambda o, b: o == b',
+        '"==": lambda o, b: o >= b',
         "== decided as >=: a superset of the input's class passes outcomes_decode_to_input",
     ),
     # Survivors of a mechanical sweep that tests now kill.
@@ -515,15 +515,9 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "    d, i = check_dimension(d, i=i)\n",
-        "    d, _ = check_dimension(d, i=i)\n",
-        "_decompose_row(3, np.uint64(1), ...) stores its tables' Bell index as given",
-    ),
-    Mutant(
-        "src/hdbsm/decomposition.py",
         "    d, i, j = check_dimension(d, i=i, j=j)\n    return _decompose_row(",
         "    _, i, j = check_dimension(d, i=i, j=j)\n    return _decompose_row(",
-        "decompose(np.int64(3), ...) caches a second copy of the d = 3 row",
+        "decompose(np.uint64(3), ...) builds its row from the raw d, which ends in an IndexError",
     ),
     Mutant(
         "src/hdbsm/optics.py",
@@ -560,8 +554,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/states.py",
-        "    d = check_dimension(d)\n    decomp_sign = as_index(",
-        "    decomp_sign = as_index(",
+        "return _decomp_basis(check_dimension(d), convention.decomp_sign)",
+        "return _decomp_basis(d, convention.decomp_sign)",
         "decomp_basis looks its cache up before the d check: 3.0 finds the basis of 3",
     ),
     Mutant(
@@ -656,7 +650,7 @@ MUTANTS = (
         "src/hdbsm/states.py",
         '        object.__setattr__(self, "bell_sign", bell)\n',
         "",
-        "PhaseConvention(True, 1) keeps a bool sign, which keys its own cached rows",
+        "PhaseConvention(True, 1) keeps a bool sign",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
@@ -708,11 +702,10 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/states.py",
-        '    decomp_sign = as_index(decomp_sign, "decomp_sign")\n'
-        "    if decomp_sign not in (1, -1):\n"
-        '        raise ValueError(f"decomp_sign must be +1 or -1, got {decomp_sign}")\n',
+        "        if bell not in (1, -1) or decomp not in (1, -1):\n"
+        '            raise ValueError("phase convention signs must be +1 or -1")\n',
         "",
-        "decomp_basis builds and caches a non-unitary basis for a sign of 0 or 1.5",
+        "PhaseConvention(1, 0) builds, and decomp_basis caches a non-unitary basis for it",
     ),
     Mutant(
         "src/hdbsm/classifier.py",
@@ -778,14 +771,19 @@ MUTANTS = (
 def stale() -> list[str]:
     """One line per problem of a mutant that is out of date.
 
-    Its old text does not occur exactly once, or its module has no test file
-    to run it against.
+    Its old text does not occur exactly once, its change makes the module fail
+    to compile, or its module has no test file to run it against.
     """
     out = []
     for mutant in MUTANTS:
-        count = (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old)
+        text = (ROOT / mutant.path).read_text(encoding="utf-8")
+        count = text.count(mutant.old)
         if count != 1:
             out.append(f"{mutant.path}: old text occurs {count} times: {mutant.old!r}")
+        try:
+            compile(text.replace(mutant.old, mutant.new), mutant.path, "exec")
+        except SyntaxError as exc:
+            out.append(f"{mutant.path}: does not compile ({exc.msg}): {mutant.reason}")
         if not (ROOT / own_tests(mutant)).is_file():
             out.append(f"{mutant.path}: no {own_tests(mutant)} runs: {mutant.reason}")
     return out

@@ -8,13 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from hdbsm import core, decomposition, optics, states
+from hdbsm import core
 from hdbsm.audit import audit_reference_table, load_reference_table
-from hdbsm.classifier import (
-    CoincidenceTable,
-    build_decoding_table,
-    sample_outcomes,
-)
+from hdbsm.classifier import build_decoding_table
 from hdbsm.core import (
     State,
     apply_local_unitary,
@@ -25,18 +21,16 @@ from hdbsm.core import (
 )
 from hdbsm.decomposition import (
     IndexLaw,
-    _decompose_row,
     decompose,
     decompose_all,
     find_convention,
     hyperentangled_state,
     reference_index_law,
 )
-from hdbsm.optics import BsaLayout, bsa_layout, prepare_bell, run_experiment
+from hdbsm.optics import bsa_layout, prepare_bell, run_experiment
 from hdbsm.states import (
     ALL_CONVENTIONS,
     REFERENCE_CONVENTION,
-    BellIndex,
     aux_state,
     bell_state,
     decomp_basis,
@@ -112,7 +106,8 @@ class TestCheckDimension:
 
     def test_returns_a_plain_int(self):
         # d alone comes back as an int, d with indices as a tuple of ints in argument order.
-        # MAX_DIMENSION itself is inside the range.
+        # Both ends of the range, 2 and MAX_DIMENSION, are inside it.
+        assert check_dimension(2) == 2
         for d in (3, np.int64(3), np.uint8(3), core.MAX_DIMENSION):
             assert type(check_dimension(d)) is int and check_dimension(d) == d
             checked = check_dimension(d, i=np.uint64(2), j=True, k=np.int64(0), m=np.uint8(1))
@@ -330,75 +325,6 @@ class TestIntegerReads:
         assert INTEGER_READS[name](value).tobytes() == INTEGER_READS[name](1).tobytes()
 
 
-class TestArgumentDomain:
-    """Calls that once returned, or raised TypeError or IndexError, outside the domain."""
-
-    def test_a_numpy_dimension_finds_the_row_cached_for_an_int(self):
-        _decompose_row.cache_clear()
-        assert decompose(3, 1, 0, C) is decompose(np.int64(3), 1, 0, C)
-        assert _decompose_row.cache_info().currsize == 1
-
-    def test_a_numpy_index_finds_the_row_cached_for_an_int(self):
-        _decompose_row.cache_clear()
-        assert decompose(3, 1, 0, C) is decompose(3, np.uint8(1), 0, C)
-        assert decompose(3, 1, 0, C) is decompose(3, True, 0, C)
-        assert _decompose_row.cache_info().currsize == 1
-
-    def test_a_numpy_row_finds_the_basis_cached_for_an_int(self):
-        # The row's tables store the checked d either way, and both rows share one basis.
-        _decompose_row.cache_clear()
-        states._decomp_basis.cache_clear()
-        _decompose_row(3, 1, C.bell_sign, C.decomp_sign)
-        _decompose_row(np.int64(3), 1, C.bell_sign, C.decomp_sign)
-        assert states._decomp_basis.cache_info().currsize == 1
-
-    def test_a_numpy_run_finds_the_source_and_layout_cached_for_an_int(self):
-        for cached in (optics._bsa_layout, decomposition._hyperentangled_state):
-            cached.cache_clear()
-        run_experiment(3, 1, 2, 10, 0, C)
-        run_experiment(np.int64(3), np.int64(1), np.int64(2), np.int64(10), np.int64(0), C)
-        assert optics._bsa_layout.cache_info().currsize == 1
-        assert decomposition._hyperentangled_state.cache_info().currsize == 1
-
-    @pytest.mark.parametrize(
-        "seed, message",
-        [
-            # numpy seeds PCG64(None) from the operating system, so two such runs differ.
-            (None, "seed must be an integer, got None"),
-            (1.5, "seed must be an integer, got 1.5"),
-        ],
-        ids=["none", "float"],
-    )
-    def test_seed_must_be_a_non_negative_integer(self, seed, message):
-        table = CoincidenceTable(2, np.full((2,) * 4, 1 / 16))
-        for call in (
-            lambda: sample_outcomes(table, 10, seed),
-            lambda: run_experiment(3, 1, 2, 10**5, seed, C),
-            lambda: run_experiment(3, 1, 2, 0, seed, C),
-        ):
-            with pytest.raises(ValueError) as info:
-                call()
-            assert str(info.value) == message
-
-    def test_stored_values_are_plain_ints(self):
-        for bell in (
-            decompose(3, True, 0, C).bell,
-            run_experiment(3, np.int64(1), np.int64(0), 0, 0, C).bell,
-        ):
-            assert bell == (1, 0)
-            assert type(bell.i) is int and type(bell.j) is int
-        assert type(build_decoding_table(np.int64(3), C).d) is int
-        assert type(reference_index_law(np.int64(3)).d) is int
-
-    @pytest.mark.parametrize(
-        "build", [lambda d: BsaLayout(d, bsa_layout(2, C).unitary, 0.0)], ids=["layout"]
-    )
-    def test_value_types_store_the_checked_dimension(self, build):
-        assert type(build(np.int64(2)).d) is int
-        with pytest.raises(ValueError, match="dimension must be an integer, got 2.0"):
-            build(2.0)
-
-
 # The entries that take indices, each called with (d, a, b) and a convention.
 INDEX_CALLS = {
     "bell_state": lambda d, a, b, c: bell_state(d, a, b, c),
@@ -406,7 +332,6 @@ INDEX_CALLS = {
     "shift_clock_unitary": lambda d, a, b, c: shift_clock_unitary(d, a, b, c),
     "hyperentangled_state": lambda d, a, b, c: hyperentangled_state(d, a, b, c),
     "decompose": lambda d, a, b, c: decompose(d, a, b, c),
-    "_decompose_row": lambda d, a, b, c: _decompose_row(d, a, c.bell_sign, c.decomp_sign),
     "IndexLaw": lambda d, a, b, c: IndexLaw(d, a, b, c.bell_sign == 1),
     "prepare_bell": lambda d, a, b, c: prepare_bell(d, a, b, c),
     "run_experiment": lambda d, a, b, c: run_experiment(d, a, b, 100, 0, c),
@@ -446,9 +371,8 @@ CALLS = {
     "aux_state": lambda d, a, b, n, s, c: aux_state(d),
     "decomp_state": lambda d, a, b, n, s, c: decomp_state(d, a, b, c),
     "shift_clock_unitary": lambda d, a, b, n, s, c: shift_clock_unitary(d, a, b, c),
-    "decomp_basis": lambda d, a, b, n, s, c: decomp_basis(d, c.decomp_sign),
+    "decomp_basis": lambda d, a, b, n, s, c: decomp_basis(d, c),
     "decompose": lambda d, a, b, n, s, c: decompose(d, a, b, c),
-    "_decompose_row": lambda d, a, b, n, s, c: _decompose_row(d, a, c.bell_sign, c.decomp_sign),
     "decompose_all": lambda d, a, b, n, s, c: decompose_all(d, c),
     "find_convention": lambda d, a, b, n, s, c: find_convention(d),
     "hyperentangled_state": lambda d, a, b, n, s, c: hyperentangled_state(d, a, b, c),
@@ -462,7 +386,7 @@ CALLS = {
 }
 USES = {  # the drawn arguments each entry reads, besides d
     "bell_state": "ab", "decomp_state": "ab", "shift_clock_unitary": "ab",
-    "decompose": "ab", "_decompose_row": "a", "hyperentangled_state": "ab",
+    "decompose": "ab", "hyperentangled_state": "ab",
     "prepare_bell": "ab", "run_experiment": "abns",
 }
 

@@ -58,7 +58,7 @@ def test_phase_residual_at_logic_tol_is_a_root_of_unity(monkeypatch):
 def test_support_is_strictly_above_logic_tol(monkeypatch):
     # The pairs with m' != m + j are exact zeros, so at d = 2 each table keeps 8 of 16.
     monkeypatch.setattr(decomposition, "LOGIC_TOL", 0.0)
-    for table in _decompose_row.__wrapped__(2, 0, 1, 1):
+    for table in _decompose_row.__wrapped__(2, 0, LITERAL_CONVENTION):
         assert table.flat_support.size == 8
         assert np.all(table.coeffs != 0)
 
@@ -158,7 +158,7 @@ class TestDecompose:
         if analyser:
             basis = bsa_layout(d, conv).unitary
         else:
-            basis = states.decomp_basis(d, conv.decomp_sign).conj()
+            basis = states.decomp_basis(d, conv).conj()
         got = pair_product(stack, basis)
         assert got.shape == stack.shape
         for k in range(n):
@@ -285,7 +285,7 @@ class TestDecompose:
         stacked = np.stack(
             [oracles.loop_decomp_amps(d, k, m, sign) for k in range(d) for m in range(d)]
         )
-        assert states.decomp_basis(d, sign).tobytes() == stacked.tobytes()
+        assert states.decomp_basis(d, PhaseConvention(1, sign)).tobytes() == stacked.tobytes()
 
     @pytest.mark.parametrize(
         "key",  # flat pair indices, coefficients, message
@@ -369,11 +369,14 @@ class TestArgumentDomain:
         assert _decompose_row.cache_info().currsize == 1
 
     def test_a_numpy_row_builds_with_the_int_basis_and_stores_int_indices(self):
+        # Row 1 is built from numpy integers; the two conventions of decomposition sign +1
+        # share one basis array.
         _decompose_row.cache_clear()
         states._decomp_basis.cache_clear()
-        _decompose_row(3, 1, -1, 1)
-        tables = _decompose_row(np.int64(3), np.uint64(1), -1, 1)
-        assert states.decomp_basis(np.int64(3), np.int64(1)) is states.decomp_basis(3, 1)
+        decompose(np.uint64(3), np.uint64(1), 0, REFERENCE_CONVENTION)
+        tables = decompose_all(3, REFERENCE_CONVENTION).values()
+        basis = states.decomp_basis(np.int64(3), REFERENCE_CONVENTION)
+        assert basis is states.decomp_basis(3, LITERAL_CONVENTION)
         assert states._decomp_basis.cache_info().currsize == 1
         assert {(type(t.d), type(t.bell.i)) for t in tables} == {(int, int)}
 
@@ -381,7 +384,7 @@ class TestArgumentDomain:
         "build",
         [
             lambda d: hyperentangled_state(d, 0, 0, REFERENCE_CONVENTION),
-            lambda d: _decompose_row(d, 0, -1, 1),
+            lambda d: decompose_all(d, REFERENCE_CONVENTION),
         ],
         ids=["source", "row"],
     )

@@ -25,6 +25,14 @@ def test_stale_names_a_missing_old_text_and_a_module_without_a_test_file(monkeyp
     ]
 
 
+def test_stale_names_an_entry_whose_change_does_not_compile(monkeypatch):
+    # The gate would find it only when its run ends in a collection error.
+    unclosed = Mutant("src/hdbsm/report.py", 'SCHEMA_VERSION = "1"', 'SCHEMA_VERSION = "1', "cut")
+    monkeypatch.setattr(mutation_gate, "MUTANTS", (unclosed,))
+    [line] = stale()
+    assert line.startswith("src/hdbsm/report.py: does not compile (") and line.endswith("): cut")
+
+
 def test_every_allowed_line_is_current():
     assert stale_lines() == []
 

@@ -125,7 +125,7 @@ class TestOperatorEquivalence:
     @pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=lambda c: c.label())
     def test_unitary_equals_conjugate_basis(self, d, conv):
         layout = bsa_layout(d, conv)
-        assert np.array_equal(layout.unitary, decomp_basis(d, conv.decomp_sign).conj())
+        assert np.array_equal(layout.unitary, decomp_basis(d, conv).conj())
         assert layout.equivalence_gap == 0.0
 
     @settings(max_examples=300, deadline=None)

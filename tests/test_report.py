@@ -69,7 +69,7 @@ def test_render_json_indents_two_spaces_sorts_keys_and_ends_with_a_newline():
 )
 def test_render_csv_writes_meta_lines_then_header_and_rows(seed, shots, meta):
     rows = [{"k": 0, "p": 0.1, "s": "a"}, {"k": 1, "p": 1 / 3, "s": "b"}]
-    assert render_csv(simulate_report(seed, shots), ["k", "p"], rows) == (
+    assert render_csv(simulate_report(seed, shots), "-+", ["k", "p"], rows) == (
         "# schema_version=1\n# command=simulate\n# d=3\n# convention=-+\n"
         + meta
         + "# passed=true\nk,p\n0,0.1\n1,0.3333333333333333\n"

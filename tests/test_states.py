@@ -179,6 +179,9 @@ class TestPhaseConvention:
         assert conv == PhaseConvention(1, -1) and conv.label() == "+-"
 
 
+SIGN_MESSAGE = "^phase convention signs must be \\+1 or -1$"  # PhaseConvention's own check
+
+
 class TestArgumentDomain:
     """The builders read d and their indices with check_dimension."""
 
@@ -195,10 +198,13 @@ class TestArgumentDomain:
                 lambda: shift_clock_unitary(1, 0, 0, LITERAL_CONVENTION),
                 "outside the supported range",
             ),
-            (lambda: decomp_basis(0, 1), "outside the supported range"),
-            (lambda: decomp_basis(3, 0), "^decomp_sign must be \\+1 or -1, got 0$"),
-            (lambda: decomp_basis(3, 1.5), "^decomp_sign must be an integer, got 1.5$"),
-            (lambda: decomp_basis(3, 2), "^decomp_sign must be \\+1 or -1, got 2$"),
+            (lambda: decomp_basis(0, LITERAL_CONVENTION), "outside the supported range"),
+            (lambda: decomp_basis(3, PhaseConvention(1, 0)), SIGN_MESSAGE),
+            (
+                lambda: decomp_basis(3, PhaseConvention(1, 1.5)),
+                "^decomp_sign must be an integer, got 1.5$",
+            ),
+            (lambda: decomp_basis(3, PhaseConvention(1, 2)), SIGN_MESSAGE),
         ],
         ids=["bell-i", "bell-d", "decomp-k", "bell", "aux", "decomp", "unitary", "basis",
              "basis-sign-0", "basis-sign-float", "basis-sign-2"],
@@ -208,9 +214,9 @@ class TestArgumentDomain:
             call()
 
     def test_the_basis_cache_checks_a_float_equal_to_a_cached_int(self):
-        decomp_basis(3, 1)  # a cache keyed by value alone would hand this entry to 3.0
+        decomp_basis(3, LITERAL_CONVENTION)  # a cache keyed by value alone would hand this to 3.0
         with pytest.raises(ValueError, match="dimension must be an integer, got 3.0"):
-            decomp_basis(3.0, 1)
+            decomp_basis(3.0, LITERAL_CONVENTION)
 
 
 class TestShiftClockUnitary:
