@@ -1,35 +1,62 @@
-"""Standing mutation gate: every listed mutant of the package must fail its module's tests.
+"""Mutation gate: every mutant of the package must fail its module's own tests.
 
-Each mutant names a module ``src/hdbsm/<m>.py`` of the checkout, an exact text
-that must occur in it exactly once, the text that replaces it, and the defect
-that the change plants. For every mutant the gate copies ``src``, ``tests`` and
-``pyproject.toml`` into a fresh temporary directory, applies the change there
-and runs ``python -m pytest -x -q`` with a fixed ``--hypothesis-seed`` on the
-mutated module's own test file ``tests/test_<m>.py`` alone. A mutant is killed
-when a test of that file fails (pytest exit code 1), so each module's file
-holds the cases of its own entries and bounds. The unmutated copy must pass
-each of those files alone. Runs go two at a time.
+Two kinds of mutant run side by side:
 
-The gate fails when a mutant survives, when a run ends any other way (a
-collection error or a timeout), when the unmutated copy does not pass, or when
-``stale`` finds an entry out of date: an old text that does not occur exactly
-once, a change that does not compile, or a module with no test file. Tier-1
-runs ``stale`` too (``tests/test_mutation_gate.py``), so a refactor of the
-targeted code must update this list. A mutant leaves the list only with a CHANGES.md line saying
-why, for example that the code it targets was deleted.
+- Hand-written: each entry of ``MUTANTS`` names a module ``src/hdbsm/<m>.py``
+  of the checkout, an exact text that must occur in it exactly once, the text
+  that replaces it, and the defect that the change plants.
+- Mechanical: ``mutants`` parses a module and makes one mutant per node of
+  these kinds: a comparison flipped (``<`` and ``<=``, ``>`` and ``>=``,
+  ``==`` and ``!=``, ``in`` and ``not in``, ``is`` and ``is not`` swap); a
+  binary ``+`` and ``-`` swapped; ``and`` and ``or`` swapped at every place of
+  one boolean operation; a ``not`` dropped; an int constant plus one (a
+  negative literal is a minus sign and a constant, so -1 becomes -2). Each
+  change is spliced into the original text at the position of its AST node,
+  so the rest of the file keeps every byte: re-rendering it with
+  ``ast.unparse`` would change the text that ``tests/test_bounds.py`` reads.
+
+For every mutant the gate copies ``src``, ``tests`` and ``pyproject.toml`` into
+a fresh temporary directory, applies the change there and runs ``python -m
+pytest -x -q`` with a fixed ``--hypothesis-seed`` on the mutated module's own
+test file ``tests/test_<m>.py`` alone, so each module's file holds the cases of
+its own mutants and bounds. The unmutated copy must first pass each of those
+files alone. Runs go two at a time. ``verdict`` reads each run's pytest exit
+code: 1 (a test failed) kills a mutant and 0 is a survivor. A mechanical
+change can break the package at import, for example ``LITERAL_CONVENTION =
+PhaseConvention(2, 1)``, whose sign check raises while ``states`` loads, so 2
+(collection failed) and 3 (internal error) kill a mechanical mutant too; from
+a hand-written entry they mean the entry itself is broken. A timeout or any
+other exit gives no verdict.
+
+A mechanical survivor is explained when ``ALLOWED`` names its file, its
+stripped source line and its change, with one line of reason; nothing explains
+a hand-written survivor. The gate fails when a mutant survives unexplained or a
+run gives no verdict, when an ``ALLOWED`` entry matches no survivor, when the
+unmutated copy does not pass, or when ``stale`` finds a hand-written entry out
+of date: an old text that does not occur exactly once, a change that does not
+compile, a module with no test file, or a change that gives the same file as a
+mechanical mutant. Tier-1 runs ``stale`` and ``stale_lines``, which checks that
+each ``ALLOWED`` line still occurs (``tests/test_mutation_gate.py``), so a
+refactor of the targeted code must update both lists. A hand-written mutant
+leaves the list only with a CHANGES.md line saying why, for example that the
+code it targets was deleted.
 
 Usage, from any directory:
 
     python tests/mutation_gate.py
 
-The last line printed is the gate's wall time next to the CI step's budget.
+It prints each hand-written entry's verdict, and each mechanical mutant that
+survives unexplained or gives no verdict, with pytest's first failure. The last
+line printed is the gate's wall time next to the CI step's budget.
 
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -40,12 +67,19 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hdbsm"
 COPIED = ("src", "tests", "pyproject.toml")
 HYPOTHESIS_SEED = 0
 TIMEOUT_S = 60  # each run is one test file, a few seconds; a hang fails well inside CI_BUDGET_S
-CI_BUDGET_S = 300  # timeout-minutes: 5 of the mutation-gate step in .github/workflows/tests.yml
+CI_BUDGET_S = 1200  # timeout-minutes: 20 of the mutation-gate step in .github/workflows/tests.yml
 WORKERS = 2  # mutants tested at once, each in its own pytest process
 PYTEST_ARGS = ("-x", "-q", f"--hypothesis-seed={HYPOTHESIS_SEED}")
+FLIPPED = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
+           "in": "not in", "not in": "in", "is": "is not", "is not": "is"}
+COMPARISON = re.compile(r"<=|>=|==|!=|<|>|not\s+in\b|in\b|is\s+not\b|is\b")
+ARITHMETIC = re.compile(r"[+-]")
+BOOLEAN = re.compile(r"(and|or)\b")
+NOT = re.compile(r"not\b\s*")
 
 
 class Mutant(NamedTuple):
@@ -80,12 +114,6 @@ MUTANTS = (
         "    _search_sorted(pending[:filled], cdf, hits)\n    np.add.at(",
         "    np.add.at(",
         "split-cell words still buffered after the last chunk are never counted",
-    ),
-    Mutant(
-        "src/hdbsm/states.py",
-        "rows[k, m, q, (q - m) % d] = phases[k, q]",
-        "rows[k, m, q, (q + m) % d] = phases[k, q]",
-        "decomposition states shift the auxiliary digit the wrong way",
     ),
     Mutant(
         "src/hdbsm/classifier.py",
@@ -151,12 +179,6 @@ MUTANTS = (
     Mutant(
         "src/hdbsm/states.py",
         "u[(n + j) % d, n] = np.exp(2j * np.pi * b * n / d)",
-        "u[(n - j) % d, n] = np.exp(2j * np.pi * b * n / d)",
-        "the steering unitary shifts by -j",
-    ),
-    Mutant(
-        "src/hdbsm/states.py",
-        "u[(n + j) % d, n] = np.exp(2j * np.pi * b * n / d)",
         "u[(n + j) % d, n] = np.exp(2j * np.pi * b * (n + j) / d)",
         "the steering unitary applies the shift before the clock, Z^b X^j: only a global phase",
     ),
@@ -217,12 +239,6 @@ MUTANTS = (
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
-        "psi[j, n, p, (n + j) % d, p] = np.multiply.outer(bell, aux)",
-        "psi[j, n, p, (n - j) % d, p] = np.multiply.outer(bell, aux)",
-        "the stacked Bell row shifts Alice's digit by -j",
-    ),
-    Mutant(
-        "src/hdbsm/decomposition.py",
         "BellIndex(i, j), flat[start:end], values[start:end])",
         "BellIndex(i, j), flat[start:end][::-1], values[start:end][::-1])",
         "row-built tables list their entries in descending flat order",
@@ -270,12 +286,6 @@ MUTANTS = (
         "class sums add their pairs in an unstable order",
     ),
     Mutant(
-        "src/hdbsm/classifier.py",
-        "classes = (t_inv * (kp - law.s * k)) % d * d",
-        "classes = (t_inv * (kp + law.s * k)) % d * d",
-        "the law inverse adds s*k instead of subtracting it",
-    ),
-    Mutant(
         "src/hdbsm/decomposition.py",
         "holds = ((s * k + t * i) % d == kp) | ~present",
         "holds = ((s * i + t * k) % d == kp) | ~present",
@@ -312,12 +322,6 @@ MUTANTS = (
         "the law fits interleave the entries of neighbouring Bell indices",
     ),
     Mutant(
-        "src/hdbsm/decomposition.py",
-        "bool(((m + j) % d == mp).all())",
-        "bool(((m - j) % d == mp).all())",
-        "the auxiliary law is tested as m' = m - j",
-    ),
-    Mutant(
         "src/hdbsm/cli.py",
         "sizes = set(np.bincount(classes, minlength=d * d).tolist())",
         "sizes = {d * d}",
@@ -341,7 +345,7 @@ MUTANTS = (
         'f"{result.record.shots} outcomes over {observed.size} pairs"',
         "the outcome check counts every cell as an observed pair",
     ),
-    # Each named bound loosened at its one definition, and each strict side flipped.
+    # Each named bound loosened at its one definition; the mechanical mutants flip each comparison.
     Mutant(
         "src/hdbsm/core.py",
         "LOGIC_TOL = 1e-9",
@@ -373,30 +377,12 @@ MUTANTS = (
         "ROW_THRESHOLD raised from 1e-12 to 1e-10",
     ),
     Mutant(
-        "src/hdbsm/cli.py",
-        "shown = probs > ROW_THRESHOLD",
-        "shown = probs >= ROW_THRESHOLD",
-        "a probability exactly at ROW_THRESHOLD gets a row",
-    ),
-    Mutant(
         "src/hdbsm/core.py",
         'trim="-"',
         'trim="k"',
         "reports print a bound as 1.e-9",
     ),
-    # Each side of report.check, decided as another comparison.
-    Mutant(
-        "src/hdbsm/report.py",
-        '"<=": lambda o, b: o <= b',
-        '"<=": lambda o, b: o < b',
-        "<= decided as <: an observed value at its bound fails",
-    ),
-    Mutant(
-        "src/hdbsm/report.py",
-        '"<": lambda o, b: o < b',
-        '"<": lambda o, b: o <= b',
-        "< decided as <=: a gap exactly at EQUIVALENCE_TOL counts as equivalent",
-    ),
+    # report.check's == side, decided as >=; the mechanical mutants flip <= and <.
     Mutant(
         "src/hdbsm/report.py",
         '"==": lambda o, b: o == b',
@@ -410,36 +396,6 @@ MUTANTS = (
         "check_dimension(d, i=i)",
         "the CLI reads j without check_dimension: decompose and simulate accept j = d "
         "and end in a traceback",
-    ),
-    Mutant(
-        "src/hdbsm/classifier.py",
-        "tie=len(tied) > 1,",
-        "tie=len(tied) > 2,",
-        "an exact tie of two classes is not reported",
-    ),
-    Mutant(
-        "src/hdbsm/decomposition.py",
-        "if len(fits) > 1:",
-        "if len(fits) > 2:",
-        "exactly two affine fits are not reported as ambiguous",
-    ),
-    Mutant(
-        "src/hdbsm/audit.py",
-        "return not (self.mismatches or self.duplicates or self.missing)",
-        "return not (self.mismatches and self.duplicates and self.missing)",
-        "a row with one kind of defect counts as clean",
-    ),
-    Mutant(
-        "src/hdbsm/audit.py",
-        "repeated_bob=tuple(sorted(b for b, c in bob_counts.items() if c > 1)),",
-        "repeated_bob=tuple(sorted(b for b, c in bob_counts.items() if c > 2)),",
-        "a Bob index printed exactly twice is not reported",
-    ),
-    Mutant(
-        "src/hdbsm/audit.py",
-        "enumerate(text.splitlines(), start=1)",
-        "enumerate(text.splitlines(), start=2)",
-        "a transcription error names the line after the bad one",
     ),
     Mutant(
         "src/hdbsm/decomposition.py",
@@ -475,12 +431,6 @@ MUTANTS = (
         "(BellIndex(args.i, args.j), False),",
         "(classification.bell, False),",
         "simulate passes classification_correct for a wrong argmax without a tie",
-    ),
-    Mutant(
-        "src/hdbsm/cli.py",
-        "choices=range(2, MAX_DIMENSION + 1),",
-        "choices=range(2, MAX_DIMENSION + 2),",
-        "the parser admits -d 7, which then raises a ValueError traceback",
     ),
     Mutant(
         "src/hdbsm/states.py",
@@ -593,25 +543,6 @@ MUTANTS = (
         'probs = np.array(self.probs, dtype=np.float64, order="C")',
         'probs = np.asarray(self.probs, dtype=np.float64, order="C")',
         "CoincidenceTable keeps a float64 caller array and makes it read-only",
-    ),
-    # The strict sides of LOGIC_TOL, each flipped.
-    Mutant(
-        "src/hdbsm/classifier.py",
-        "if mass >= best - LOGIC_TOL",
-        "if mass > best - LOGIC_TOL",
-        "a class exactly LOGIC_TOL below the best one does not tie",
-    ),
-    Mutant(
-        "src/hdbsm/decomposition.py",
-        "bad = np.flatnonzero(np.abs(residual) > LOGIC_TOL)",
-        "bad = np.flatnonzero(np.abs(residual) >= LOGIC_TOL)",
-        "a phase residual exactly at LOGIC_TOL is not a root of unity",
-    ),
-    Mutant(
-        "src/hdbsm/decomposition.py",
-        "js, flat = np.nonzero(np.abs(coeffs) > LOGIC_TOL)",
-        "js, flat = np.nonzero(np.abs(coeffs) >= LOGIC_TOL)",
-        "a pair coefficient exactly at LOGIC_TOL stays in the support",
     ),
     # The value types store the checked d; two entries with their own range read d as an integer.
     Mutant(
@@ -746,47 +677,211 @@ MUTANTS = (
         "except cl.CollisionError as exc:",
         "verify ends in a traceback when the fitted t has no inverse mod d",
     ),
-    # Error messages that only an exact-message test reads.
-    Mutant(
-        "src/hdbsm/decomposition.py",
-        'f"no sign convention yields s = t = {d - 1} at d={d}"',
-        'f"no sign convention yields s = t = {d + 1} at d={d}"',
-        "NoMatchingConventionError names s = t = d + 1",
-    ),
-    Mutant(
-        "src/hdbsm/decomposition.py",
-        'f"no sign convention yields s = t = {d - 1} at d={d}"',
-        'f"no sign convention yields s = t = {d - 2} at d={d}"',
-        "NoMatchingConventionError names s = t = d - 2",
-    ),
-    Mutant(
-        "src/hdbsm/decomposition.py",
-        'raise ValueError(f"expected shape {(d,) * 4}, got {stack.shape[1:]}")',
-        'raise ValueError(f"expected shape {(d,) * 5}, got {stack.shape[1:]}")',
-        "the pair product's shape error names a five-factor shape",
-    ),
 )
 
 
+class Allowed(NamedTuple):
+    path: str  # relative to src/hdbsm
+    line: str  # the stripped source line
+    change: str
+    reason: str
+
+
+RESHAPE = "reshape(-2) infers the one free axis as reshape(-1) does"
+NO_SIDE = "the bound promises no side: no distance a check compares lands on it (README)"
+
+ALLOWED = (
+    # Equivalent mutants: no input can tell them from the code.
+    Allowed("classifier.py", "UNREACHABLE = -1", "1 -> 2",
+            "the sentinel is read by name, and -2 lies outside 0..d*d - 1 as -1 does"),
+    Allowed("classifier.py", "_CELL_BITS = 12", "12 -> 13",
+            "finer cells only move draws between counting and searching; no outcome changes"),
+    Allowed("classifier.py", "_CHUNK = 1 << 14", "1 -> 2",
+            "the chunks continue one stream, so their size changes no count"),
+    Allowed("classifier.py", "_CHUNK = 1 << 14", "14 -> 15",
+            "the chunks continue one stream, so their size changes no count"),
+    Allowed("classifier.py", "flat = table.probs.reshape(-1)", "1 -> 2", RESHAPE),
+    Allowed("classifier.py", "classes = self.classes.reshape(-1)", "1 -> 2", RESHAPE),
+    Allowed("classifier.py", "sums = table.probs.reshape(-1)[decoding.class_order]"
+            ".reshape(d * d, d * d).sum(axis=1)", "1 -> 2", RESHAPE),
+    Allowed("classifier.py", "return CoincidenceTable(state.radices[0], np.abs(coeffs) ** 2)",
+            "0 -> 1", "pair_coefficients has checked that all four radices are equal"),
+    Allowed("classifier.py", "if filled + chosen.size > size:", "> -> >=",
+            "an early flush searches the same words, and their order changes no outcome"),
+    Allowed("cli.py", "probs = table.probs.reshape(-1)", "1 -> 2", RESHAPE),
+    Allowed("cli.py", "counts = record.counts.reshape(-1)", "1 -> 2", RESHAPE),
+    Allowed("cli.py", "d = state.radices[0]", "0 -> 1",
+            "parse_state_file builds only (d, d, d, d) states"),
+    Allowed("core.py", "amps = np.ascontiguousarray(self.amps, dtype=np.complex128)"
+            ".reshape(-1).copy()", "1 -> 2", RESHAPE),
+    Allowed("core.py", "return State(u.radices + v.radices, np.multiply.outer(u.amps, v.amps)"
+            ".reshape(-1))", "1 -> 2", RESHAPE),
+    Allowed("core.py", "amps = np.ascontiguousarray(state.reshaped().transpose(order))"
+            ".reshape(-1)", "1 -> 2", RESHAPE),
+    Allowed("decomposition.py", "return (basis @ stack.reshape(-1, d * d, d * d) @ basis.T)"
+            ".reshape(stack.shape)", "1 -> 2", RESHAPE),
+    Allowed("decomposition.py", "residual = (residual + math.pi) % (2 * math.pi) - math.pi",
+            "+ -> -", "-pi and +pi are equal modulo 2*pi; the roundings differ far below LOGIC_TOL"),
+    Allowed("decomposition.py", 'order = np.argsort(bell * d**4 + flat, kind="stable")',
+            "4 -> 5", "every multiplier of at least d**4 sorts by Bell index, then pair index"),
+    Allowed("states.py", "return State((d, d), amps.reshape(-1) / np.sqrt(d))", "1 -> 2",
+            f"{RESHAPE} (bell_state and aux_state)"),
+    # Strict sides flipped at the bounds that README lists with no side.
+    Allowed("classifier.py", "if abs(norm - 1.0) > NORM_TOL:", "> -> >=", NO_SIDE),
+)
+
+
+class Sweep(NamedTuple):
+    """One mechanical mutant: a Mutant whose old text is the whole file, and where it sits."""
+
+    mutant: Mutant
+    line: int
+    change: str
+    source: str
+
+
+def mutants(path: Path) -> list[Sweep]:
+    """Every mechanical mutant of one module, in source order."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    starts = [0]
+    for line in lines:
+        starts.append(starts[-1] + len(line))
+
+    def offset(lineno: int, col: int) -> int:
+        """Index into ``text`` of an AST position, whose column counts UTF-8 bytes."""
+        return starts[lineno - 1] + len(lines[lineno - 1].encode()[:col].decode())
+
+    def start(node) -> int:
+        return offset(node.lineno, node.col_offset)
+
+    def end(node) -> int:
+        return offset(node.end_lineno, node.end_col_offset)
+
+    def between(left, right, pattern) -> re.Match:
+        """The operator between two operands: the first token that is not a bracket or space."""
+        at, stop = end(left), start(right)
+        while at < stop:
+            if text[at] in " \t\r\n\\()":
+                at += 1
+            elif text[at] == "#":
+                at = text.index("\n", at)
+            else:
+                break
+        found = pattern.match(text, at, stop)
+        if found is None:
+            raise ValueError(f"{path.name}:{left.end_lineno}: no operator in {text[at:stop]!r}")
+        return found
+
+    found = []  # (index into text of the first splice, mutated text, change)
+
+    def add(splices: list[tuple[int, int, str]], change: str) -> None:
+        new = text
+        for first, last, replacement in sorted(splices, reverse=True):
+            new = new[:first] + replacement + new[last:]
+        compile(new, str(path), "exec")
+        found.append((min(splices)[0], new, change))
+
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for left, right in zip(operands, operands[1:]):
+                op = between(left, right, COMPARISON)
+                old = " ".join(op.group().split())
+                add([(op.start(), op.end(), FLIPPED[old])], f"{old} -> {FLIPPED[old]}")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            op = between(node.left, node.right, ARITHMETIC)
+            new = "-" if op.group() == "+" else "+"
+            add([(op.start(), op.end(), new)], f"{op.group()} -> {new}")
+        elif isinstance(node, ast.BoolOp):
+            old, new = ("and", "or") if isinstance(node.op, ast.And) else ("or", "and")
+            ops = [between(a, b, BOOLEAN) for a, b in zip(node.values, node.values[1:])]
+            add([(op.start(), op.end(), new) for op in ops], f"{old} -> {new}")
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            op = NOT.match(text, start(node))
+            add([(op.start(), op.end(), "")], "not dropped")
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            add([(start(node), end(node), str(node.value + 1))],
+                f"{node.value} -> {node.value + 1}")
+    # A change made more than once on one line is told apart by its place on the line.
+    swept = []
+    seen: dict[tuple[int, str], int] = {}
+    for at, new, change in sorted(found, key=lambda splice: splice[0]):
+        lineno = text.count("\n", 0, at) + 1
+        count = seen[lineno, change] = seen.get((lineno, change), 0) + 1
+        if count > 1:
+            change = f"{change} (#{count})"
+        source = lines[lineno - 1].strip()
+        reason = f"line {lineno}: {change}: {source}"
+        mutant = Mutant(f"src/hdbsm/{path.name}", text, new, reason)
+        swept.append(Sweep(mutant, lineno, change, source))
+    return swept
+
+
 def stale() -> list[str]:
-    """One line per problem of a mutant that is out of date.
+    """One line per problem of a hand-written mutant that is out of date.
 
     Its old text does not occur exactly once, its change makes the module fail
-    to compile, or its module has no test file to run it against.
+    to compile, its module has no test file to run it against, or its change
+    gives the same file as a mechanical mutant, which the gate runs anyway.
     """
     out = []
+    twins: dict[str, dict[str, Sweep]] = {}
     for mutant in MUTANTS:
         text = (ROOT / mutant.path).read_text(encoding="utf-8")
         count = text.count(mutant.old)
         if count != 1:
             out.append(f"{mutant.path}: old text occurs {count} times: {mutant.old!r}")
+        new = text.replace(mutant.old, mutant.new)
         try:
-            compile(text.replace(mutant.old, mutant.new), mutant.path, "exec")
+            compile(new, mutant.path, "exec")
         except SyntaxError as exc:
             out.append(f"{mutant.path}: does not compile ({exc.msg}): {mutant.reason}")
         if not (ROOT / own_tests(mutant)).is_file():
             out.append(f"{mutant.path}: no {own_tests(mutant)} runs: {mutant.reason}")
+        if mutant.path not in twins:
+            twins[mutant.path] = {s.mutant.new: s for s in mutants(ROOT / mutant.path)}
+        twin = twins[mutant.path].get(new)
+        if twin is not None:
+            out.append(
+                f"{mutant.path}:{twin.line}: repeats the mechanical mutant {twin.change}: "
+                f"{mutant.reason}"
+            )
     return out
+
+
+def stale_lines() -> list[str]:
+    """One message per ALLOWED entry whose line occurs nowhere in its module, once stripped."""
+    found = []
+    for entry in ALLOWED:
+        module = PACKAGE / entry.path
+        text = module.read_text(encoding="utf-8") if module.is_file() else ""
+        if entry.line not in {line.strip() for line in text.splitlines()}:
+            found.append(f"{entry.path}: no such line: {entry.line}")
+    return found
+
+
+def allowed(sweep: Sweep) -> Allowed | None:
+    name = sweep.mutant.path.removeprefix("src/hdbsm/")
+    return next(
+        (entry for entry in ALLOWED
+         if (entry.path, entry.line, entry.change) == (name, sweep.source, sweep.change)),
+        None,
+    )
+
+
+def verdict(code: int | None, mechanical: bool) -> str:
+    """A run's verdict, "killed", "SURVIVED" or "NO VERDICT", from its pytest exit code.
+
+    Exit 1 (a test failed) kills any mutant. Exit 2 (collection failed) and 3
+    (internal error) kill a mechanical mutant, whose change may break the
+    package at import, but give no verdict on a hand-written entry, which they
+    show to be broken itself. A timeout (code None) or any other exit gives no
+    verdict.
+    """
+    if code == 0:
+        return "SURVIVED"
+    return "killed" if code in ((1, 2, 3) if mechanical else (1,)) else "NO VERDICT"
 
 
 def own_tests(mutant: Mutant) -> str:
@@ -860,19 +955,40 @@ def main() -> int:
     if problems:
         return 1
 
-    failures = 0
+    swept = [sweep for path in sorted(PACKAGE.glob("*.py")) for sweep in mutants(path)]
+    runs = [(mutant, None) for mutant in MUTANTS] + [(sweep.mutant, sweep) for sweep in swept]
+    print(f"{len(MUTANTS)} hand-written and {len(swept)} mechanical mutants")
+    outcomes = []
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        if not unmutated_passes(pool, sorted(set(map(own_tests, MUTANTS)))):
+        if not unmutated_passes(pool, sorted({own_tests(mutant) for mutant, _ in runs})):
             return 1
-        for mutant, (code, output, seconds) in zip(
-            MUTANTS, pool.map(lambda m: timed(run_tests, m, own_tests(m)), MUTANTS)
-        ):
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"NO VERDICT (exit {code})")
-            print(f"{verdict:<8} {seconds:5.1f} s  {mutant.path}: {mutant.reason}")
+        results = pool.map(lambda run: timed(run_tests, run[0], own_tests(run[0])), runs)
+        for (mutant, sweep), (code, output, seconds) in zip(runs, results):
+            outcome = verdict(code, mechanical=sweep is not None)
+            outcomes.append(outcome)
+            if sweep is not None and outcome != "NO VERDICT":
+                if outcome == "killed" or allowed(sweep):
+                    continue  # a mechanical mutant is printed only when it fails the gate
+            label = f"{outcome} (exit {code})" if outcome == "NO VERDICT" else outcome
+            print(f"{label:<8} {seconds:5.1f} s  {mutant.path}: {mutant.reason}")
             print(f"{'':16}{first_failure(output)}")
-            failures += code != 1
-    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
-    return 1 if failures else 0
+
+    handwritten, mechanical = outcomes[: len(MUTANTS)], outcomes[len(MUTANTS) :]
+    survivors = [sweep for sweep, outcome in zip(swept, mechanical) if outcome == "SURVIVED"]
+    matches = [allowed(sweep) for sweep in survivors]
+    unexplained = matches.count(None)
+    unused = [entry for entry in ALLOWED if entry not in matches]
+    for entry in unused:
+        print(f"stale allow-list entry: {entry.path}: {entry.change}: {entry.line}")
+    print(f"{handwritten.count('killed')} of {len(MUTANTS)} hand-written mutants killed")
+    print(
+        f"{len(swept)} mechanical mutants: {mechanical.count('killed')} killed, "
+        f"{len(survivors) - unexplained} allowed, {unexplained} unexplained, "
+        f"{mechanical.count('NO VERDICT')} with no verdict, {len(unused)} stale allow-list entries"
+    )
+    every_run_decided = set(handwritten) == {"killed"} and "NO VERDICT" not in mechanical
+    return 0 if every_run_decided and not unexplained and not unused else 1
+
 
 if __name__ == "__main__":
     began = time.perf_counter()

@@ -1,13 +1,13 @@
-"""Static checks of the gate's entries and the sweep's allow-list, run with tier-1.
+"""Static checks of the gate's entries, its allow-list and its verdicts, run with tier-1.
 
 No mutant runs this file, which is no module's own test file: each check here
 reads the text a mutant changes.
 """
 
+import pytest
+
 import mutation_gate
-import mutation_sweep
-from mutation_gate import Mutant, stale
-from mutation_sweep import Allowed, stale_lines
+from mutation_gate import Allowed, Mutant, stale, stale_lines, verdict
 
 
 def test_every_gate_entry_is_current():
@@ -33,6 +33,35 @@ def test_stale_names_an_entry_whose_change_does_not_compile(monkeypatch):
     assert line.startswith("src/hdbsm/report.py: does not compile (") and line.endswith("): cut")
 
 
+def test_stale_names_an_entry_that_repeats_a_mechanical_mutant(monkeypatch):
+    # The gate runs the mechanical twin anyway, so the entry would only run it twice.
+    side = '"<=": lambda o, b: o <= b'
+    repeat = Mutant("src/hdbsm/report.py", side, '"<=": lambda o, b: o < b', "<= decided as <")
+    monkeypatch.setattr(mutation_gate, "MUTANTS", (repeat,))
+    text = (mutation_gate.ROOT / repeat.path).read_text(encoding="utf-8")
+    line = next(n for n, source in enumerate(text.splitlines(), start=1) if side in source)
+    assert stale() == [
+        f"src/hdbsm/report.py:{line}: repeats the mechanical mutant <= -> <: <= decided as <"
+    ]
+
+
+@pytest.mark.parametrize(
+    ("code", "handwritten", "mechanical"),
+    [
+        (0, "SURVIVED", "SURVIVED"),
+        (1, "killed", "killed"),
+        # A hand-written entry whose change breaks collection is itself broken.
+        (2, "NO VERDICT", "killed"),
+        (3, "NO VERDICT", "killed"),
+        (4, "NO VERDICT", "NO VERDICT"),
+        (None, "NO VERDICT", "NO VERDICT"),  # timed out
+    ],
+)
+def test_verdict_of_each_exit_code(code, handwritten, mechanical):
+    assert verdict(code, mechanical=False) == handwritten
+    assert verdict(code, mechanical=True) == mechanical
+
+
 def test_every_allowed_line_is_current():
     assert stale_lines() == []
 
@@ -43,7 +72,7 @@ def test_stale_lines_names_an_edited_line_and_a_missing_module(monkeypatch):
     current = Allowed("states.py", twice, "1 -> 2", "kept")
     edited = Allowed("cli.py", "d = state.radices[1]", "1 -> 2", "edited")
     missing = Allowed("gone.py", "d = state.radices[0]", "0 -> 1", "deleted")
-    monkeypatch.setattr(mutation_sweep, "ALLOWED", (current, edited, missing))
+    monkeypatch.setattr(mutation_gate, "ALLOWED", (current, edited, missing))
     assert stale_lines() == [
         "cli.py: no such line: d = state.radices[1]",
         "gone.py: no such line: d = state.radices[0]",
